@@ -27,20 +27,23 @@ from dtry import (
 
 skel = FinSetSkeleton()
 
-# An object: a directory shape whose complete paths are assigned sizes.
+# An object: one directory whose values are sizes (objects of the category).
 state = DtryObj.of(skel, {"oscillator.mass": 1, "oscillator.spring": 1, "tank": 2})
 print("object, as a path family:")
 for path, size in path_family(state):
     print("  ", path, "->", size)
 
-# Nested directories of objects flatten just like directories of values.
+# Nested directories of objects flatten just like directories of values:
+# mu_obj is the flatten of the inner directories.
 grouped = Dtry.from_path_map(
     {
         "left": DtryObj.of(skel, {"a": 2}),
         "right": DtryObj.of(skel, {"b": 1, "c": 3}),
     }
 )
-print("\nflattened family:", {str(p): n for p, n in path_family(mu_obj(grouped))})
+flat = mu_obj(grouped)
+assert flat.objs == grouped.map_values(lambda o: o.objs).flatten()
+print("\nflattened family:", {str(p): n for p, n in path_family(flat)})
 
 # A morphism: an index map between path sets and a component for each
 # indexed pair. The ISO variant demands a bijective index map.

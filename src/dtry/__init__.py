@@ -12,8 +12,6 @@ from .errors import (
     BadNameError,
     BadPathError,
     DtryError,
-    DuplicatePathError,
-    EmptySubdirError,
     NotACategoryError,
     NotComposableError,
     PrefixConflictError,
@@ -35,7 +33,6 @@ from .fincat import (
     mu_obj,
     path_family,
     shape_with_n_leaves,
-    validate_fincat,
 )
 from .formats import (
     Diagnostic,
@@ -73,7 +70,6 @@ __all__ = [
     "parse_nested",
     "emit_nested",
     "FinCat",
-    "validate_fincat",
     "FinFn",
     "FinSetSkeleton",
     "Variant",
@@ -93,8 +89,6 @@ __all__ = [
     "BadNameError",
     "BadPathError",
     "PrefixConflictError",
-    "DuplicatePathError",
-    "EmptySubdirError",
     "NotACategoryError",
     "NotComposableError",
 ]

@@ -3,7 +3,11 @@
 Subcommands: validate, convert, get, merge, check. Exit codes are fixed
 for scripting: 0 ok, 1 invalid input, 2 I/O error, 3 not found.
 Diagnostics go to stderr as ``LINE:CODE:MESSAGE``; results go to stdout.
-``-`` names stdin.
+``-`` names stdin. Files and stdin alike are decoded as UTF-8; a byte
+sequence that is not UTF-8 is one ``E_ENCODING`` diagnostic at the line
+of the first bad byte, exit 1. A value the flat
+form cannot hold (a newline, or whitespace at either end) is an
+``E_UNREPRESENTABLE`` diagnostic naming its path, exit 1.
 """
 
 from __future__ import annotations
@@ -33,9 +37,16 @@ EXIT_NOT_FOUND = 3
 
 def _read(source: str) -> str:
     if source == "-":
-        return sys.stdin.read()
-    with open(source, encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        message = f"not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        raise ParseError([Diagnostic("E_ENCODING", line, message)]) from exc
 
 
 def _report(diagnostics) -> None:
@@ -43,7 +54,8 @@ def _report(diagnostics) -> None:
         print(diag, file=sys.stderr)
 
 
-def _parse(text: str, fmt: str) -> Dtry:
+def _load(source: str, fmt: str) -> Dtry:
+    text = _read(source)
     return parse_flat(text) if fmt == "flat" else parse_nested(text)
 
 
@@ -52,35 +64,23 @@ def _flat_value(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+def _flat_text(directory: Dtry) -> str:
+    # A value no flat line can hold is invalid input, reported like a parse failure.
+    flat = directory.map_values(_flat_value)
+    try:
+        return emit_flat(flat)
+    except ValueError as exc:
+        raise ParseError([Diagnostic("E_UNREPRESENTABLE", 1, str(exc))]) from exc
+
+
 def cmd_validate(args) -> int:
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        _parse(text, args.format)
-    except ParseError as exc:
-        _report(exc.diagnostics)
-        return EXIT_INVALID
+    _load(args.file, args.format)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        directory = _parse(text, args.from_)
-    except ParseError as exc:
-        _report(exc.diagnostics)
-        return EXIT_INVALID
-    if args.to == "nested":
-        sys.stdout.write(emit_nested(directory))
-    else:
-        sys.stdout.write(emit_flat(directory.map_values(_flat_value)))
+    directory = _load(args.file, args.from_)
+    sys.stdout.write(emit_nested(directory) if args.to == "nested" else _flat_text(directory))
     return EXIT_OK
 
 
@@ -90,24 +90,14 @@ def cmd_get(args) -> int:
     except BadPathError as exc:
         print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
         return EXIT_INVALID
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        directory = _parse(text, args.format)
-    except ParseError as exc:
-        _report(exc.diagnostics)
-        return EXIT_INVALID
-    found = directory.lookup(path)
+    found = _load(args.file, args.format).lookup(path)
     if found is None:
         print(f"error: no entry at {str(path)!r}", file=sys.stderr)
         return EXIT_NOT_FOUND
     if found.is_leaf:
         print(_flat_value(found.value))
     else:
-        sys.stdout.write(emit_flat(found.map_values(_flat_value)))
+        sys.stdout.write(_flat_text(found))
     return EXIT_OK
 
 
@@ -126,27 +116,13 @@ def cmd_merge(args) -> int:
         if name in entries:
             print(f"error: duplicate prefix {name!r}", file=sys.stderr)
             return EXIT_INVALID
-        try:
-            text = _read(file_name)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        try:
-            entries[name] = parse_flat(text)
-        except ParseError as exc:
-            _report(exc.diagnostics)
-            return EXIT_INVALID
+        entries[name] = _load(file_name, "flat")
     sys.stdout.write(emit_flat(merge_disjoint(entries)))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    entries, diagnostics = scan_flat(text)
+    entries, diagnostics = scan_flat(_read(args.file))
     problems = list(diagnostics)
     # Key discipline is checked pairwise on the raw lines, without the trie.
     for i, first in enumerate(entries):
@@ -216,7 +192,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.run(args)
+    # The one place where input failures become exit codes.
+    try:
+        return args.run(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ParseError as exc:
+        _report(exc.diagnostics)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ __all__ = [
     "BadNameError",
     "BadPathError",
     "PrefixConflictError",
-    "DuplicatePathError",
-    "EmptySubdirError",
     "NotACategoryError",
     "NotComposableError",
 ]
@@ -67,28 +65,6 @@ class PrefixConflictError(DtryError):
         super().__init__(detail)
         self.existing = existing
         self.incoming = incoming
-
-
-class DuplicatePathError(DtryError):
-    """The same path occurs twice in one document."""
-
-    code = "E_DUPLICATE_PATH"
-
-    def __init__(self, path, first_line: int | None = None):
-        where = f"; first bound at line {first_line}" if first_line else ""
-        super().__init__(f"duplicate path {_show(path)}{where}")
-        self.path = path
-        self.first_line = first_line
-
-
-class EmptySubdirError(DtryError):
-    """A nested document contains an empty object below the root."""
-
-    code = "E_EMPTY_SUBDIR"
-
-    def __init__(self, at):
-        super().__init__(f"empty subdirectory at {_show(at)}")
-        self.at = at
 
 
 class NotACategoryError(DtryError):

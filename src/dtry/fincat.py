@@ -9,28 +9,28 @@ computed function tables over the objects 0, 1, 2, ... read as the sets
 objects, block summation on functions.
 
 On top of either sits the directory-indexed layer: a :class:`DtryObj`
-assigns an object of the category to every complete path of a shape, and
-a :class:`DtryMor` maps paths to paths and carries one component
-morphism per path. Morphisms come in three variants that differ only in
-which side indexes the data and what the index map must satisfy:
+is one directory whose values are objects of the category, and a
+:class:`DtryMor` maps paths to paths and carries one component morphism
+per path. Morphisms come in three variants that differ only in which
+side indexes the data and what the index map must satisfy:
 
 * GENERAL: index map from source paths to destination paths;
 * ISO: the same, but the index map must be a bijection;
 * PRODUCT: index map from destination paths back to source paths, the
   shape appropriate for projection-style morphisms.
 
-``mu_obj``/``mu_mor`` flatten a directory of directory-objects into one,
-concatenating paths. ``algebra_eval_obj``/``algebra_eval_mor`` evaluate
-a directory-object in a strictly associative tensor (its path family in
-lexicographic order), sending an ISO morphism to the tensor of its
-components followed by the permutation its index map induces between the
-two path orders.
+``mu_obj`` is the directory flatten of a directory of directory-objects,
+concatenating paths; ``mu_mor`` flattens morphisms the same way.
+``algebra_eval_obj``/``algebra_eval_mor`` evaluate a directory-object in
+a strictly associative tensor (its path family in lexicographic order),
+sending an ISO morphism to the tensor of its components followed by the
+permutation its index map induces between the two path orders.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as _cartesian
 from typing import Any, Callable, Mapping, Sequence
@@ -44,7 +44,6 @@ MorId = Any
 
 __all__ = [
     "FinCat",
-    "validate_fincat",
     "FinFn",
     "FinSetSkeleton",
     "Variant",
@@ -177,11 +176,6 @@ class FinCat:
         return [m for m, (d, c) in self._mor.items() if d == x and c == y]
 
 
-def validate_fincat(cat: FinCat) -> None:
-    """Re-run the identity and associativity checks of a table category."""
-    cat.validate()
-
-
 @dataclass(frozen=True)
 class FinFn:
     """A function {1..m} -> {1..cod} as an explicit image table.
@@ -307,30 +301,27 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class DtryObj:
-    """An object assignment over the complete paths of a directory shape."""
+    """A directory whose values are objects of ``cat``.
+
+    ``assign`` is the read view of ``objs``: its complete paths and their
+    objects in lexicographic order, computed once on construction.
+    """
 
     cat: Any
-    shape: Dtry
-    assign: Mapping[Path, ObjId]
+    objs: Dtry
+    assign: Mapping[Path, ObjId] = field(init=False, compare=False)
 
     def __post_init__(self):
-        normalized = {Path(p): v for p, v in dict(self.assign).items()}
-        shape_paths = set(self.shape.paths())
-        if set(normalized) != shape_paths:
-            raise ValueError(
-                "assignment domain must be exactly the complete paths of the shape"
-            )
-        for p, v in normalized.items():
+        assign = self.objs.path_map()
+        for p, v in assign.items():
             if not self.cat.has_object(v):
                 raise ValueError(f"{v!r} assigned at {p!r} is not an object of the category")
-        object.__setattr__(self, "assign", {p: normalized[p] for p in sorted(normalized)})
+        object.__setattr__(self, "assign", assign)
 
     @classmethod
     def of(cls, cat, assign: Mapping) -> "DtryObj":
-        """Build shape and assignment together from a path-to-object mapping."""
-        normalized = {Path(p): v for p, v in dict(assign).items()}
-        shape = Dtry.from_path_map({p: None for p in normalized})
-        return cls(cat, shape, normalized)
+        """Build the directory from a path-to-object mapping."""
+        return cls(cat, Dtry.from_path_map(assign))
 
     def paths(self) -> list[Path]:
         return list(self.assign)
@@ -434,17 +425,11 @@ def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
     empty outer directory the category cannot be inferred, so pass
     ``cat=`` explicitly there.
     """
-    outer = dd.path_map()
     if cat is None:
-        if not outer:
+        if dd.is_empty:
             raise ValueError("cannot infer the category of an empty directory; pass cat=")
-        cat = next(iter(outer.values())).cat
-    assign = {}
-    for p, obj in outer.items():
-        for q, v in obj.assign.items():
-            assign[p.concat(q)] = v
-    shape = dd.map_values(lambda o: o.shape).flatten()
-    return DtryObj(cat, shape, assign)
+        cat = next(iter(dd.path_map().values())).cat
+    return DtryObj(cat, dd.map_values(lambda o: o.objs).flatten())
 
 
 def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:

@@ -141,7 +141,9 @@ def emit_flat(directory: Dtry[str]) -> str:
         if not isinstance(value, str):
             raise TypeError(f"flat emission needs string values, got {value!r}")
         if "\n" in value or value != value.strip():
-            raise ValueError(f"value not representable on a flat line: {value!r}")
+            raise ValueError(
+                f"value at {_show(path)} is not representable on a flat line: {value!r}"
+            )
         parts.append(f"{path} = {value}\n")
     return "".join(parts)
 

@@ -10,11 +10,11 @@ at the outermost level of results, where no nesting can occur.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["Just", "NOTHING", "is_maybe", "map_maybe", "join_maybe"]
+__all__ = ["Just", "NOTHING", "join_maybe"]
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,6 @@ class _NothingType:
 
 
 NOTHING = _NothingType()
-
-
-def is_maybe(value: Any) -> bool:
-    return value is NOTHING or isinstance(value, Just)
-
-
-def map_maybe(f: Callable, m):
-    return NOTHING if m is NOTHING else Just(f(m.value))
 
 
 def join_maybe(m):

@@ -154,7 +154,7 @@ def random_dtry_obj(
     rng: random.Random, cat, *, max_leaves: int = 3, sizes=(1, 2, 3), names=NAME_POOL
 ) -> DtryObj:
     shape = random_shape(rng, max_leaves=max_leaves, names=names)
-    return DtryObj(cat, shape, {p: rng.choice(sizes) for p in shape.paths()})
+    return DtryObj(cat, shape.map_values(lambda _: rng.choice(sizes)))
 
 
 def random_mor_from(
@@ -173,7 +173,7 @@ def random_mor_from(
         rng.shuffle(shuffled)
         f0 = dict(zip(src_paths, shuffled))
         dst_assign = {f0[p]: rng.choice(sizes) for p in src_paths}
-        dst = DtryObj(cat, dst_shape, dst_assign)
+        dst = DtryObj.of(cat, dst_assign)
         f1 = {p: rng.choice(cat.hom(src.assign[p], dst.assign[f0[p]])) for p in src_paths}
         return DtryMor(variant, src, dst, f0, f1)
     if variant is Variant.GENERAL:

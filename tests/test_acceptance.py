@@ -266,7 +266,7 @@ def all_small_objects():
     for shape in shapes:
         paths = shape.paths()
         for sizes in cartesian((0, 1, 2), repeat=len(paths)):
-            yield DtryObj(SKEL, shape, dict(zip(paths, sizes)))
+            yield DtryObj.of(SKEL, dict(zip(paths, sizes)))
 
 
 def count_general_morphisms(src: DtryObj, dst: DtryObj) -> int:
@@ -326,7 +326,7 @@ def test_strict_algebra_laws():
     rng = random.Random(1009)
     # unit: a one-leaf directory evaluates to its own object
     for n in range(5):
-        singleton = DtryObj(SKEL, Dtry.leaf(None), {Path(): n})
+        singleton = DtryObj(SKEL, Dtry.leaf(n))
         assert algebra_eval_obj(ALG, singleton) == n
 
     # associativity square, objects and morphisms
@@ -334,11 +334,7 @@ def test_strict_algebra_laws():
         dd = random_dtry(rng, depth=2, branching=2, values=(None,)).map_values(
             lambda _: random_dtry_obj(rng, SKEL, max_leaves=3, sizes=(0, 1, 2, 3))
         )
-        evaluated = DtryObj(
-            SKEL,
-            dd.map_values(lambda _: None),
-            {p: algebra_eval_obj(ALG, o) for p, o in dd.path_map().items()},
-        )
+        evaluated = DtryObj(SKEL, dd.map_values(lambda o: algebra_eval_obj(ALG, o)))
         assert algebra_eval_obj(ALG, evaluated) == algebra_eval_obj(
             ALG, mu_obj(dd, cat=SKEL)
         )
@@ -349,10 +345,8 @@ def test_strict_algebra_laws():
         inner = dm.path_map()
         ta_mor = DtryMor(
             Variant.ISO,
-            DtryObj(SKEL, dm.map_values(lambda _: None),
-                    {p: algebra_eval_obj(ALG, m.src) for p, m in inner.items()}),
-            DtryObj(SKEL, dm.map_values(lambda _: None),
-                    {p: algebra_eval_obj(ALG, m.dst) for p, m in inner.items()}),
+            DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.src))),
+            DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.dst))),
             {p: p for p in inner},
             {p: algebra_eval_mor(ALG, m) for p, m in inner.items()},
         )

@@ -18,6 +18,11 @@ def write(tmp_path, name, text):
     return str(target)
 
 
+def stdin_bytes(data):
+    # Like the real stdin: a text stream over a binary buffer.
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 class TestValidate:
     def test_valid_file(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, "ok.dtry", EXAMPLE_FLAT)]) == 0
@@ -42,7 +47,7 @@ class TestValidate:
         assert "E_EMPTY_SUBDIR" in capsys.readouterr().err
 
     def test_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a = 1\n"))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(b"a = 1\n"))
         assert main(["validate", "-"]) == 0
 
 
@@ -156,3 +161,53 @@ class TestCheck:
         text = "a = 1\nnot a binding\n"
         assert main(["check", write(tmp_path, "bad.dtry", text)]) == 1
         assert "2:E_SYNTAX:" in capsys.readouterr().err
+
+
+NON_UTF8 = b"sec.key = 1\nsec.other = caf\xe9\n\xff = 2\n"
+NON_UTF8_IDS = ("validate", "validate_nested", "convert", "get", "merge", "check")
+
+
+def non_utf8_argvs(source):
+    return [
+        ["validate", source],
+        ["validate", "--format", "nested", source],
+        ["convert", "--from", "flat", "--to", "nested", source],
+        ["get", "sec", source],
+        ["merge", "--prefix", f"a={source}"],
+        ["check", source],
+    ]
+
+
+class TestInputFailures:
+    @pytest.mark.parametrize("argv", non_utf8_argvs("FILE"), ids=NON_UTF8_IDS)
+    def test_non_utf8_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "raw.dtry"
+        target.write_bytes(NON_UTF8)
+        argv = [a.replace("FILE", str(target)) for a in argv]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "2:E_ENCODING:not UTF-8 at byte offset 27: invalid continuation byte"
+        ]
+
+    @pytest.mark.parametrize("argv", non_utf8_argvs("-"), ids=NON_UTF8_IDS)
+    def test_non_utf8_stdin(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", stdin_bytes(NON_UTF8))
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("2:E_ENCODING:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "--from", "nested", "--to", "flat"], ["get", "", "--format", "nested"]],
+        ids=("convert", "get"),
+    )
+    def test_padded_nested_value_has_no_flat_form(self, tmp_path, capsys, argv):
+        src = write(tmp_path, "in.json", '{"a": {"b": " x"}}')
+        assert main(argv + [src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("1:E_UNREPRESENTABLE:")
+        assert "'a.b'" in out.err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, distrib, filter_nothings, merge_disjoint
 from dtry.errors import PrefixConflictError
-from dtry.maybe import NOTHING, Just, join_maybe, map_maybe
+from dtry.maybe import NOTHING, Just, join_maybe
 from dtry.paths import Path
 
 from helpers import (

@@ -24,7 +24,6 @@ from dtry.fincat import (
     mu_obj,
     path_family,
     shape_with_n_leaves,
-    validate_fincat,
 )
 from dtry.paths import Path
 
@@ -61,7 +60,7 @@ class TestFinCatTables:
         assert cat.has_object("x")
         assert cat.compose("id_x", "f") == "f"
         assert cat.hom("x", "y") == ["f"]
-        validate_fincat(cat)
+        cat.validate()
 
     def test_missing_composite_is_structural(self):
         data = json.loads(tiny_cat_json())
@@ -143,7 +142,7 @@ class TestFinSetSkeleton:
 
     def test_truncation_validates_as_a_category(self):
         cat = SKEL.truncate(2)
-        validate_fincat(cat)
+        cat.validate()
         assert sorted(cat.objects()) == [0, 1, 2]
         assert len(cat.hom(2, 2)) == 4
 
@@ -195,12 +194,17 @@ class TestFinSetSkeleton:
 
 
 class TestDtryObj:
-    def test_assignment_must_cover_the_shape(self):
-        shape = Dtry.from_path_map({"a": None, "b": None})
-        with pytest.raises(ValueError):
-            DtryObj(SKEL, shape, {Path("a"): 1})
-        with pytest.raises(ValueError):
-            DtryObj(SKEL, shape, {Path("a"): 1, Path("b"): 2, Path("c"): 3})
+    def test_assign_is_the_path_map_and_mu_obj_is_flatten(self):
+        rng = random.Random(197)
+        for _ in range(100):
+            d = random_shape(rng, max_leaves=4).map_values(lambda _: rng.randint(0, 3))
+            x = DtryObj(SKEL, d)
+            assert x.assign == d.path_map()
+            assert list(x.assign) == sorted(d.path_map())
+            dd = random_dtry(rng, depth=2, branching=2, values=(None,)).map_values(
+                lambda _: random_dtry_obj(rng, SKEL)
+            )
+            assert mu_obj(dd, cat=SKEL).objs == dd.map_values(lambda o: o.objs).flatten()
 
     def test_values_must_be_objects(self):
         with pytest.raises(ValueError):
@@ -213,7 +217,7 @@ class TestDtryObj:
         assert path_family(x) == [(Path("a"), 2), (Path("b.a"), 3), (Path("b.z"), 1)]
 
     def test_empty_object(self):
-        x = DtryObj(SKEL, Dtry.empty(), {})
+        x = DtryObj(SKEL, Dtry.empty())
         assert path_family(x) == []
 
 
@@ -316,7 +320,7 @@ class TestFlattening:
 
     def test_inner_empties_vanish(self):
         dd = Dtry.from_path_map(
-            {"s1": DtryObj(SKEL, Dtry.empty(), {}), "s2": DtryObj.of(SKEL, {"a": 2})}
+            {"s1": DtryObj(SKEL, Dtry.empty()), "s2": DtryObj.of(SKEL, {"a": 2})}
         )
         assert mu_obj(dd).assign == {Path("s2.a"): 2}
 
@@ -400,18 +404,18 @@ class TestShapes:
         for _ in range(100):
             sizes = [rng.randint(0, 4) for _ in range(rng.randint(0, 10))]
             shape = shape_with_n_leaves(len(sizes))
-            obj = DtryObj(SKEL, shape, dict(zip(shape.paths(), sizes)))
+            obj = DtryObj.of(SKEL, dict(zip(shape.paths(), sizes)))
             assert [v for _, v in path_family(obj)] == sizes
 
 
 class TestAlgebraEvaluation:
     def test_object_evaluation_sums_sizes(self):
         assert algebra_eval_obj(ALG, DtryObj.of(SKEL, {"a": 2, "b": 3})) == 5
-        assert algebra_eval_obj(ALG, DtryObj(SKEL, Dtry.empty(), {})) == 0
+        assert algebra_eval_obj(ALG, DtryObj(SKEL, Dtry.empty())) == 0
 
     def test_unit_law_on_leaf_objects(self):
         for n in range(5):
-            leaf_obj = DtryObj(SKEL, Dtry.leaf(None), {Path(): n})
+            leaf_obj = DtryObj(SKEL, Dtry.leaf(n))
             assert algebra_eval_obj(ALG, leaf_obj) == n
 
     def test_two_leaf_swap_is_the_block_swap(self):
@@ -431,15 +435,15 @@ class TestAlgebraEvaluation:
         f = FinFn(3, (2, 2))
         m = DtryMor(
             Variant.ISO,
-            DtryObj(SKEL, Dtry.leaf(None), {Path(): 2}),
-            DtryObj(SKEL, Dtry.leaf(None), {Path(): 3}),
+            DtryObj(SKEL, Dtry.leaf(2)),
+            DtryObj(SKEL, Dtry.leaf(3)),
             {Path(): Path()},
             {Path(): f},
         )
         assert algebra_eval_mor(ALG, m) == f
 
     def test_empty_morphism_evaluates_to_the_unit_identity(self):
-        empty = DtryObj(SKEL, Dtry.empty(), {})
+        empty = DtryObj(SKEL, Dtry.empty())
         m = DtryMor(Variant.ISO, empty, empty, {}, {})
         assert algebra_eval_mor(ALG, m) == SKEL.identity(0)
 
@@ -462,11 +466,7 @@ class TestAlgebraEvaluation:
             dd = random_dtry(rng, depth=2, branching=2, values=(None,)).map_values(
                 lambda _: random_dtry_obj(rng, SKEL)
             )
-            evaluated_inner = DtryObj(
-                SKEL,
-                dd.map_values(lambda _: None),
-                {p: algebra_eval_obj(ALG, o) for p, o in dd.path_map().items()},
-            )
+            evaluated_inner = DtryObj(SKEL, dd.map_values(lambda o: algebra_eval_obj(ALG, o)))
             assert algebra_eval_obj(ALG, evaluated_inner) == algebra_eval_obj(
                 ALG, mu_obj(dd, cat=SKEL)
             )
@@ -479,16 +479,8 @@ class TestAlgebraEvaluation:
                 lambda _: random_mor_from(rng, random_dtry_obj(rng, SKEL), Variant.ISO)
             )
             inner_mors = dm.path_map()
-            ta_src = DtryObj(
-                SKEL,
-                outer,
-                {p: algebra_eval_obj(ALG, m.src) for p, m in inner_mors.items()},
-            )
-            ta_dst = DtryObj(
-                SKEL,
-                outer,
-                {p: algebra_eval_obj(ALG, m.dst) for p, m in inner_mors.items()},
-            )
+            ta_src = DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.src)))
+            ta_dst = DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.dst)))
             ta_mor = DtryMor(
                 Variant.ISO,
                 ta_src,
@@ -533,11 +525,11 @@ class TestFullFaithfulness:
             assert self.enumerate_general_mors(src, dst) == self.family_morphism_count(src, dst)
 
     def test_empty_source_has_exactly_one_morphism_anywhere(self):
-        empty = DtryObj(SKEL, Dtry.empty(), {})
+        empty = DtryObj(SKEL, Dtry.empty())
         dst = DtryObj.of(SKEL, {"a": 2})
         assert self.enumerate_general_mors(empty, dst) == 1
 
     def test_empty_destination_admits_none_from_nonempty(self):
         src = DtryObj.of(SKEL, {"a": 2})
-        empty = DtryObj(SKEL, Dtry.empty(), {})
+        empty = DtryObj(SKEL, Dtry.empty())
         assert self.enumerate_general_mors(src, empty) == 0
