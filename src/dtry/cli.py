@@ -94,10 +94,9 @@ def cmd_get(args) -> int:
     if found is None:
         print(f"error: no entry at {str(path)!r}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    if found.is_leaf:
-        print(_flat_value(found.value))
-    else:
-        sys.stdout.write(_flat_text(found))
+    text = _flat_text(found)
+    # A leaf's flat form is the root line ' = VALUE'; get prints the bare value.
+    sys.stdout.write(text.removeprefix(" = ") if found.is_leaf else text)
     return EXIT_OK
 
 
@@ -123,29 +122,29 @@ def cmd_merge(args) -> int:
 
 def cmd_check(args) -> int:
     entries, diagnostics = scan_flat(_read(args.file))
-    problems = list(diagnostics)
-    # Key discipline is checked pairwise on the raw lines, without the trie.
-    for i, first in enumerate(entries):
-        for second in entries[i + 1 :]:
+    # Key discipline is checked on the raw lines, without the trie. Sorted
+    # by path, the copies and extensions of a path follow it contiguously,
+    # so each scan stops at the first path it is not a prefix of: the cost
+    # is O(n log n + conflicting pairs), each pair found once.
+    ordered = sorted(entries, key=lambda e: e.path)
+    problems = [(d.line, 0, d) for d in diagnostics]
+    for i, entry in enumerate(ordered):
+        j = i + 1
+        while j < len(ordered) and entry.path.is_prefix_of(ordered[j].path):
+            first, second = sorted((entry, ordered[j]), key=lambda e: e.line)
             if first.path == second.path:
-                problems.append(
-                    Diagnostic(
-                        "E_DUPLICATE_PATH",
-                        second.line,
-                        f"duplicate path '{second.path}'; first bound at line {first.line}",
-                    )
+                message = f"duplicate path '{second.path}'; first bound at line {first.line}"
+                diag = Diagnostic("E_DUPLICATE_PATH", second.line, message)
+            else:
+                message = (
+                    f"paths '{first.path}' (line {first.line}) and '{second.path}' conflict"
                 )
-            elif first.path.is_prefix_of(second.path) or second.path.is_prefix_of(first.path):
-                problems.append(
-                    Diagnostic(
-                        "E_PREFIX_CONFLICT",
-                        second.line,
-                        f"paths '{first.path}' (line {first.line}) and "
-                        f"'{second.path}' conflict",
-                    )
-                )
+                diag = Diagnostic("E_PREFIX_CONFLICT", second.line, message)
+            problems.append((second.line, first.line, diag))
+            j += 1
     if problems:
-        _report(sorted(problems, key=lambda d: d.line))
+        problems.sort(key=lambda p: p[:2])
+        _report(diag for _, _, diag in problems)
         return EXIT_INVALID
     return EXIT_OK
 

@@ -71,12 +71,6 @@ class NonEmptyRecord(Generic[T]):
     def get(self, key, default=None):
         return self._entries.get(key, default)
 
-    def insert(self, key, value) -> "NonEmptyRecord[T]":
-        """A new record with one entry added or replaced."""
-        merged = dict(self._entries)
-        merged[Name(key)] = value
-        return NonEmptyRecord(merged)
-
     def map_values(self, f: Callable[[T], Any]) -> "NonEmptyRecord":
         return NonEmptyRecord({k: f(v) for k, v in self._entries.items()})
 
@@ -169,41 +163,87 @@ def _graft(tree):
     return Node(tree.children.map_values(_graft))
 
 
-def _singleton_tree(names, value):
+class _Dir(dict):
+    """A mutable directory node of :class:`_TrieBuilder`: names to ``_Dir`` or ``Leaf``.
+
+    ``least`` is its least name, kept current as names are added, so a
+    conflict names the least bound path under a node without sorting.
+    """
+
+    __slots__ = ("least",)
+
+
+def _chain(names, value) -> "_Dir | Leaf":
     tree = Leaf(value)
-    for name in reversed(tuple(names)):
-        tree = Node(NonEmptyRecord({name: tree}))
+    for name in reversed(names):
+        node = _Dir()
+        node[name] = tree
+        node.least = name
+        tree = node
     return tree
 
 
-def _collect_paths(tree, prefix, out):
-    if isinstance(tree, Leaf):
-        out[Path(prefix)] = tree.value
-        return
-    for name, child in tree.children.items():
-        _collect_paths(child, prefix + (name,), out)
+class _TrieBuilder:
+    """Collects prefix-free bindings in mutable nodes; ``freeze`` builds the trie once.
 
+    The one place where a conflict between a new path and the bound ones
+    is decided. A rejected ``add`` leaves the builder unchanged.
+    """
 
-def _least_path_under(tree, prefix):
-    # Lex-least complete path extending prefix inside this subtree.
-    names = list(prefix)
-    while isinstance(tree, Node):
-        name = next(iter(tree.children))
-        names.append(name)
-        tree = tree.children[name]
-    return Path(names)
+    __slots__ = ("_root",)
 
+    def __init__(self):
+        self._root: _Dir | Leaf | None = None
 
-def _insert_tree(tree, path, depth, value):
-    if isinstance(tree, Leaf):
-        raise PrefixConflictError(existing=Path(path[:depth]), incoming=path)
-    if depth == len(path):
-        raise PrefixConflictError(existing=_least_path_under(tree, path), incoming=path)
-    name = path[depth]
-    child = tree.children.get(name)
-    if child is None:
-        return Node(tree.children.insert(name, _singleton_tree(path[depth + 1 :], value)))
-    return Node(tree.children.insert(name, _insert_tree(child, path, depth + 1, value)))
+    def add(self, path: Path, value) -> None:
+        """Bind ``value`` at ``path``.
+
+        Raises:
+            PrefixConflictError: against the bound path that ``path``
+                equals or extends, or else against the least bound path
+                that extends ``path``.
+        """
+        node = self._root
+        if node is None:
+            self._root = _chain(path, value)
+            return
+        for depth, name in enumerate(path):
+            if type(node) is Leaf:
+                raise PrefixConflictError(existing=Path(path[:depth]), incoming=path)
+            child = node.get(name)
+            if child is None:
+                node[name] = _chain(path[depth + 1 :], value)
+                if name < node.least:
+                    node.least = name
+                return
+            node = child
+        names = list(path)
+        while type(node) is _Dir:
+            names.append(node.least)
+            node = node[node.least]
+        raise PrefixConflictError(existing=Path(names), incoming=path)
+
+    def freeze(self) -> Leaf | Node | None:
+        """The immutable tree: one record per node, children before parents."""
+        root = self._root
+        if type(root) is not _Dir:
+            return root
+        order, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(child for child in node.values() if type(child) is _Dir)
+        frozen: dict[int, Node] = {}
+        for node in reversed(order):
+            frozen[id(node)] = Node(
+                NonEmptyRecord(
+                    {
+                        name: child if type(child) is Leaf else frozen.pop(id(child))
+                        for name, child in node.items()
+                    }
+                )
+            )
+        return frozen[id(root)]
 
 
 class Dtry(Generic[T]):
@@ -232,7 +272,9 @@ class Dtry(Generic[T]):
     @classmethod
     def singleton(cls, path, value: T) -> "Dtry[T]":
         """The directory with exactly one entry at ``path``."""
-        return cls(_singleton_tree(Path(path), value))
+        builder = _TrieBuilder()
+        builder.add(Path(path), value)
+        return cls(builder.freeze())
 
     @classmethod
     def from_path_map(cls, entries: Mapping) -> "Dtry[T]":
@@ -247,10 +289,10 @@ class Dtry(Generic[T]):
         items = sorted(
             ((Path(p), v) for p, v in dict(entries).items()), key=lambda kv: kv[0]
         )
-        result = cls.empty()
+        builder = _TrieBuilder()
         for path, value in items:
-            result = result.insert(path, value)
-        return result
+            builder.add(path, value)
+        return cls(builder.freeze())
 
     @property
     def is_empty(self) -> bool:
@@ -304,11 +346,16 @@ class Dtry(Generic[T]):
                 bound path, or is a prefix of one. Overwriting by insert
                 would silently change the shape, so conflicts are hard
                 errors; build a fresh directory instead.
+
+        Each call rebuilds the whole trie, so it costs O(n) in the number
+        of entries; build a directory of many bindings with
+        :meth:`from_path_map` instead.
         """
-        path = Path(path)
-        if self._root is None:
-            return Dtry.singleton(path, value)
-        return Dtry(_insert_tree(self._root, path, 0, value))
+        builder = _TrieBuilder()
+        for bound, old in self.path_map().items():
+            builder.add(bound, old)
+        builder.add(Path(path), value)
+        return Dtry(builder.freeze())
 
     def flatten(self) -> "Dtry":
         """Graft a directory of directories into one directory.
@@ -341,9 +388,28 @@ class Dtry(Generic[T]):
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""
+        root = self._root
+        if root is None:
+            return {}
+        if type(root) is Leaf:
+            return {Path(): root.value}
         out: dict[Path, T] = {}
-        if self._root is not None:
-            _collect_paths(self._root, (), out)
+        # Depth first without recursion: one iterator per open node, and
+        # ``names`` is the path to the innermost one.
+        names: list[Name] = []
+        pending = [iter(root.children.items())]
+        while pending:
+            for name, child in pending[-1]:
+                if type(child) is Leaf:
+                    out[tuple.__new__(Path, (*names, name))] = child.value
+                else:
+                    names.append(name)
+                    pending.append(iter(child.children.items()))
+                    break
+            else:
+                pending.pop()
+                if names:
+                    names.pop()
         return out
 
     def paths(self) -> list[Path]:
@@ -351,7 +417,15 @@ class Dtry(Generic[T]):
         return list(self.path_map())
 
     def __len__(self) -> int:
-        return len(self.path_map())
+        count = 0
+        stack = [] if self._root is None else [self._root]
+        while stack:
+            tree = stack.pop()
+            if type(tree) is Leaf:
+                count += 1
+            else:
+                stack.extend(tree.children.values())
+        return count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dtry):

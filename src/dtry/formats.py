@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, NonEmptyRecord
+from .core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError
 from .paths import Name, Path
 
@@ -76,6 +76,7 @@ def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
     """
     entries: list[FlatLine] = []
     diagnostics: list[Diagnostic] = []
+    names: dict[str, Name] = {}  # one Name per distinct segment of the document
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -87,7 +88,7 @@ def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
             )
             continue
         try:
-            path = Path.parse(lhs.strip())
+            path = Path.parse(lhs.strip(), names)
         except BadPathError as exc:
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
@@ -106,7 +107,7 @@ def parse_flat(text: str) -> Dtry[str]:
         ParseError: with one diagnostic per failing line.
     """
     entries, diagnostics = scan_flat(text)
-    result: Dtry[str] = Dtry.empty()
+    builder = _TrieBuilder()
     first_line: dict[Path, int] = {}
     for entry in entries:
         if entry.path in first_line:
@@ -120,14 +121,14 @@ def parse_flat(text: str) -> Dtry[str]:
             )
             continue
         try:
-            result = result.insert(entry.path, entry.value)
+            builder.add(entry.path, entry.value)
         except PrefixConflictError as exc:
             diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
             continue
         first_line[entry.path] = entry.line
     if diagnostics:
         raise ParseError(sorted(diagnostics, key=lambda d: d.line))
-    return result
+    return Dtry(builder.freeze())
 
 
 def emit_flat(directory: Dtry[str]) -> str:

@@ -52,17 +52,27 @@ class Path(tuple):
         return super().__new__(cls, (Name(s) for s in segments))
 
     @classmethod
-    def parse(cls, text: str) -> "Path":
-        """Parse dotted-path syntax; the empty string is the root path."""
+    def parse(cls, text: str, names: dict[str, Name] | None = None) -> "Path":
+        """Parse dotted-path syntax; the empty string is the root path.
+
+        ``names`` maps segment texts to the names already made for them,
+        and is updated: parsing many paths with one such dict validates
+        each distinct segment once and shares one ``Name`` for it.
+        """
         if text == "":
             return tuple.__new__(cls, ())
-        names = []
+        if names is None:
+            names = {}
+        segments = []
         for i, part in enumerate(text.split(".")):
-            try:
-                names.append(Name(part))
-            except BadNameError as exc:
-                raise BadPathError(text, i, exc.reason) from exc
-        return tuple.__new__(cls, tuple(names))
+            name = names.get(part)
+            if name is None:
+                try:
+                    name = names[part] = Name(part)
+                except BadNameError as exc:
+                    raise BadPathError(text, i, exc.reason) from exc
+            segments.append(name)
+        return tuple.__new__(cls, segments)
 
     def concat(self, other) -> "Path":
         return Path(tuple.__add__(self, Path(other)))

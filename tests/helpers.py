@@ -12,6 +12,7 @@ import random
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
 from dtry.fincat import DtryMor, DtryObj, Variant
+from dtry.formats import scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -47,6 +48,64 @@ def naive_flatten(outer: dict) -> dict:
         for subkey, value in inner.items():
             result[f"{key}.{subkey}"] = value
     return result
+
+
+def oracle_check(text: str) -> list[str]:
+    """The lines ``dtry check`` reports on ``text``, by comparing every pair of lines.
+
+    This is the quadratic loop the command used before its sorted scan.
+    The sort by line is stable, so one later line lists its earlier
+    partners in line order.
+    """
+    entries, diagnostics = scan_flat(text)
+    problems = [(d.line, str(d)) for d in diagnostics]
+    for i, first in enumerate(entries):
+        for second in entries[i + 1 :]:
+            if tuple(first.path) == tuple(second.path):
+                problems.append(
+                    (
+                        second.line,
+                        f"{second.line}:E_DUPLICATE_PATH:duplicate path '{second.path}'; "
+                        f"first bound at line {first.line}",
+                    )
+                )
+            elif not oracle_prefix_free([first.path, second.path]):
+                problems.append(
+                    (
+                        second.line,
+                        f"{second.line}:E_PREFIX_CONFLICT:paths '{first.path}' "
+                        f"(line {first.line}) and '{second.path}' conflict",
+                    )
+                )
+    problems.sort(key=lambda p: p[0])
+    return [text for _, text in problems]
+
+
+def oracle_conflicts(paths) -> list[tuple | None]:
+    """Which bound path each of ``paths``, added in order, conflicts with.
+
+    Entry k is None when path k binds, else the tuple of the bound path it
+    equals or extends, or else the least bound path that extends it. Kept
+    as a bound set plus a least-extension map from every proper prefix of
+    a bound path to the least bound path below it.
+    """
+    bound: set[tuple] = set()
+    least: dict[tuple, tuple] = {}
+    out: list[tuple | None] = []
+    for path in paths:
+        t = tuple(path)
+        below = [t[:k] for k in range(len(t) + 1) if t[:k] in bound]
+        if below:
+            out.append(below[0])
+        elif t in least:
+            out.append(least[t])
+        else:
+            bound.add(t)
+            for k in range(len(t)):
+                if t[:k] not in least or t < least[t[:k]]:
+                    least[t[:k]] = t
+            out.append(None)
+    return out
 
 
 def check_representation(d: Dtry) -> None:

@@ -1,0 +1,173 @@
+"""Trie construction and ``check``: differential properties, work counts, deep paths.
+
+The properties compare against the oracles in ``helpers``: the pairwise
+``check`` loop, and a file-order reference for which bound path each new
+path conflicts with. The work counts pin the cost of building and
+checking without timing anything.
+"""
+
+import contextlib
+import io
+from collections import Counter
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtry.cli import main
+from dtry.core import Dtry, NonEmptyRecord
+from dtry.errors import PrefixConflictError
+from dtry.fincat import DtryObj, FinSetSkeleton
+from dtry.formats import ParseError, parse_flat, scan_flat
+from dtry.paths import Path
+
+from helpers import oracle_check, oracle_conflicts
+
+# Three letters and short paths, so duplicates and prefix conflicts are dense.
+paths_st = st.lists(st.sampled_from("abc"), max_size=3).map(".".join)
+lines_st = st.one_of(
+    paths_st.map(lambda p: f"{p} = v"),
+    st.sampled_from(["", "# note", "no binding", "a..b = 1"]),
+)
+documents_st = st.lists(lines_st, max_size=16).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def run_check(text):
+    stderr = io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stderr(stderr):
+        code = main(["check", "-"])
+    return code, stderr.getvalue()
+
+
+def show(path):
+    return f"'{path}'" if len(path) else "the root"
+
+
+def conflict_pair(build):
+    try:
+        build()
+    except PrefixConflictError as exc:
+        return tuple(exc.existing), tuple(exc.incoming)
+    return None
+
+
+class TestDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(documents_st)
+    def test_check_matches_the_pairwise_oracle(self, text):
+        want = oracle_check(text)
+        assert run_check(text) == (1 if want else 0, "".join(f"{t}\n" for t in want))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(paths_st, max_size=10), paths_st)
+    def test_conflicts_match_the_file_order_reference(self, dotted, extra):
+        paths = [Path(p) for p in dotted]
+
+        # parse_flat: each line in file order binds, duplicates a bound
+        # path, or conflicts with the pair the reference names.
+        want = []
+        first_line = {}
+        for line, (path, hit) in enumerate(zip(paths, oracle_conflicts(paths)), 1):
+            if hit is None:
+                first_line[path] = line
+            elif hit == tuple(path):
+                want.append(
+                    f"{line}:E_DUPLICATE_PATH:duplicate path {show(path)}; "
+                    f"first bound at line {first_line[path]}"
+                )
+            else:
+                want.append(f"{line}:E_PREFIX_CONFLICT:{PrefixConflictError(hit, path)}")
+        text = "".join(f"{p} = v\n" for p in paths)
+        try:
+            got = list(parse_flat(text).path_map())
+        except ParseError as exc:
+            assert [str(d) for d in exc.diagnostics] == want
+        else:
+            assert want == [] and got == sorted(first_line)
+
+        # from_path_map: the first conflict in sorted key order.
+        ordered = sorted(set(paths))
+        hits = oracle_conflicts(ordered)
+        want_pair = next(((h, tuple(p)) for p, h in zip(ordered, hits) if h is not None), None)
+        assert conflict_pair(lambda: Dtry.from_path_map(dict.fromkeys(paths, "v"))) == want_pair
+
+        # insert: one more path into the prefix-free part.
+        bound = [p for p, h in zip(ordered, hits) if h is None]
+        base = Dtry.from_path_map(dict.fromkeys(bound, "v"))
+        incoming = Path(extra)
+        hit = oracle_conflicts(bound + [incoming])[-1]
+        want_pair = None if hit is None else (hit, tuple(incoming))
+        assert conflict_pair(lambda: base.insert(incoming, "new")) == want_pair
+
+
+# ------------------------------------------------------------ work counts
+
+
+@pytest.fixture
+def work(monkeypatch):
+    counts = Counter()
+    record_init = NonEmptyRecord.__init__
+    is_prefix_of = Path.is_prefix_of
+
+    def counting_record_init(self, entries):
+        record_init(self, entries)
+        counts["record entries"] += len(self)
+
+    def counting_is_prefix_of(self, other):
+        counts["is_prefix_of"] += 1
+        return is_prefix_of(self, other)
+
+    monkeypatch.setattr(NonEmptyRecord, "__init__", counting_record_init)
+    monkeypatch.setattr(Path, "is_prefix_of", counting_is_prefix_of)
+    return counts
+
+
+def wide_lines(n):
+    return [f"a.k{i} = {i}" for i in range(n)]
+
+
+def realistic_lines(n):
+    return [f"a.b{i // 40}.c{i % 40} = {i}" for i in range(n)]
+
+
+def trie_edges(paths):
+    return len({tuple(p)[:k] for p in paths for k in range(1, len(p) + 1)})
+
+
+class TestWork:
+    @pytest.mark.parametrize(
+        "lines", [wide_lines(2000), realistic_lines(2000)], ids=("wide", "realistic")
+    )
+    def test_one_record_entry_per_trie_edge(self, work, lines):
+        text = "\n".join(lines) + "\n"
+        paths = [entry.path for entry in scan_flat(text)[0]]
+        directory = parse_flat(text)
+        assert work["record entries"] == trie_edges(paths)
+        work.clear()
+        Dtry.from_path_map(directory.path_map())
+        assert work["record entries"] == trie_edges(paths)
+
+    def test_check_scans_each_entry_once_plus_its_conflicts(self, work):
+        lines = realistic_lines(400)
+        # duplicates, a prefix of many lines, and extensions of one line
+        lines += ["a.b3.c7 = x", "a.b3.c7 = y", "a.b5 = z", "a.b9.c1.d = w", "a = root"]
+        text = "\n".join(lines) + "\n"
+        entries = scan_flat(text)[0]
+        conflicting_pairs = len(oracle_check(text))  # no syntax errors here
+        assert run_check(text)[0] == 1
+        assert 0 < work["is_prefix_of"] <= len(entries) + conflicting_pairs
+
+
+# ------------------------------------------------------------- deep paths
+
+
+class TestDeepPaths:
+    def test_deep_path_builds_maps_counts_and_makes_an_object(self):
+        deep = ".".join(["s"] * 3000)
+        directory = Dtry.from_path_map({deep: 2})
+        assert directory.path_map() == {Path(deep): 2}
+        assert len(directory) == 1
+        obj = DtryObj.of(FinSetSkeleton(), {deep: 2})
+        assert obj.assign == {Path(deep): 2}

@@ -211,3 +211,15 @@ class TestInputFailures:
         assert out.out == ""
         assert out.err.startswith("1:E_UNREPRESENTABLE:")
         assert "'a.b'" in out.err
+
+    @pytest.mark.parametrize("value", [" x", "x\ny"], ids=("padded", "newline"))
+    def test_leaf_without_flat_form(self, tmp_path, capsys, value):
+        # get prints a leaf bare, but only a value a flat line can hold
+        src = write(tmp_path, "in.json", json.dumps({"a": {"b": value}}))
+        assert main(["get", "a.b", "--format", "nested", src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "1:E_UNREPRESENTABLE:value at the root is not representable "
+            f"on a flat line: {value!r}\n"
+        )

@@ -67,6 +67,18 @@ class TestPathParsing:
     def test_constructor_accepts_segments_and_text(self):
         assert Path(["a", "b"]) == Path("a.b")
 
+    def test_shared_names_give_equal_paths_and_one_name_per_segment(self):
+        names = {}
+        first = Path.parse("sec.key.sec", names)
+        second = Path.parse("sec.other", names)
+        assert first == Path.parse("sec.key.sec") and second == Path.parse("sec.other")
+        assert first[0] is first[2] is second[0] is names["sec"]
+        assert all(type(name) is Name for name in first + second)
+        with pytest.raises(BadPathError) as exc:
+            Path.parse("sec.b-d", names)
+        assert exc.value.segment == 1
+        assert set(names) == {"sec", "key", "other"}
+
 
 class TestConcat:
     def test_examples(self):
