@@ -7,7 +7,11 @@ Diagnostics go to stderr as ``LINE:CODE:MESSAGE``; results go to stdout.
 sequence that is not UTF-8 is one ``E_ENCODING`` diagnostic at the line
 of the first bad byte, exit 1. A value the flat
 form cannot hold (a newline, or whitespace at either end) is an
-``E_UNREPRESENTABLE`` diagnostic naming its path, exit 1.
+``E_UNREPRESENTABLE`` diagnostic naming its path, exit 1. The nested
+format is bounded by Python's recursion limit (1000 by default): reading
+takes about 990 levels of nesting and writing about 490, and a nested
+input or ``--to nested`` output beyond that is one ``1:E_TOO_DEEP:...``
+diagnostic, exit 1.
 """
 
 from __future__ import annotations

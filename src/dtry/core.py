@@ -7,12 +7,14 @@ subtree is ever an empty node. That single constraint is what keeps the
 set of complete paths prefix-free, makes the path-map view faithful, and
 forces :meth:`Dtry.filter` to delete subdirectories it empties out.
 
-The structural operations come in two layers. ``filter_nothings`` and
-``distrib`` push leaf-level absence outward through the tree (dropping
-absent entries of a record, and a record that loses all its entries
-becomes absent itself). ``flatten`` grafts a directory of directories
-into one directory by running ``distrib`` first, so inner empties vanish
-instead of leaving dangling nodes.
+``filter_nothings`` and ``distrib`` are the paper's distributive law of
+absence over directories, exposed and tested as such: an absent entry
+of a record is dropped, and a record that loses all its entries becomes
+absent itself. The operations share one non-recursive rewrite that
+replaces each leaf by a tree or deletes it, and deletes each node it
+empties: ``map_values``, ``filter``, ``flatten`` (which grafts the inner
+directories in place, so inner empties vanish), ``distrib`` and the
+builder's freeze are each one call of it.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
@@ -134,33 +136,51 @@ def distrib(tree: Leaf | Node) -> Leaf | Node | None:
     the present values, with subtrees that lost every leaf deleted, or
     None when nothing remains at all.
     """
-    if isinstance(tree, Leaf):
-        entry = tree.value
-        if entry is NOTHING:
-            return None
-        if not isinstance(entry, Just):
-            raise TypeError(f"leaf value is not Just(...) or NOTHING: {entry!r}")
-        return Leaf(entry.value)
-    wrapped = tree.children.map_values(lambda child: _as_maybe(distrib(child)))
-    kept = filter_nothings(wrapped)
-    return None if kept is None else Node(kept)
+    return _rebuild(tree, _present)
 
 
-def _as_maybe(tree):
-    return NOTHING if tree is None else Just(tree)
+def _present(leaf):
+    entry = leaf.value
+    if entry is NOTHING:
+        return None
+    if not isinstance(entry, Just):
+        raise TypeError(f"leaf value is not Just(...) or NOTHING: {entry!r}")
+    return Leaf(entry.value)
 
 
-def _map_tree(tree, f):
-    if isinstance(tree, Leaf):
-        return Leaf(f(tree.value))
-    return Node(tree.children.map_values(lambda child: _map_tree(child, f)))
+def _rebuild(tree, leaf):
+    """``tree`` with each ``Leaf`` replaced by ``leaf(that_leaf)``.
 
-
-def _graft(tree):
-    # Leaves hold trees; splice them in place.
-    if isinstance(tree, Leaf):
-        return tree.value
-    return Node(tree.children.map_values(_graft))
+    ``leaf`` returns the tree to put in its place, or None to delete the
+    entry; a node left without entries is deleted too, so the result is
+    None when nothing remains. ``tree`` is made of ``Node``s, whose leaves
+    are visited in path order, or of the builder's ``_Dir``s. One
+    ``NonEmptyRecord`` is built per surviving node, children before
+    parents, and nothing recurses.
+    """
+    if tree is None:
+        return None
+    if type(tree) is Leaf:
+        return leaf(tree)
+    # A frame per open node: its name, its unvisited children, the rebuilt ones.
+    stack = [(None, iter(tree.children.items()), {})]
+    while True:
+        _, pending, kept = stack[-1]
+        for name, child in pending:
+            if type(child) is Leaf:
+                child = leaf(child)
+                if child is not None:
+                    kept[name] = child
+            else:
+                stack.append((name, iter(child.children.items()), {}))
+                break
+        else:
+            name, _, kept = stack.pop()
+            node = Node(NonEmptyRecord(kept)) if kept else None
+            if not stack:
+                return node
+            if node is not None:
+                stack[-1][2][name] = node
 
 
 class _Dir(dict):
@@ -171,6 +191,11 @@ class _Dir(dict):
     """
 
     __slots__ = ("least",)
+
+    @property
+    def children(self) -> "_Dir":
+        """Itself, so that :func:`_rebuild` walks it as it walks a ``Node``."""
+        return self
 
 
 def _chain(names, value) -> "_Dir | Leaf":
@@ -225,25 +250,7 @@ class _TrieBuilder:
 
     def freeze(self) -> Leaf | Node | None:
         """The immutable tree: one record per node, children before parents."""
-        root = self._root
-        if type(root) is not _Dir:
-            return root
-        order, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(child for child in node.values() if type(child) is _Dir)
-        frozen: dict[int, Node] = {}
-        for node in reversed(order):
-            frozen[id(node)] = Node(
-                NonEmptyRecord(
-                    {
-                        name: child if type(child) is Leaf else frozen.pop(id(child))
-                        for name, child in node.items()
-                    }
-                )
-            )
-        return frozen[id(root)]
+        return _rebuild(self._root, lambda leaf: leaf)
 
 
 class Dtry(Generic[T]):
@@ -316,9 +323,8 @@ class Dtry(Generic[T]):
         return Dtry(Node(NonEmptyRecord({Name(name): self._root})))
 
     def map_values(self, f: Callable[[T], Any]) -> "Dtry":
-        if self._root is None:
-            return self
-        return Dtry(_map_tree(self._root, f))
+        """Apply ``f`` to every value, in path order; the paths stay as they are."""
+        return Dtry(_rebuild(self._root, lambda leaf: Leaf(f(leaf.value))))
 
     def lookup(self, path) -> "Dtry[T] | None":
         """The subdirectory at ``path``, or None when absent.
@@ -360,15 +366,11 @@ class Dtry(Generic[T]):
     def flatten(self) -> "Dtry":
         """Graft a directory of directories into one directory.
 
-        Inner empty directories vanish together with the paths that led
-        to them: absence is first pushed outward with :func:`distrib`,
-        then the remaining inner trees are spliced in place.
+        Each inner directory's tree is spliced in place of its leaf, so
+        the cost is in the size of the outer tree. Inner empty
+        directories vanish together with the paths that led to them.
         """
-        if self._root is None:
-            return self
-        wrapped = _map_tree(self._root, _root_as_maybe)
-        swapped = distrib(wrapped)
-        return Dtry(None if swapped is None else _graft(swapped))
+        return Dtry(_rebuild(self._root, _inner_root))
 
     def bind(self, f: Callable[[T], "Dtry"]) -> "Dtry":
         """Replace every value by a directory of its own and flatten."""
@@ -377,14 +379,10 @@ class Dtry(Generic[T]):
     def filter(self, pred: Callable[[T], bool]) -> "Dtry[T]":
         """Keep entries whose value satisfies ``pred``.
 
-        Implemented by marking each leaf present or absent and running
-        :func:`distrib`, so emptied subdirectories are deleted rather
-        than left behind.
+        Subdirectories that lose every entry are deleted rather than
+        left behind.
         """
-        if self._root is None:
-            return self
-        marked = _map_tree(self._root, lambda v: Just(v) if pred(v) else NOTHING)
-        return Dtry(distrib(marked))
+        return Dtry(_rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None))
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""
@@ -430,7 +428,8 @@ class Dtry(Generic[T]):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dtry):
             return NotImplemented
-        return self._root == other._root
+        # The path map is a faithful view, and building it does not recurse.
+        return self.path_map() == other.path_map()
 
     __hash__ = None
 
@@ -439,10 +438,11 @@ class Dtry(Generic[T]):
         return f"Dtry({{{entries}}})"
 
 
-def _root_as_maybe(inner):
+def _inner_root(leaf):
+    inner = leaf.value
     if not isinstance(inner, Dtry):
         raise TypeError(f"flatten needs every value to be a directory, got {inner!r}")
-    return NOTHING if inner._root is None else Just(inner._root)
+    return inner._root
 
 
 def merge_disjoint(entries: Mapping[str, Dtry]) -> Dtry:

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtry.cli import main
-from dtry.core import Dtry, NonEmptyRecord
+from dtry.core import Dtry, NonEmptyRecord, distrib, merge_disjoint
 from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
 from dtry.formats import ParseError, parse_flat, scan_flat
+from dtry.maybe import NOTHING, Just
 from dtry.paths import Path
 
 from helpers import oracle_check, oracle_conflicts
@@ -149,6 +150,23 @@ class TestWork:
         Dtry.from_path_map(directory.path_map())
         assert work["record entries"] == trie_edges(paths)
 
+    @pytest.mark.parametrize(
+        "lines", [wide_lines(2000), realistic_lines(2000)], ids=("wide", "realistic")
+    )
+    def test_filter_and_flatten_build_one_record_entry_per_result_edge(self, work, lines):
+        directory = parse_flat("\n".join(lines) + "\n")
+        # inner leaves and empties, so every record of the result is new
+        nested = directory.map_values(lambda v: Dtry.leaf(v) if int(v) % 7 else Dtry.empty())
+        work.clear()
+        # realistic: every other group loses all of its entries
+        kept = directory.filter(lambda v: int(v) % 80 < 30)
+        assert 0 < len(kept) < len(directory)
+        assert work["record entries"] == trie_edges(kept.paths())
+        work.clear()
+        flat = nested.flatten()
+        assert 0 < len(flat) < len(directory)
+        assert work["record entries"] == trie_edges(flat.paths())
+
     def test_check_scans_each_entry_once_plus_its_conflicts(self, work):
         lines = realistic_lines(400)
         # duplicates, a prefix of many lines, and extensions of one line
@@ -171,3 +189,17 @@ class TestDeepPaths:
         assert len(directory) == 1
         obj = DtryObj.of(FinSetSkeleton(), {deep: 2})
         assert obj.assign == {Path(deep): 2}
+
+    def test_deep_path_maps_filters_flattens_merges_and_compares(self):
+        deep = ".".join(["s"] * 3000)
+        directory = Dtry.from_path_map({deep: 2})
+        assert directory == Dtry.from_path_map({deep: 2})
+        assert directory != Dtry.from_path_map({deep: 3})
+        assert directory.map_values(lambda v: v + 1).path_map() == {Path(deep): 3}
+        assert directory.filter(lambda v: v == 2) == directory
+        assert directory.filter(lambda v: v != 2).is_empty
+        assert directory.map_values(Dtry.leaf).flatten() == directory
+        merged = merge_disjoint({"a": directory, "b": Dtry.empty()})
+        assert merged.path_map() == {Path("a." + deep): 2}
+        assert Dtry(distrib(directory.map_values(Just).root)) == directory
+        assert distrib(directory.map_values(lambda v: NOTHING).root) is None

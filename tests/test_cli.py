@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -223,3 +224,34 @@ class TestInputFailures:
             "1:E_UNREPRESENTABLE:value at the root is not representable "
             f"on a flat line: {value!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--format", "nested"],
+            ["get", "s", "--format", "nested"],
+            ["convert", "--from", "nested", "--to", "flat"],
+        ],
+        ids=("validate", "get", "convert"),
+    )
+    def test_nested_input_too_deep(self, tmp_path, capsys, argv):
+        src = write(tmp_path, "deep.json", '{"s": ' * 5000 + "1" + "}" * 5000)
+        assert main(argv + [src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "1:E_TOO_DEEP:nesting too deep for Python's recursion limit of "
+            f"{sys.getrecursionlimit()}\n"
+        )
+
+    def test_nested_output_too_deep(self, tmp_path, capsys):
+        # the flat form holds the deep path; its nested form is past the bound
+        src = write(tmp_path, "deep.dtry", ".".join(["s"] * 3000) + " = v\n")
+        assert main(["validate", src]) == 0
+        assert main(["convert", "--from", "flat", "--to", "flat", src]) == 0
+        capsys.readouterr()
+        assert main(["convert", "--from", "flat", "--to", "nested", src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("1:E_TOO_DEEP:")
+        assert out.err.count("\n") == 1

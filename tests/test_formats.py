@@ -211,6 +211,43 @@ class TestNestedFormat:
             rebuilt = Dtry.from_path_map(d.path_map())
             assert parse_nested(emit_nested(d)) == rebuilt
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": 1, "a": 2}', "duplicate path 'a'"),
+            ('{"x": {"b": 1, "a": 2, "b": 3}}', "duplicate path 'x.b'"),
+            ('{"x": [1, {"k": 1, "k": 2}]}', "duplicate key 'k' in the value at 'x'"),
+        ],
+        ids=("root", "below", "in_array"),
+    )
+    def test_repeated_key_is_a_duplicate_path(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_nested(text)
+        assert [str(d) for d in exc.value.diagnostics] == [f"1:E_DUPLICATE_PATH:{message}"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected(self, constant):
+        text = '{\n  "s": "NaN Infinity",\n  "v": [1, ' + constant + "]\n}"
+        with pytest.raises(ParseError) as exc:
+            parse_nested(text)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"3:E_SYNTAX:{constant} is not a JSON number"
+        ]
+        with pytest.raises(ValueError):
+            emit_nested(Dtry.leaf(float(constant)))
+
+    def test_nesting_within_the_bound_round_trips(self):
+        d = Dtry.from_path_map({".".join(["s"] * 400): 1})
+        assert parse_nested(emit_nested(d)) == d
+
+    def test_nesting_past_the_bound_is_too_deep(self):
+        with pytest.raises(ParseError) as exc:
+            parse_nested('{"s": ' * 5000 + "1" + "}" * 5000)
+        assert codes(exc.value) == [(1, "E_TOO_DEEP")]
+        with pytest.raises(ParseError) as exc:
+            emit_nested(Dtry.from_path_map({".".join(["s"] * 3000): 1}))
+        assert codes(exc.value) == [(1, "E_TOO_DEEP")]
+
 
 class TestScan:
     def test_scan_keeps_document_order_and_lines(self):
