@@ -112,6 +112,23 @@ class Node:
 
     children: NonEmptyRecord
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Without recursion: a stack of node pairs still to compare. Records
+        # keep their keys sorted, so equal key sets pair the children in order.
+        pending = [(self, other)]
+        while pending:
+            left, right = pending.pop()
+            if left.children.keys() != right.children.keys():
+                return False
+            for a, b in zip(left.children.values(), right.children.values()):
+                if type(a) is Node and type(b) is Node:
+                    pending.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
 
 def filter_nothings(record: NonEmptyRecord) -> NonEmptyRecord | None:
     """Drop absent entries of a record, unwrapping the present ones.
@@ -428,8 +445,8 @@ class Dtry(Generic[T]):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dtry):
             return NotImplemented
-        # The path map is a faithful view, and building it does not recurse.
-        return self.path_map() == other.path_map()
+        # Trees are canonical, so equal directories have equal trees.
+        return self._root == other._root
 
     __hash__ = None
 

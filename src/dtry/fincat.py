@@ -72,6 +72,12 @@ class FinCat:
     compose being defined exactly on the composable pairs) is checked on
     construction; the identity and associativity laws are checked too
     unless ``check_laws=False``, and can be rerun with :meth:`validate`.
+
+    The morphism ids are interned once, while the structure is checked:
+    each is hashed once per table entry, and morphism ``i`` of the table
+    is the integer ``i`` from then on. The law check is integer lookups
+    in one row of composites per morphism, so ids that are costly to hash
+    are never hashed again; only the error messages map back to the ids.
     """
 
     def __init__(
@@ -84,34 +90,65 @@ class FinCat:
         check_laws: bool = True,
     ):
         self._objects = frozenset(objects)
-        self._mor = {m: (d, c) for m, (d, c) in dict(morphisms).items()}
+        morphisms = dict(morphisms)
+        ends = [(d, c) for d, c in morphisms.values()]
         self._identity = dict(identity)
-        self._compose = dict(compose)
-        self._check_structure()
+        self._check_structure(list(morphisms), ends, dict(compose))
         if check_laws:
             self.validate()
 
-    def _check_structure(self):
-        for m, (d, c) in self._mor.items():
-            if d not in self._objects or c not in self._objects:
-                raise NotACategoryError(f"morphism {m!r} has unknown endpoint", m)
-        for x in self._objects:
+    def _check_structure(self, ids: list, ends: list, compose: dict):
+        """Intern the tables as integer ones, checking their structure on the way.
+
+        ``_ids[i]`` is morphism ``i`` and ``_index`` its inverse,
+        ``_dom[i]``/``_cod[i]`` its endpoints, ``_after[i]`` maps each ``j``
+        it composes with to the composite ``i;j``, ``_entries`` lists the
+        composites ``(i, j, i;j)`` in their given order, ``_by_dom`` maps
+        each object to the morphisms out of it, and ``_ident`` each
+        object to its identity.
+        """
+        objects = self._objects
+        self._ids = ids
+        index = self._index = {m: i for i, m in enumerate(ids)}
+        dom = self._dom = []
+        cod = self._cod = []
+        by_dom = self._by_dom = {}
+        for i, (d, c) in enumerate(ends):
+            if d not in objects or c not in objects:
+                raise NotACategoryError(f"morphism {ids[i]!r} has unknown endpoint", ids[i])
+            dom.append(d)
+            cod.append(c)
+            by_dom.setdefault(d, []).append(i)
+        ident = self._ident = {}
+        for x in objects:
             i = self._identity.get(x)
-            if i is None or i not in self._mor:
+            k = None if i is None else index.get(i)
+            if k is None:
                 raise NotACategoryError(f"object {x!r} has no identity morphism", x)
-            if self._mor[i] != (x, x):
+            if (dom[k], cod[k]) != (x, x):
                 raise NotACategoryError(f"identity of {x!r} is not an endomorphism", x)
-        for (f, g), h in self._compose.items():
-            if f not in self._mor or g not in self._mor or h not in self._mor:
+            ident[x] = k
+        after = self._after = [{} for _ in ids]
+        entries = self._entries = []
+        for (f, g), h in compose.items():
+            fi = index.get(f)
+            gi = None if fi is None else index.get(g)
+            hi = None if gi is None else index.get(h)
+            if hi is None:
                 raise NotACategoryError(f"composite entry ({f!r}, {g!r}) names unknown morphisms", (f, g))
-            if self._mor[f][1] != self._mor[g][0]:
+            if cod[fi] != dom[gi]:
                 raise NotACategoryError(f"composite defined for non-composable pair ({f!r}, {g!r})", (f, g))
-            if self._mor[h] != (self._mor[f][0], self._mor[g][1]):
+            if (dom[hi], cod[hi]) != (dom[fi], cod[gi]):
                 raise NotACategoryError(f"composite of ({f!r}, {g!r}) has wrong endpoints", (f, g))
-        for f, (_, cf) in self._mor.items():
-            for g, (dg, _) in self._mor.items():
-                if cf == dg and (f, g) not in self._compose:
-                    raise NotACategoryError(f"missing composite for ({f!r}, {g!r})", (f, g))
+            after[fi][gi] = hi
+            entries.append((fi, gi, hi))
+        # Each row holds only composable partners, so a row is complete
+        # exactly when it is as long as the list of morphisms it composes with.
+        for f, row in enumerate(after):
+            partners = by_dom.get(cod[f], ())
+            if len(row) != len(partners):
+                f, g = ids[f], ids[next(g for g in partners if g not in row)]
+                raise NotACategoryError(f"missing composite for ({f!r}, {g!r})", (f, g))
 
     def validate(self):
         """Check the identity and associativity laws over the full tables.
@@ -119,19 +156,20 @@ class FinCat:
         Raises:
             NotACategoryError: naming an offending morphism or triple.
         """
-        for f, (d, c) in self._mor.items():
-            if self._compose[(self._identity[d], f)] != f:
-                raise NotACategoryError(f"left identity fails at {f!r}", f)
-            if self._compose[(f, self._identity[c])] != f:
-                raise NotACategoryError(f"right identity fails at {f!r}", f)
-        by_dom: dict[ObjId, list[MorId]] = {}
-        for m, (d, _) in self._mor.items():
-            by_dom.setdefault(d, []).append(m)
-        for (f, g), fg in self._compose.items():
-            for h in by_dom.get(self._mor[g][1], ()):
-                if self._compose[(fg, h)] != self._compose[(f, self._compose[(g, h)])]:
+        ids, dom, cod, after, ident = self._ids, self._dom, self._cod, self._after, self._ident
+        for f, row in enumerate(after):
+            if after[ident[dom[f]]][f] != f:
+                raise NotACategoryError(f"left identity fails at {ids[f]!r}", ids[f])
+            if row[ident[cod[f]]] != f:
+                raise NotACategoryError(f"right identity fails at {ids[f]!r}", ids[f])
+        by_dom = self._by_dom
+        for f, g, fg in self._entries:
+            after_f, after_g, after_fg = after[f], after[g], after[fg]
+            for h in by_dom[cod[g]]:
+                if after_fg[h] != after_f[after_g[h]]:
                     raise NotACategoryError(
-                        f"associativity fails at ({f!r}, {g!r}, {h!r})", (f, g, h)
+                        f"associativity fails at ({ids[f]!r}, {ids[g]!r}, {ids[h]!r})",
+                        (ids[f], ids[g], ids[h]),
                     )
 
     @classmethod
@@ -152,28 +190,29 @@ class FinCat:
         return self._objects
 
     def morphisms(self) -> list[MorId]:
-        return list(self._mor)
+        return list(self._ids)
 
     def has_object(self, x) -> bool:
         return x in self._objects
 
     def dom(self, f) -> ObjId:
-        return self._mor[f][0]
+        return self._dom[self._index[f]]
 
     def cod(self, f) -> ObjId:
-        return self._mor[f][1]
+        return self._cod[self._index[f]]
 
     def identity(self, x) -> MorId:
         return self._identity[x]
 
     def compose(self, f, g) -> MorId:
-        composite = self._compose.get((f, g))
+        i, j = self._index.get(f), self._index.get(g)
+        composite = None if i is None or j is None else self._after[i].get(j)
         if composite is None:
             raise NotComposableError(f"no composite for ({f!r}, {g!r})")
-        return composite
+        return self._ids[composite]
 
     def hom(self, x, y) -> list[MorId]:
-        return [m for m, (d, c) in self._mor.items() if d == x and c == y]
+        return [m for m, d, c in zip(self._ids, self._dom, self._cod) if d == x and c == y]
 
 
 @dataclass(frozen=True)

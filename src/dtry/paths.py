@@ -14,11 +14,17 @@ is exactly that order.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import BadNameError, BadPathError
 
 __all__ = ["Name", "Path", "lex_cmp", "is_prefix_free"]
+
+
+# ``fullmatch``, since ``$`` would also accept a trailing newline.
+_is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
+_bad_char = re.compile(r"[^A-Za-z0-9_]").search
 
 
 class Name(str):
@@ -31,11 +37,11 @@ class Name(str):
             return text
         if not isinstance(text, str):
             raise BadNameError(repr(text), 0, "not a string")
-        if not text:
-            raise BadNameError(text, 0, "name is empty")
-        for i, ch in enumerate(text):
-            if not (ch.isascii() and (ch.isalnum() or ch == "_")):
-                raise BadNameError(text, i, f"invalid character {ch!r}")
+        if _is_name(text) is None:
+            if not text:
+                raise BadNameError(text, 0, "name is empty")
+            bad = _bad_char(text)
+            raise BadNameError(text, bad.start(), f"invalid character {bad.group()!r}")
         return super().__new__(cls, text)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
+from dtry.errors import NotACategoryError
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import scan_flat
 from dtry.maybe import NOTHING, Just
@@ -106,6 +107,48 @@ def oracle_conflicts(paths) -> list[tuple | None]:
                     least[t[:k]] = t
             out.append(None)
     return out
+
+
+def oracle_fincat(objects, morphisms, identity, compose) -> None:
+    """The structure and law checks of ``FinCat`` as loops over the raw tables.
+
+    This is the check ``FinCat`` ran before it interned its ids: it raises
+    the same ``NotACategoryError``, naming the same culprit, on the same
+    first defect, and returns None on a category.
+    """
+    objects = frozenset(objects)
+    mor = {m: (d, c) for m, (d, c) in dict(morphisms).items()}
+    identity = dict(identity)
+    compose = dict(compose)
+    for m, (d, c) in mor.items():
+        if d not in objects or c not in objects:
+            raise NotACategoryError(f"morphism {m!r} has unknown endpoint", m)
+    for x in objects:
+        i = identity.get(x)
+        if i is None or i not in mor:
+            raise NotACategoryError(f"object {x!r} has no identity morphism", x)
+        if mor[i] != (x, x):
+            raise NotACategoryError(f"identity of {x!r} is not an endomorphism", x)
+    for (f, g), h in compose.items():
+        if f not in mor or g not in mor or h not in mor:
+            raise NotACategoryError(f"composite entry ({f!r}, {g!r}) names unknown morphisms", (f, g))
+        if mor[f][1] != mor[g][0]:
+            raise NotACategoryError(f"composite defined for non-composable pair ({f!r}, {g!r})", (f, g))
+        if mor[h] != (mor[f][0], mor[g][1]):
+            raise NotACategoryError(f"composite of ({f!r}, {g!r}) has wrong endpoints", (f, g))
+    for f, (_, cf) in mor.items():
+        for g, (dg, _) in mor.items():
+            if cf == dg and (f, g) not in compose:
+                raise NotACategoryError(f"missing composite for ({f!r}, {g!r})", (f, g))
+    for f, (d, c) in mor.items():
+        if compose[(identity[d], f)] != f:
+            raise NotACategoryError(f"left identity fails at {f!r}", f)
+        if compose[(f, identity[c])] != f:
+            raise NotACategoryError(f"right identity fails at {f!r}", f)
+    for (f, g), fg in compose.items():
+        for h in [m for m, (d, _) in mor.items() if d == mor[g][1]]:
+            if compose[(fg, h)] != compose[(f, compose[(g, h)])]:
+                raise NotACategoryError(f"associativity fails at ({f!r}, {g!r}, {h!r})", (f, g, h))
 
 
 def check_representation(d: Dtry) -> None:

@@ -203,3 +203,11 @@ class TestDeepPaths:
         assert merged.path_map() == {Path("a." + deep): 2}
         assert Dtry(distrib(directory.map_values(Just).root)) == directory
         assert distrib(directory.map_values(lambda v: NOTHING).root) is None
+
+    def test_deep_trees_compare_without_recursion(self):
+        deep = ".".join(["s"] * 3000)
+        root = Dtry.from_path_map({deep: 2}).root
+        assert root == Dtry.from_path_map({deep: 2}).root
+        assert root != Dtry.from_path_map({deep: 3}).root
+        assert root != Dtry.from_path_map({deep + ".t": 2}).root
+        assert root != Dtry.from_path_map({deep[:-2] + ".t": 2}).root

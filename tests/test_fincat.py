@@ -2,9 +2,12 @@
 
 import json
 import random
+from collections import Counter
 from itertools import product as cartesian
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtry.core import Dtry
 from dtry.errors import NotACategoryError, NotComposableError
@@ -27,7 +30,7 @@ from dtry.fincat import (
 )
 from dtry.paths import Path
 
-from helpers import random_dtry, random_dtry_obj, random_mor_from, random_shape
+from helpers import oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
 
 SKEL = FinSetSkeleton()
 ALG = finset_coproduct_algebra(SKEL)
@@ -112,6 +115,142 @@ class TestFinCatTables:
         cat = FinCat.from_json(tiny_cat_json())
         with pytest.raises(NotComposableError):
             cat.compose("f", "f")
+
+
+def skeleton_tables(k):
+    """The tables of ``truncate(k)`` from the skeleton itself, with string ids."""
+    sizes = range(k + 1)
+    fns = [f for m in sizes for n in sizes for f in SKEL.hom(m, n)]
+    return (
+        [str(n) for n in sizes],
+        {repr(f): (str(f.dom), str(f.cod)) for f in fns},
+        {str(n): repr(SKEL.identity(n)) for n in sizes},
+        {
+            (repr(f), repr(g)): repr(SKEL.compose(f, g))
+            for f in fns
+            for g in fns
+            if f.cod == g.dom
+        },
+    )
+
+
+def tiny_tables():
+    data = json.loads(tiny_cat_json())
+    return (
+        data["objects"],
+        {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]},
+        data["identity"],
+        {(f, g): h for f, g, h in data["compose"]},
+    )
+
+
+def defective_tables(objects, morphisms, identity, compose):
+    """Every way to plant one defect in a category's tables.
+
+    Drop a composite or every composite after one morphism, name an
+    unknown composite, retarget an endpoint, drop or repoint an identity,
+    or swap two composites of one type, so that only the laws can notice.
+    """
+    for pair in compose:
+        yield objects, morphisms, identity, {p: h for p, h in compose.items() if p != pair}
+        yield objects, morphisms, identity, {**compose, pair: "unknown"}
+    for m, (d, c) in morphisms.items():
+        yield objects, morphisms, identity, {p: h for p, h in compose.items() if p[0] != m}
+        for end in objects + ["nowhere"]:
+            yield objects, {**morphisms, m: (end, c)}, identity, compose
+            yield objects, {**morphisms, m: (d, end)}, identity, compose
+    for x in objects:
+        yield objects, morphisms, {y: i for y, i in identity.items() if y != x}, compose
+        for m in morphisms:
+            yield objects, morphisms, {**identity, x: m}, compose
+    for first, h in compose.items():
+        for second, k in compose.items():
+            if first < second and morphisms[h] == morphisms[k]:
+                yield objects, morphisms, identity, {**compose, first: k, second: h}
+
+
+TABLES = [tiny_tables()] + [skeleton_tables(k) for k in range(3)]
+DEFECTIVE = [list(defective_tables(*tables)) for tables in TABLES]
+CHECKS = (
+    "unknown endpoint",
+    "no identity morphism",
+    "not an endomorphism",
+    "names unknown morphisms",
+    "non-composable pair",
+    "wrong endpoints",
+    "missing composite",
+    "left identity fails",
+    "right identity fails",
+    "associativity fails",
+)
+
+
+@st.composite
+def reordered_defective_tables(draw):
+    """One of the defective tables, with its morphisms and composites reordered."""
+    objects, morphisms, identity, compose = draw(st.sampled_from(draw(st.sampled_from(DEFECTIVE))))
+    morphisms = dict(draw(st.permutations(list(morphisms.items()))))
+    compose = dict(draw(st.permutations(list(compose.items()))))
+    return objects, morphisms, identity, compose
+
+
+def outcome(check, tables):
+    try:
+        check(*tables)
+    except NotACategoryError as exc:
+        return str(exc), exc.args, exc.witness
+    return None
+
+
+class TestTableChecks:
+    def test_every_single_defect_is_caught_as_by_the_loops(self):
+        reached = set()
+        for tables, defective in zip(TABLES, DEFECTIVE):
+            assert outcome(FinCat, tables) is None
+            for bad in defective:
+                got = outcome(FinCat, bad)
+                assert got == outcome(oracle_fincat, bad)
+                reached.update(check for check in CHECKS if got and check in got[0])
+        assert reached == set(CHECKS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reordered_defective_tables())
+    def test_reordered_tables_fail_as_the_loops_do(self, tables):
+        assert outcome(FinCat, tables) == outcome(oracle_fincat, tables)
+
+
+class TestTableWork:
+    @pytest.fixture
+    def fn_hashes(self, monkeypatch):
+        counts = Counter()
+        fn_hash = FinFn.__hash__
+
+        def counting_hash(self):
+            counts["hash"] += 1
+            return fn_hash(self)
+
+        monkeypatch.setattr(FinFn, "__hash__", counting_hash)
+        return counts
+
+    def test_validate_hashes_no_morphism_id(self, fn_hashes):
+        cat = SKEL.truncate(3, check_laws=False)
+        fn_hashes.clear()
+        cat.validate()
+        assert fn_hashes["hash"] <= len(cat.objects()) + len(cat.morphisms())
+        morphisms = cat.morphisms()
+        assert len(morphisms) == 60
+        composites = sum(len(cat.hom(cat.cod(f), n)) for f in morphisms for n in cat.objects())
+        assert composites == 1678
+
+    def test_construction_hashes_each_id_once_per_table_entry(self, fn_hashes):
+        sizes = range(4)
+        fns = [f for m in sizes for n in sizes for f in SKEL.hom(m, n)]
+        morphisms = {f: (f.dom, f.cod) for f in fns}
+        identity = {n: SKEL.identity(n) for n in sizes}
+        compose = {(f, g): SKEL.compose(f, g) for f in fns for g in fns if f.cod == g.dom}
+        fn_hashes.clear()
+        FinCat(sizes, morphisms, identity, compose, check_laws=False)
+        assert fn_hashes["hash"] <= len(morphisms) + len(identity) + 3 * len(compose)
 
 
 class TestFinSetSkeleton:

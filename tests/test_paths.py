@@ -36,6 +36,23 @@ class TestName:
             Name(text)
         assert exc.value.index == index
 
+    @pytest.mark.parametrize(
+        "text,index,reason",
+        [
+            ("é", 0, "invalid character 'é'"),
+            ("٣", 0, "invalid character '٣'"),  # a digit, but not an ASCII one
+            ("ａ", 0, "invalid character 'ａ'"),  # fullwidth a
+            ("a\n", 1, "invalid character '\\n'"),  # no trailing newline slips through
+            ("a-b", 1, "invalid character '-'"),
+            ("", 0, "name is empty"),
+        ],
+    )
+    def test_rejection_names_the_first_bad_character(self, text, index, reason):
+        with pytest.raises(BadNameError) as exc:
+            Name(text)
+        assert (exc.value.index, exc.value.reason) == (index, reason)
+        assert str(exc.value) == f"bad name {text!r} at character {index}: {reason}"
+
 
 class TestPathParsing:
     def test_example_path(self):
