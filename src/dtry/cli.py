@@ -7,11 +7,13 @@ Diagnostics go to stderr as ``LINE:CODE:MESSAGE``; results go to stdout.
 sequence that is not UTF-8 is one ``E_ENCODING`` diagnostic at the line
 of the first bad byte, exit 1. A value the flat
 form cannot hold (a newline, or whitespace at either end) is an
-``E_UNREPRESENTABLE`` diagnostic naming its path, exit 1. The nested
-format is bounded by Python's recursion limit (1000 by default): reading
-takes about 990 levels of nesting and writing about 490, and a nested
-input or ``--to nested`` output beyond that is one ``1:E_TOO_DEEP:...``
-diagnostic, exit 1.
+``E_UNREPRESENTABLE`` diagnostic naming its path, exit 1. Output that
+would hold a lone surrogate (JSON's ``\\ud800`` escape reads as one),
+which UTF-8 cannot encode, is an ``E_ENCODING`` diagnostic naming the
+value's path, exit 1. The nested format has one bound, set by Python's
+recursion limit (1000 by default): about 990 levels of nesting, and a
+nested input or ``--to nested`` output beyond it is one
+``1:E_TOO_DEEP:...`` diagnostic, exit 1.
 """
 
 from __future__ import annotations
@@ -77,6 +79,36 @@ def _flat_text(directory: Dtry) -> str:
         raise ParseError([Diagnostic("E_UNREPRESENTABLE", 1, str(exc))]) from exc
 
 
+def _write(text: str, directory: Dtry) -> None:
+    """Write ``text``, the output made from ``directory``, to stdout.
+
+    A lone surrogate (JSON's ``"\\ud800"`` reads as one) has no UTF-8
+    form; output that holds one is an ``E_ENCODING`` diagnostic naming the
+    leaf that holds it.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError([_unencodable(directory)]) from None
+    sys.stdout.write(text)
+
+
+def _unencodable(directory: Dtry) -> Diagnostic:
+    for path, value in directory.path_map().items():
+        text = value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            where = f"'{path}'" if path else "the root"
+            message = (
+                f"value at {where} holds the lone surrogate {exc.object[exc.start]!r}, "
+                "which UTF-8 cannot encode"
+            )
+            return Diagnostic("E_ENCODING", 1, message)
+    raise AssertionError("no leaf holds the text that UTF-8 cannot encode")
+
+
 def cmd_validate(args) -> int:
     _load(args.file, args.format)
     return EXIT_OK
@@ -84,7 +116,7 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     directory = _load(args.file, args.from_)
-    sys.stdout.write(emit_nested(directory) if args.to == "nested" else _flat_text(directory))
+    _write(emit_nested(directory) if args.to == "nested" else _flat_text(directory), directory)
     return EXIT_OK
 
 
@@ -100,7 +132,7 @@ def cmd_get(args) -> int:
         return EXIT_NOT_FOUND
     text = _flat_text(found)
     # A leaf's flat form is the root line ' = VALUE'; get prints the bare value.
-    sys.stdout.write(text.removeprefix(" = ") if found.is_leaf else text)
+    _write(text.removeprefix(" = ") if found.is_leaf else text, found)
     return EXIT_OK
 
 

@@ -55,11 +55,14 @@ class NonEmptyRecord(Generic[T]):
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, T] | Iterable[tuple[str, T]]):
-        raw = dict(entries)
+        raw = entries if type(entries) is dict else dict(entries)
         if not raw:
             raise ValueError("record must have at least one entry")
-        coerced = {Name(k): v for k, v in raw.items()}
-        self._entries = {k: coerced[k] for k in sorted(coerced)}
+        try:
+            keys = sorted(raw)
+        except TypeError:  # mixed key types: Name rejects the one that is no string
+            keys = sorted(Name(k) for k in raw)
+        self._entries = {k if type(k) is Name else Name(k): raw[k] for k in keys}
 
     def keys(self):
         return self._entries.keys()

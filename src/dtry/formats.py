@@ -14,8 +14,10 @@ byte-identical documents:
   representable (they would read back as nodes). A key repeated in one
   object is an error, and so are ``NaN`` and the infinities, which are
   not JSON numbers. Nesting is bounded by Python's recursion limit (1000
-  by default): parsing takes about 990 levels and emission about 490,
-  and a document or directory beyond that is an ``E_TOO_DEEP`` error.
+  by default) less the frames already on the stack: about 990 levels.
+  Emission stops a few levels short of what parsing reads from the same
+  caller, so every emitted document reads back, and a document or
+  directory beyond the bound is an ``E_TOO_DEEP`` error.
 
 Parsers report every failing line, not just the first, and raise a
 single :class:`ParseError` carrying all diagnostics.
@@ -268,30 +270,155 @@ def _repeated_within(value):
 def emit_nested(directory: Dtry) -> str:
     """Emit the canonical nested JSON document (sorted keys, 2-space indent).
 
+    The text is what ``json.dumps(..., indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes for the directory as nested objects; it
+    is built straight from the trie, without recursion.
+
+    >>> print(emit_nested(Dtry.from_path_map({"b": [1, 2], "a.y": None, "a.x": "s"})), end="")
+    {
+      "a": {
+        "x": "s",
+        "y": null
+      },
+      "b": [
+        1,
+        2
+      ]
+    }
+
     Raises:
         ValueError: for a value JSON cannot hold: an object, ``NaN`` or an
             infinity.
         ParseError: one ``E_TOO_DEEP`` diagnostic when the document would
-            nest deeper than Python's recursion limit lets json write.
+            nest deeper than :func:`parse_nested`, called from the same
+            place, reads back; for a trie too deep, before any text is
+            built.
+    """
+    root = directory.root
+    if root is None:
+        return "{}\n"
+    if type(root) is Leaf:
+        text = _leaf_text(root.value, "\n")
+        _readable(_levels(root.value))
+        return text + "\n"
+    readable = _readable(_height(root))
+    out = ["{"]
+    # Depth first without recursion, as Dtry.path_map walks: one iterator
+    # per open node. ``indent`` starts each line of the innermost one, and
+    # ``sep`` goes before its next entry.
+    indent = "\n  "
+    comma = "," + indent
+    sep = indent
+    pending = [iter(root.children.items())]
+    while True:
+        for name, child in pending[-1]:
+            if type(child) is Leaf:
+                value = child.value
+                kind = type(value)
+                if kind is str:
+                    text = _string(value)
+                elif kind is int:
+                    text = _int(value)
+                elif kind is float and value - value == 0.0:  # finite
+                    text = _float(value)
+                elif value is None:
+                    text = "null"
+                elif value is True:
+                    text = "true"
+                elif value is False:
+                    text = "false"
+                else:
+                    text = _leaf_text(value, indent)
+                    # The value's own arrays and objects nest further; its
+                    # brackets bound how far.
+                    if len(pending) + text.count("[") + text.count("{") > readable:
+                        readable = max(readable, _readable(len(pending) + _levels(value)))
+                out.append(f'{sep}"{name}": {text}')
+                sep = comma
+            else:
+                out.append(f'{sep}"{name}": {{')
+                indent += "  "
+                comma = "," + indent
+                sep = indent
+                pending.append(iter(child.children.items()))
+                break
+        else:
+            pending.pop()
+            indent = indent[:-2]
+            out.append(indent + "}")
+            if not pending:
+                return "".join(out) + "\n"
+            sep = comma = "," + indent
+
+
+# What json writes for a str, an int and a finite float; the leaf's exact
+# type is tested first, since int.__repr__(True) is 'True'.
+_string = json.encoder.encode_basestring  # the encoder of ensure_ascii=False
+_int = int.__repr__
+_float = float.__repr__
+_LEAF = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+# Frames that reading a document back takes beyond one per level of
+# nesting: parse_nested's own and json's, and the CLI's path to them.
+_READ_FRAMES = 8
+
+
+def _readable(levels: int) -> int:
+    """Return ``levels`` once parse_nested, called from here, would read that much nesting.
+
+    Reading recurses once per level, so it needs that many frames of room
+    under Python's recursion limit. Only trying tells the room left, since
+    a call entered from C takes more of it than its frame.
+
+    Raises:
+        ParseError: one ``E_TOO_DEEP`` diagnostic when there is no room.
     """
     try:
-        tree = _tree_to_json(directory.root)
-        text = json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+        _descend(levels + _READ_FRAMES)
+    except RecursionError:
+        raise _too_deep() from None
+    return levels
+
+
+def _descend(frames: int) -> None:
+    if frames > 0:
+        _descend(frames - 1)
+
+
+def _height(tree: Node) -> int:
+    """The number of nodes on the longest path down ``tree``, without recursion."""
+    level, height = [tree], 0
+    while level:
+        height += 1
+        level = [c for node in level for c in node.children.values() if type(c) is Node]
+    return height
+
+
+def _leaf_text(value, indent: str) -> str:
+    """A leaf value of any type as json writes it, with ``indent`` starting each inner line."""
+    if isinstance(value, Mapping):
+        raise ValueError(
+            f"object-valued leaf is not representable in the nested format: {value!r}"
+        )
+    try:
+        text = _LEAF.encode(value)
     except RecursionError as exc:
         raise _too_deep() from exc
-    return text + "\n"
+    return text.replace("\n", indent)
 
 
-def _tree_to_json(tree):
-    if tree is None:
-        return {}
-    if isinstance(tree, Leaf):
-        if isinstance(tree.value, Mapping):
-            raise ValueError(
-                f"object-valued leaf is not representable in the nested format: {tree.value!r}"
-            )
-        return tree.value
-    return {str(name): _tree_to_json(child) for name, child in tree.children.items()}
+def _levels(value) -> int:
+    """How many arrays and objects deep ``value`` nests, without recursion."""
+    deepest, pending = 0, [(value, 0)]
+    while pending:
+        item, level = pending.pop()
+        if isinstance(item, Mapping):
+            item = item.values()
+        elif not isinstance(item, (list, tuple)):
+            continue
+        deepest = max(deepest, level + 1)
+        pending.extend((x, level + 1) for x in item)
+    return deepest
 
 
 def _show(path: Path) -> str:

@@ -88,7 +88,9 @@ class Path(tuple):
 
     def is_prefix_of(self, other) -> bool:
         """True when self is an initial segment of other (reflexively)."""
-        return len(self) <= len(other) and tuple.__eq__(self, tuple(other[: len(self)]))
+        if type(other) is not Path:
+            other = Path(other)
+        return len(self) <= len(other) and tuple.__eq__(self, other[: len(self)])
 
     def __str__(self) -> str:
         return ".".join(self)

@@ -2,18 +2,21 @@
 
 The oracles here deliberately avoid the library's own traversal logic:
 prefix-freeness is the quadratic definition on raw tuples, position sets
-are computed by set comprehension, and the flattening pitfall uses a
-naive string join. Tests compare library output against these.
+are computed by set comprehension, the flattening pitfall uses a naive
+string join, and the nested text is json.dumps of nested dicts. Tests
+compare library output against these.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from typing import Mapping
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
 from dtry.errors import NotACategoryError
 from dtry.fincat import DtryMor, DtryObj, Variant
-from dtry.formats import scan_flat
+from dtry.formats import ParseError, emit_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -149,6 +152,28 @@ def oracle_fincat(objects, morphisms, identity, compose) -> None:
         for h in [m for m, (d, _) in mor.items() if d == mor[g][1]]:
             if compose[(fg, h)] != compose[(f, compose[(g, h)])]:
                 raise NotACategoryError(f"associativity fails at ({f!r}, {g!r}, {h!r})", (f, g, h))
+
+
+def oracle_emit_nested(d: Dtry) -> str:
+    """The canonical nested text as ``emit_nested`` once wrote it: json.dumps of nested dicts.
+
+    Recursive, and json's indenting encoder takes two frames per level, so
+    it serves shallow directories only.
+    """
+    tree = _tree_to_json(d.root)
+    return json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def _tree_to_json(tree):
+    if tree is None:
+        return {}
+    if isinstance(tree, Leaf):
+        if isinstance(tree.value, Mapping):
+            raise ValueError(
+                f"object-valued leaf is not representable in the nested format: {tree.value!r}"
+            )
+        return tree.value
+    return {str(name): _tree_to_json(child) for name, child in tree.children.items()}
 
 
 def check_representation(d: Dtry) -> None:
@@ -295,6 +320,37 @@ def random_mor_from(
     f0 = {q: rng.choice(src_paths) for q in dst.paths()}
     f1 = {q: rng.choice(cat.hom(src.assign[f0[q]], dst.assign[q])) for q in dst.paths()}
     return DtryMor(Variant.PRODUCT, src, dst, f0, f1)
+
+
+def chain(depth: int, value=1) -> Dtry:
+    """The directory of one ``value`` bound ``depth`` segments deep, at ``s.s...s``."""
+    return Dtry.from_path_map({".".join(["s"] * depth): value})
+
+
+def emits(d: Dtry) -> bool:
+    """Whether ``emit_nested`` writes ``d``; the only refusal allowed is ``E_TOO_DEEP``."""
+    try:
+        emit_nested(d)
+    except ParseError as exc:
+        assert [(diag.line, diag.code) for diag in exc.diagnostics] == [(1, "E_TOO_DEEP")]
+        return False
+    return True
+
+
+def deepest(accepts, lo: int = 1, hi: int = 3000) -> int:
+    """The largest depth that ``accepts`` takes, by bisection.
+
+    ``accepts(lo)`` must hold, ``accepts(hi)`` must not, and ``accepts``
+    must hold below some depth and fail above it.
+    """
+    assert accepts(lo) and not accepts(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # -------------------------------------------------------- worked example

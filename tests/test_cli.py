@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from dtry.cli import main
+from dtry.formats import emit_nested
 
-from helpers import EXAMPLE_FLAT
+from helpers import EXAMPLE_FLAT, chain, deepest, emits
 
 CONFLICTED = "a.b = 1\na.b = 2\na = 3\n"
 
@@ -255,3 +256,52 @@ class TestInputFailures:
         assert out.out == ""
         assert out.err.startswith("1:E_TOO_DEEP:")
         assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, argv, where",
+        [
+            ('{"a": "\\ud800"}', ["convert", "--from", "nested", "--to", "nested"], "'a'"),
+            ('{"a": "\\ud800"}', ["convert", "--from", "nested", "--to", "flat"], "'a'"),
+            ('{"a": "\\ud800"}', ["get", "a", "--format", "nested"], "the root"),
+            ('{"a": {"b": "x\\udc00"}}', ["get", "a", "--format", "nested"], "'b'"),
+            (
+                '{"a": 1, "b": {"c": [2, ["\\ud800"]]}}',
+                ["convert", "--from", "nested", "--to", "nested"],
+                "'b.c'",
+            ),
+        ],
+        ids=("to_nested", "to_flat", "get_leaf", "get_subtree", "in_array"),
+    )
+    def test_lone_surrogate_has_no_utf8_form(self, tmp_path, capsys, text, argv, where):
+        src = write(tmp_path, "in.json", text)
+        assert main(argv + [src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"1:E_ENCODING:value at {where} holds the lone surrogate ")
+        assert out.err.count("\n") == 1
+
+    def test_escaped_surrogate_in_a_flat_array_value_is_written(self, tmp_path, capsys):
+        # the flat form writes an array as ASCII JSON, where the surrogate stays escaped
+        src = write(tmp_path, "in.json", '{"a": ["\\ud800"]}')
+        assert main(["convert", "--from", "nested", "--to", "flat", src]) == 0
+        assert capsys.readouterr().out == 'a = ["\\ud800"]\n'
+
+
+class TestDeepNested:
+    def test_700_levels_round_trip(self, tmp_path, capsys):
+        src = write(tmp_path, "deep.json", '{"s": ' * 700 + "1" + "}" * 700)
+        assert main(["validate", "--format", "nested", src]) == 0
+        assert main(["convert", "--from", "nested", "--to", "nested", src]) == 0
+        text = capsys.readouterr().out
+        assert text == emit_nested(chain(700))
+        again = write(tmp_path, "again.json", text)
+        assert main(["validate", "--format", "nested", again]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_trie_at_the_writers_bound_reads_back(self, tmp_path, capsys):
+        bound = deepest(lambda depth: emits(chain(depth)))
+        assert bound > 700
+        src = write(tmp_path, "deep.json", emit_nested(chain(bound)))
+        assert main(["validate", "--format", "nested", src]) == 0
+        assert main(["get", ".".join(["s"] * bound), "--format", "nested", src]) == 0
+        assert capsys.readouterr() == ("1\n", "")

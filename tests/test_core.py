@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, distrib, filter_nothings, merge_disjoint
-from dtry.errors import PrefixConflictError
+from dtry.errors import BadNameError, PrefixConflictError
 from dtry.maybe import NOTHING, Just, join_maybe
-from dtry.paths import Path
+from dtry.paths import Name, Path
 
 from helpers import (
     check_representation,
@@ -58,6 +58,32 @@ class TestConstruction:
     def test_record_iteration_is_sorted(self):
         record = NonEmptyRecord({"b": 1, "a": 2, "z": 0, "c": 3})
         assert list(record.keys()) == ["a", "b", "c", "z"]
+
+    def test_record_coerces_str_keys_to_names(self):
+        record = NonEmptyRecord({"b": 1, Name("a"): 2})
+        assert list(record.items()) == [("a", 2), ("b", 1)]
+        assert all(type(key) is Name for key in record)
+
+    @pytest.mark.parametrize(
+        "entries", [{"a b": 1}, {"a": 1, "": 2}, {1: 1}, {"a": 1, 2: 2}], ids=str
+    )
+    def test_record_rejects_a_bad_name(self, entries):
+        with pytest.raises(BadNameError):
+            NonEmptyRecord(entries)
+
+    def test_record_accepts_pairs_and_refuses_none(self):
+        record = NonEmptyRecord(iter([("z", 0), ("a", 1)]))
+        assert list(record.items()) == [("a", 1), ("z", 0)]
+        with pytest.raises(ValueError):
+            NonEmptyRecord([])
+
+    def test_record_keeps_no_alias_of_the_callers_dict(self):
+        entries = {"b": 1, "a": 2}
+        record = NonEmptyRecord(entries)
+        entries["a"] = 9
+        entries["c"] = 3
+        del entries["b"]
+        assert list(record.items()) == [("a", 2), ("b", 1)]
 
     def test_singleton_matches_from_path_map(self):
         rng = random.Random(23)

@@ -1,11 +1,15 @@
 """The flat and nested textual formats: grammar, diagnostics, round trips."""
 
+import enum
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dtry.core import Dtry
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
 from dtry.formats import (
     Diagnostic,
     ParseError,
@@ -17,7 +21,16 @@ from dtry.formats import (
 )
 from dtry.paths import Path
 
-from helpers import EXAMPLE_FLAT, EXAMPLE_PATH_MAP, example_directory, random_dtry
+from helpers import (
+    EXAMPLE_FLAT,
+    EXAMPLE_PATH_MAP,
+    chain,
+    deepest,
+    emits,
+    example_directory,
+    oracle_emit_nested,
+    random_dtry,
+)
 
 
 def codes(exc: ParseError) -> list[tuple[int, str]]:
@@ -247,6 +260,108 @@ class TestNestedFormat:
         with pytest.raises(ParseError) as exc:
             emit_nested(Dtry.from_path_map({".".join(["s"] * 3000): 1}))
         assert codes(exc.value) == [(1, "E_TOO_DEEP")]
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    DEEP = -(2**70)
+
+
+class Label(str):
+    pass
+
+
+strings_st = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\r\t\u2028éß€😀 a'),
+)
+scalars_st = st.one_of(
+    strings_st,
+    st.integers(),
+    st.sampled_from([2**100, -(2**70), -1, 0]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, 0.1]),
+    st.sampled_from(list(Color)),
+    strings_st.map(Label),
+)
+# Arrays hold scalars, arrays and objects; hypothesis makes the keys of an
+# object in no particular order, and the writer must sort them.
+json_st = st.recursive(
+    scalars_st,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+leaf_values_st = st.one_of(scalars_st, st.lists(json_st, max_size=3))
+writer_names_st = st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)
+nested_dtries_st = st.one_of(
+    st.just(Dtry.empty()),
+    st.recursive(
+        leaf_values_st.map(Leaf),
+        lambda child: st.dictionaries(writer_names_st, child, min_size=1, max_size=4).map(
+            lambda d: Node(NonEmptyRecord(d))
+        ),
+        max_leaves=12,
+    ).map(Dtry),
+)
+
+
+class TestNestedWriter:
+    @given(nested_dtries_st)
+    def test_matches_json_dumps_byte_for_byte(self, d):
+        assert emit_nested(d) == oracle_emit_nested(d)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"a.b": {"k": 1}},
+            {"a": 1, "b.c": [1, float("nan")]},
+            {"x.y": float("inf")},
+            {"x": -float("inf")},
+        ],
+        ids=("object", "nan_in_array", "infinity", "negative_infinity"),
+    )
+    def test_refuses_what_json_dumps_refuses(self, entries):
+        d = Dtry.from_path_map(entries)
+        with pytest.raises(ValueError) as expected:
+            oracle_emit_nested(d)
+        with pytest.raises(ValueError) as got:
+            emit_nested(d)
+        assert str(got.value) == str(expected.value)
+
+    def test_reads_back_up_to_a_few_levels_short_of_the_reader(self):
+        def reads(depth):
+            try:
+                parse_nested('{"s": ' * depth + "1" + "}" * depth)
+            except ParseError:
+                return False
+            return True
+
+        read = deepest(reads)
+        written = deepest(lambda depth: emits(chain(depth)))
+        assert read - 10 <= written <= read
+        assert parse_nested(emit_nested(chain(written))) == chain(written)
+
+    def test_an_array_leaf_counts_toward_the_bound(self):
+        plain = deepest(lambda depth: emits(chain(depth)))
+        twice = deepest(lambda depth: emits(chain(depth, [[1]])))
+        empty = deepest(lambda depth: emits(chain(depth, [[], 2])))
+        assert twice == empty == plain - 2
+
+    def test_past_the_bound_is_refused_before_any_text_is_built(self):
+        deep = chain(3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                emit_nested(deep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert codes(exc.value) == [(1, "E_TOO_DEEP")]
+        assert peak < 1_000_000
 
 
 class TestScan:

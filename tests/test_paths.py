@@ -121,6 +121,11 @@ class TestPrefix:
         assert not Path("a.b").is_prefix_of(Path("a"))
         assert not Path("b").is_prefix_of(Path("a.b"))
 
+    def test_dotted_string_argument_is_parsed_as_a_path(self):
+        assert not Path("a").is_prefix_of("ab")
+        assert Path("a.b").is_prefix_of("a.b.c")
+        assert Path("a").is_prefix_of(("a", "b"))
+
     @given(paths_st, paths_st)
     def test_antisymmetry(self, p, q):
         if p.is_prefix_of(q) and q.is_prefix_of(p):
