@@ -45,7 +45,7 @@ from .formats import (
     scan_flat,
 )
 from .maybe import NOTHING, Just
-from .paths import Name, Path, is_prefix_free, lex_cmp
+from .paths import Name, Path
 
 __all__ = [
     "Dtry",
@@ -57,8 +57,6 @@ __all__ = [
     "merge_disjoint",
     "Name",
     "Path",
-    "lex_cmp",
-    "is_prefix_free",
     "Just",
     "NOTHING",
     "Diagnostic",

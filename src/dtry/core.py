@@ -297,13 +297,6 @@ class Dtry(Generic[T]):
         return cls(Leaf(value))
 
     @classmethod
-    def singleton(cls, path, value: T) -> "Dtry[T]":
-        """The directory with exactly one entry at ``path``."""
-        builder = _TrieBuilder()
-        builder.add(Path(path), value)
-        return cls(builder.freeze())
-
-    @classmethod
     def from_path_map(cls, entries: Mapping) -> "Dtry[T]":
         """Build a directory from a path-to-value mapping.
 
@@ -335,12 +328,6 @@ class Dtry(Generic[T]):
         if not isinstance(self._root, Leaf):
             raise ValueError("directory does not bind a value at the root path")
         return self._root.value
-
-    def prefix(self, name) -> "Dtry[T]":
-        """Push the whole directory below one name. Empty stays empty."""
-        if self._root is None:
-            return self
-        return Dtry(Node(NonEmptyRecord({Name(name): self._root})))
 
     def map_values(self, f: Callable[[T], Any]) -> "Dtry":
         """Apply ``f`` to every value, in path order; the paths stay as they are."""

@@ -180,11 +180,18 @@ class FinCat:
         of ``{"id":..., "dom":..., "cod":...}``), ``identity`` (object id
         to morphism id; JSON objects force string keys, so ids used here
         must be strings), and ``compose`` (list of ``[f, g, h]`` triples).
+
+        Raises:
+            NotACategoryError: when the document is not of that shape, or
+                its tables are not a category.
         """
         data = json.loads(text)
-        morphisms = {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]}
-        compose = {(f, g): h for f, g, h in data["compose"]}
-        return cls(data["objects"], morphisms, data["identity"], compose, check_laws=check_laws)
+        try:
+            morphisms = {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]}
+            compose = {(f, g): h for f, g, h in data["compose"]}
+            return cls(data["objects"], morphisms, data["identity"], compose, check_laws=check_laws)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NotACategoryError(f"not a category table document: {exc!r}") from exc
 
     def objects(self) -> frozenset:
         return self._objects
@@ -381,6 +388,11 @@ class DtryMor:
     dst.assign[q]``. Validity is checked on construction, so composing
     never has to trust its inputs (the bijection requirement of ISO is
     rechecked on every composite's result too, since it is constructed).
+
+    The keys of both dicts, and the targets of ``f0``, are paths of the
+    two sides: a ``Path`` or a tuple of names. Dotted strings are not
+    accepted. The stored ``f0`` and ``f1`` are new dicts in the indexing
+    side's path order, and each target is the other side's own ``Path``.
     """
 
     variant: Variant
@@ -393,44 +405,42 @@ class DtryMor:
         cat = self.src.cat
         if self.dst.cat != cat:
             raise ValueError("source and destination live in different categories")
-        index = self.dst.paths() if self.variant is Variant.PRODUCT else self.src.paths()
-        target = self.src.paths() if self.variant is Variant.PRODUCT else self.dst.paths()
-        f0 = {Path(p): Path(q) for p, q in dict(self.f0).items()}
-        f1 = {Path(p): m for p, m in dict(self.f1).items()}
-        if set(f0) != set(index):
-            raise ValueError("index map must be total on its indexing side")
-        if set(f1) != set(index):
-            raise ValueError("components must be indexed exactly like the index map")
-        target_set = set(target)
-        for p, q in f0.items():
-            if q not in target_set:
-                raise ValueError(f"index map sends {p!r} outside the other side: {q!r}")
-        if self.variant is Variant.ISO and len(set(f0.values())) != len(target):
-            raise ValueError("index map of an ISO morphism must be a bijection")
-        for p in index:
-            if self.variant is Variant.PRODUCT:
-                want_dom, want_cod = self.src.assign[f0[p]], self.dst.assign[p]
-            else:
-                want_dom, want_cod = self.src.assign[p], self.dst.assign[f0[p]]
-            if cat.dom(f1[p]) != want_dom or cat.cod(f1[p]) != want_cod:
+        product = self.variant is Variant.PRODUCT
+        index, target = (self.dst, self.src) if product else (self.src, self.dst)
+        given0, given1, objs = self.f0, self.f1, target.assign
+        if not len(given0) == len(given1) == len(index.assign):
+            raise ValueError("index map and components must have one entry per index path")
+        own = {q: q for q in objs}
+        f0, f1 = {}, {}
+        for p, x in index.assign.items():
+            if p not in given0 or p not in given1:
+                raise ValueError(f"index map and components must be total: nothing at {p!r}")
+            q, m = own.get(given0[p]), given1[p]
+            if q is None:
+                raise ValueError(f"index map sends {p!r} outside the other side: {given0[p]!r}")
+            want = (objs[q], x) if product else (x, objs[q])
+            try:
+                have = (cat.dom(m), cat.cod(m))
+            except (KeyError, AttributeError, TypeError) as exc:
+                raise ValueError(f"component at {p!r} is not a morphism: {m!r}") from exc
+            if have != want:
                 raise ValueError(
-                    f"component at {p!r} has type {cat.dom(f1[p])!r} -> {cat.cod(f1[p])!r}, "
-                    f"expected {want_dom!r} -> {want_cod!r}"
+                    f"component at {p!r} has type {have[0]!r} -> {have[1]!r}, "
+                    f"expected {want[0]!r} -> {want[1]!r}"
                 )
-        object.__setattr__(self, "f0", {p: f0[p] for p in sorted(f0)})
-        object.__setattr__(self, "f1", {p: f1[p] for p in sorted(f1)})
+            f0[p], f1[p] = q, m
+        if self.variant is Variant.ISO and len(set(f0.values())) != len(own):
+            raise ValueError("index map of an ISO morphism must be a bijection")
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "f1", f1)
 
 
 def identity_mor(x: DtryObj, variant: Variant = Variant.GENERAL) -> DtryMor:
     """The identity on ``x`` in any variant: identity index map, identity components."""
-    ps = x.paths()
-    return DtryMor(
-        variant,
-        x,
-        x,
-        {p: p for p in ps},
-        {p: x.cat.identity(x.assign[p]) for p in ps},
-    )
+    f0, f1 = {}, {}
+    for p, v in x.assign.items():
+        f0[p], f1[p] = p, x.cat.identity(v)
+    return DtryMor(variant, x, x, f0, f1)
 
 
 def compose_mor(f: DtryMor, g: DtryMor) -> DtryMor:
@@ -447,13 +457,14 @@ def compose_mor(f: DtryMor, g: DtryMor) -> DtryMor:
         raise NotComposableError(f"variant mismatch: {f.variant} vs {g.variant}")
     if f.dst != g.src:
         raise NotComposableError("destination of the first must equal source of the second")
-    cat = f.src.cat
+    compose = f.src.cat.compose
+    f0, f1 = {}, {}
     if f.variant is Variant.PRODUCT:
-        f0 = {q: f.f0[g.f0[q]] for q in g.dst.paths()}
-        f1 = {q: cat.compose(f.f1[g.f0[q]], g.f1[q]) for q in g.dst.paths()}
-        return DtryMor(Variant.PRODUCT, f.src, g.dst, f0, f1)
-    f0 = {p: g.f0[f.f0[p]] for p in f.src.paths()}
-    f1 = {p: cat.compose(f.f1[p], g.f1[f.f0[p]]) for p in f.src.paths()}
+        for r, q in g.f0.items():
+            f0[r], f1[r] = f.f0[q], compose(f.f1[q], g.f1[r])
+    else:
+        for p, q in f.f0.items():
+            f0[p], f1[p] = g.f0[q], compose(f.f1[p], g.f1[q])
     return DtryMor(f.variant, f.src, g.dst, f0, f1)
 
 
@@ -493,13 +504,11 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
         variant = variants.pop() if variants else Variant.GENERAL
     src = mu_obj(dm.map_values(lambda m: m.src), cat=cat)
     dst = mu_obj(dm.map_values(lambda m: m.dst), cat=cat)
-    f0 = {}
-    f1 = {}
+    f0, f1 = {}, {}
     for p, m in inner.items():
         for q, target in m.f0.items():
-            f0[p.concat(q)] = p.concat(target)
-        for q, component in m.f1.items():
-            f1[p.concat(q)] = component
+            pq = p.concat(q)
+            f0[pq], f1[pq] = p.concat(target), m.f1[q]
     return DtryMor(variant, src, dst, f0, f1)
 
 
@@ -578,13 +587,10 @@ def algebra_eval_mor(alg: StrictAlgebra, m: DtryMor) -> MorId:
     if m.variant is not Variant.ISO:
         raise ValueError("algebra evaluation needs the bijective variant")
     cat = alg.cat
-    src_paths = m.src.paths()
-    dst_paths = m.dst.paths()
-    if not src_paths:
+    if not m.f1:
         return cat.identity(alg.unit_obj)
-    components = [m.f1[p] for p in src_paths]
-    tensored = alg.tensor_mor(components)
-    slot_of = {q: j for j, q in enumerate(dst_paths)}
-    perm = [slot_of[m.f0[p]] for p in src_paths]
-    carried = [m.dst.assign[m.f0[p]] for p in src_paths]
+    tensored = alg.tensor_mor(list(m.f1.values()))
+    slot_of = {q: j for j, q in enumerate(m.dst.assign)}
+    perm = [slot_of[q] for q in m.f0.values()]
+    carried = [m.dst.assign[q] for q in m.f0.values()]
     return cat.compose(tensored, alg.permute(carried, perm))

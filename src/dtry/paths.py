@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import BadNameError, BadPathError
 
-__all__ = ["Name", "Path", "lex_cmp", "is_prefix_free"]
+__all__ = ["Name", "Path"]
 
 
 # ``fullmatch``, since ``$`` would also accept a trailing newline.
@@ -81,7 +81,7 @@ class Path(tuple):
         return tuple.__new__(cls, segments)
 
     def concat(self, other) -> "Path":
-        return Path(tuple.__add__(self, Path(other)))
+        return tuple.__new__(Path, tuple.__add__(self, Path(other)))
 
     def __add__(self, other) -> "Path":
         return self.concat(other)
@@ -98,20 +98,3 @@ class Path(tuple):
     def __repr__(self) -> str:
         return f"Path({str(self)!r})"
 
-
-def lex_cmp(p: Path, q: Path) -> int:
-    """Three-way comparison in path order: -1, 0, or 1."""
-    p, q = Path(p), Path(q)
-    return (p > q) - (p < q)
-
-
-def is_prefix_free(paths: Iterable[Path]) -> bool:
-    """True when no path in the set is a prefix of a distinct one.
-
-    Sorting puts every path right before its extensions, so checking
-    adjacent pairs of the sorted, deduplicated set suffices.
-    """
-    ordered = sorted({Path(p) for p in paths})
-    return all(
-        not ordered[i].is_prefix_of(ordered[i + 1]) for i in range(len(ordered) - 1)
-    )

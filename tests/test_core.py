@@ -89,16 +89,16 @@ class TestConstruction:
         rng = random.Random(23)
         for _ in range(100):
             p = random_path(rng)
-            d = Dtry.singleton(p, 7)
+            d = Dtry.from_path_map({p: 7})
             assert d.path_map() == {p: 7}
-            assert d == Dtry.from_path_map({p: 7})
+            assert d == Dtry.empty().insert(p, 7)
 
     def test_prefix_pushes_below_a_name(self):
         d = Dtry.from_path_map({"x": 1, "y": 2})
-        assert d.prefix("a").path_map() == {Path("a.x"): 1, Path("a.y"): 2}
+        assert merge_disjoint({"a": d}).path_map() == {Path("a.x"): 1, Path("a.y"): 2}
 
     def test_prefix_of_empty_is_empty(self):
-        assert Dtry.empty().prefix("a") == Dtry.empty()
+        assert merge_disjoint({"a": Dtry.empty()}) == Dtry.empty()
 
 
 class TestLookup:
@@ -132,12 +132,12 @@ class TestInsert:
         assert d.path_map() == {Path("a.x"): 1, Path("a.y"): 2, Path("b"): 3}
 
     def test_duplicate_is_a_conflict(self):
-        d = Dtry.singleton("a.x", 1)
+        d = Dtry.from_path_map({"a.x": 1})
         with pytest.raises(PrefixConflictError):
             d.insert("a.x", 2)
 
     def test_extension_conflict_names_the_pair(self):
-        d = Dtry.singleton("a", 1)
+        d = Dtry.from_path_map({"a": 1})
         with pytest.raises(PrefixConflictError) as exc:
             d.insert("a.b", 2)
         assert exc.value.existing == Path("a")

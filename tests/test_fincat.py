@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 from itertools import product as cartesian
 
@@ -57,6 +58,9 @@ def tiny_cat_json():
     )
 
 
+TINY = FinCat.from_json(tiny_cat_json())
+
+
 class TestFinCatTables:
     def test_loads_and_validates(self):
         cat = FinCat.from_json(tiny_cat_json())
@@ -110,6 +114,20 @@ class TestFinCatTables:
         with pytest.raises(NotACategoryError) as exc:
             FinCat(["x"], morphisms, {"x": "id_x"}, compose)
         assert "associativity" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            {**json.loads(tiny_cat_json()), "morphisms": [{"id": "id_x", "dom": "x"}]},
+            {**json.loads(tiny_cat_json()), "morphisms": [{"id": ["f"], "dom": "x", "cod": "y"}]},
+        ],
+        ids=["empty_object", "array", "morphism_without_cod", "list_valued_id"],
+    )
+    def test_document_of_another_shape_is_not_a_category(self, data):
+        with pytest.raises(NotACategoryError, match="not a category table document"):
+            FinCat.from_json(json.dumps(data))
 
     def test_composing_undefined_pair_raises(self):
         cat = FinCat.from_json(tiny_cat_json())
@@ -401,6 +419,35 @@ class TestDtryMorValidation:
         assert m.f0[Path("c")] == Path("a")
         with pytest.raises(ValueError):
             DtryMor(Variant.PRODUCT, src, dst, {Path("a"): Path("c")}, {Path("a"): SKEL.identity(2)})
+
+    @pytest.mark.parametrize(
+        "cat, objs, key, target, component",
+        [
+            pytest.param(TINY, ("x", "y"), ("a", "b"), ("c",), "nope", id="fincat_non_morphism"),
+            pytest.param(SKEL, (1, 1), ("a", "b"), ("c",), "nope", id="skeleton_non_morphism"),
+            pytest.param(SKEL, (1, 1), "a.b", ("c",), FinFn(1, (1,)), id="dotted_key"),
+            pytest.param(SKEL, (1, 1), ("a", "b"), "c", FinFn(1, (1,)), id="dotted_target"),
+            pytest.param(SKEL, (1, 1), ("z",), ("c",), FinFn(1, (1,)), id="key_off_the_index"),
+        ],
+    )
+    def test_bad_entry_is_a_value_error_naming_its_path(self, cat, objs, key, target, component):
+        src, dst = DtryObj.of(cat, {"a.b": objs[0]}), DtryObj.of(cat, {"c": objs[1]})
+        with pytest.raises(ValueError, match=re.escape(repr(Path("a.b")))):
+            DtryMor(Variant.GENERAL, src, dst, {key: target}, {key: component})
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_storage_is_in_index_order_and_targets_are_the_other_sides_paths(self, variant):
+        rng = random.Random(211)
+        for _ in range(50):
+            m = random_mor_from(rng, random_dtry_obj(rng, SKEL), variant)
+            index, target = (m.dst, m.src) if variant is Variant.PRODUCT else (m.src, m.dst)
+            f0 = {tuple(p): tuple(q) for p, q in reversed(m.f0.items())}
+            f1 = {tuple(p): c for p, c in reversed(m.f1.items())}
+            again = DtryMor(variant, m.src, m.dst, f0, f1)
+            assert again == m
+            assert list(again.f0) == list(again.f1) == list(index.assign)
+            own = {id(q) for q in target.assign}
+            assert all(id(q) in own for q in again.f0.values())
 
 
 class TestCategoryLaws:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtry.errors import BadNameError, BadPathError
-from dtry.paths import Name, Path, is_prefix_free, lex_cmp
+from dtry.core import Dtry
+from dtry.errors import BadNameError, BadPathError, PrefixConflictError
+from dtry.paths import Name, Path
 
 from helpers import NAME_POOL, oracle_prefix_free, random_path
 
@@ -141,46 +142,55 @@ class TestPrefix:
 
 class TestLexOrder:
     def test_examples(self):
-        assert lex_cmp(Path("a"), Path("a.b")) == -1  # proper prefix first
-        assert lex_cmp(Path("a.b"), Path("a.c")) == -1
-        assert lex_cmp(Path("b"), Path("a.z.z")) == 1
-        assert lex_cmp(Path("a"), Path("a")) == 0
+        assert Path("a") < Path("a.b")  # proper prefix first
+        assert Path("a.b") < Path("a.c")
+        assert Path("b") > Path("a.z.z")
+        assert Path("a") == Path("a")
 
     def test_byte_order_on_names(self):
         # ASCII order: digits < uppercase < '_' < lowercase.
-        assert lex_cmp(Path("B"), Path("a")) == -1
-        assert lex_cmp(Path("_"), Path("a")) == -1
-        assert lex_cmp(Path("9"), Path("A")) == -1
+        assert Path("B") < Path("a")
+        assert Path("_") < Path("a")
+        assert Path("9") < Path("A")
 
     def test_total_order_on_many_random_pairs(self):
         rng = random.Random(11)
         pairs = [(random_path(rng), random_path(rng)) for _ in range(10_000)]
         for p, q in pairs:
-            c, cr = lex_cmp(p, q), lex_cmp(q, p)
-            assert c in (-1, 0, 1)
-            assert cr == -c
-            assert (c == 0) == (p == q)
+            lt, eq, gt = p < q, p == q, p > q
+            assert lt + eq + gt == 1
+            assert (q < p, q > p) == (gt, lt)
+            assert eq == (not lt and not gt)
 
     def test_transitivity_sampled(self):
         rng = random.Random(13)
         for _ in range(2_000):
             p, q, r = (random_path(rng) for _ in range(3))
             ordered = sorted([p, q, r])
-            assert lex_cmp(ordered[0], ordered[1]) <= 0
-            assert lex_cmp(ordered[1], ordered[2]) <= 0
-            assert lex_cmp(ordered[0], ordered[2]) <= 0
+            assert ordered[0] <= ordered[1]
+            assert ordered[1] <= ordered[2]
+            assert ordered[0] <= ordered[2]
+
+
+def builds(paths) -> bool:
+    """True when the paths bind as one directory, i.e. are prefix-free."""
+    try:
+        Dtry.from_path_map({p: None for p in paths})
+    except PrefixConflictError:
+        return False
+    return True
 
 
 class TestPrefixFree:
     def test_examples(self):
-        assert is_prefix_free({Path("a.b"), Path("a.c"), Path("b")})
-        assert not is_prefix_free({Path("a"), Path("a.b")})
-        assert is_prefix_free(set())
-        assert is_prefix_free({Path()})
-        assert not is_prefix_free({Path(), Path("a")})  # root prefixes everything
+        assert builds({Path("a.b"), Path("a.c"), Path("b")})
+        assert not builds({Path("a"), Path("a.b")})
+        assert builds(set())
+        assert builds({Path()})
+        assert not builds({Path(), Path("a")})  # root prefixes everything
 
     def test_agrees_with_quadratic_oracle(self):
         rng = random.Random(17)
         for _ in range(500):
             paths = {random_path(rng, max_len=3) for _ in range(rng.randint(0, 32))}
-            assert is_prefix_free(paths) == oracle_prefix_free(paths)
+            assert builds(paths) == oracle_prefix_free(paths)
