@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import PrefixConflictError
+from .errors import BadNameError, PrefixConflictError
 from .maybe import NOTHING, Just
 from .paths import Name, Path
 
@@ -268,6 +268,40 @@ class _TrieBuilder:
             node = node[node.least]
         raise PrefixConflictError(existing=Path(names), incoming=path)
 
+    def _add_keys(self, items) -> bool:
+        """Bind each ``(key, value)`` in the order given, walking each key once.
+
+        A key is a dotted string (a ``Name`` among them) or a sequence of
+        names. A segment is validated by ``Name`` only where it makes a new
+        edge, since one that follows an edge equals that edge's name.
+        Returns False at the first key that conflicts with a bound one; a
+        bad segment raises. Either way the builder is left partly filled.
+        """
+        for key, value in items:
+            if isinstance(key, str):
+                key = key.split(".") if key else ()
+            node = self._root
+            if type(node) is not _Dir:
+                if node is not None:  # a bound root path conflicts with any key
+                    return False
+                self._root = _chain([Name(s) for s in key], value)
+                continue
+            segments = iter(key)
+            for segment in segments:
+                child = node.get(segment)
+                if child is None:
+                    name = Name(segment)
+                    node[name] = _chain([Name(s) for s in segments], value)
+                    if name < node.least:
+                        node.least = name
+                    break
+                if type(child) is Leaf:  # the key equals or extends a bound path
+                    return False
+                node = child
+            else:  # the key is a prefix of bound paths
+                return False
+        return True
+
     def freeze(self) -> Leaf | Node | None:
         """The immutable tree: one record per node, children before parents."""
         return _rebuild(self._root, lambda leaf: leaf)
@@ -300,18 +334,39 @@ class Dtry(Generic[T]):
     def from_path_map(cls, entries: Mapping) -> "Dtry[T]":
         """Build a directory from a path-to-value mapping.
 
-        Keys are processed in lexicographic order, so on a conflicting
-        input the reported pair is deterministic.
+        A key is a ``Path``, a dotted string, or a sequence of names; a
+        ``Name`` key is one segment. Each key is walked once into the trie,
+        and each edge of the trie validates its name once.
+
+        Errors are reported as if every key were first made a ``Path``, in
+        the mapping's order, and the paths were then bound in lexicographic
+        order: a bad key is raised before any conflict, the first bad key
+        in the mapping's order, and the reported conflict pair is the
+        lexicographically first one. Only a failing input is sorted.
+
+        >>> Dtry.from_path_map({("a", "y"): 1, "a.x": 2, Name("b"): 3}).path_map()
+        {Path('a.x'): 2, Path('a.y'): 1, Path('b'): 3}
+        >>> Dtry.from_path_map({"b.c": 1, "a.x.y": 2, "b": 3, "a.x": 4})
+        Traceback (most recent call last):
+            ...
+        dtry.errors.PrefixConflictError: path 'a.x.y' extends the bound path 'a.x'
 
         Raises:
             PrefixConflictError: when one key is a prefix of another.
+            BadPathError, BadNameError, TypeError: for a key that is no path.
         """
-        items = sorted(
-            ((Path(p), v) for p, v in dict(entries).items()), key=lambda kv: kv[0]
-        )
+        entries = dict(entries)
         builder = _TrieBuilder()
-        for path, value in items:
-            builder.add(path, value)
+        try:
+            bound = builder._add_keys(entries.items())
+        except (BadNameError, TypeError):  # a key that is no path: the reference order raises it
+            bound = False
+        if not bound:
+            # The reference order: coerce every key, sort, bind.
+            builder = _TrieBuilder()
+            items = sorted(((Path(p), v) for p, v in entries.items()), key=lambda kv: kv[0])
+            for path, value in items:
+                builder.add(path, value)
         return cls(builder.freeze())
 
     @property

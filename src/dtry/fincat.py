@@ -235,11 +235,14 @@ class FinFn:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
-        if self.cod < 0:
-            raise ValueError("codomain size must be nonnegative")
+        cod = self.cod
+        if type(cod) is not int or cod < 0:
+            raise ValueError(f"codomain size {cod!r} is not a nonnegative int")
         for i in self.images:
-            if not 1 <= i <= self.cod:
-                raise ValueError(f"image {i} outside 1..{self.cod}")
+            if type(i) is not int:
+                raise ValueError(f"image {i!r} is not an int")
+            if not 1 <= i <= cod:
+                raise ValueError(f"image {i} outside 1..{cod}")
 
     @property
     def dom(self) -> int:
@@ -478,7 +481,10 @@ def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
     if cat is None:
         if dd.is_empty:
             raise ValueError("cannot infer the category of an empty directory; pass cat=")
-        cat = next(iter(dd.path_map().values())).cat
+        tree = dd.root
+        while type(tree) is Node:
+            tree = next(iter(tree.children.values()))
+        cat = tree.value.cat
     return DtryObj(cat, dd.map_values(lambda o: o.objs).flatten())
 
 

@@ -8,6 +8,7 @@ checking without timing anything.
 
 import contextlib
 import io
+import random
 from collections import Counter
 from unittest import mock
 
@@ -21,7 +22,7 @@ from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
 from dtry.formats import ParseError, parse_flat, scan_flat
 from dtry.maybe import NOTHING, Just
-from dtry.paths import Path
+from dtry.paths import Name, Path
 
 from helpers import oracle_check, oracle_conflicts
 
@@ -137,6 +138,24 @@ def trie_edges(paths):
     return len({tuple(p)[:k] for p in paths for k in range(1, len(p) + 1)})
 
 
+def config_keys(n, seed=1):
+    """``n`` prefix-free keys shaped like configuration: ``section.group.key``,
+    about one key in ten a level deeper."""
+    rng = random.Random(seed)
+    keys = []
+    section = 0
+    while len(keys) < n:
+        for group in range(rng.randint(3, 8)):
+            for key in range(rng.randint(4, 12)):
+                stem = (f"s{section}", f"g{group}", f"k{key}")
+                if rng.random() < 0.1:
+                    keys.extend((*stem, f"x{sub}") for sub in range(rng.randint(2, 3)))
+                else:
+                    keys.append(stem)
+        section += 1
+    return keys[:n]
+
+
 class TestWork:
     @pytest.mark.parametrize(
         "lines", [wide_lines(2000), realistic_lines(2000)], ids=("wide", "realistic")
@@ -166,6 +185,33 @@ class TestWork:
         flat = nested.flatten()
         assert 0 < len(flat) < len(directory)
         assert work["record entries"] == trie_edges(flat.paths())
+
+    @pytest.mark.parametrize("dotted", [False, True], ids=("tuple", "dotted"))
+    def test_from_path_map_validates_one_name_per_trie_edge(self, work, monkeypatch, dotted):
+        keys = config_keys(600)
+        entries = {(".".join(k) if dotted else k): i for i, k in enumerate(keys)}
+        want = {Path(k): i for i, k in enumerate(keys)}
+        name_new, path_new, parse = Name.__new__, Path.__new__, Path.parse.__func__
+
+        def counting_name_new(cls, text):
+            work["Name"] += 1
+            return name_new(cls, text)
+
+        def counting_path_new(cls, segments=()):
+            work["Path"] += 1
+            return path_new(cls, segments)
+
+        def counting_parse(cls, text, names=None):
+            work["Path.parse"] += 1
+            return parse(cls, text, names)
+
+        monkeypatch.setattr(Name, "__new__", counting_name_new)
+        monkeypatch.setattr(Path, "__new__", counting_path_new)
+        monkeypatch.setattr(Path, "parse", classmethod(counting_parse))
+        directory = Dtry.from_path_map(entries)
+        counts = dict(work)
+        assert counts == {"Name": trie_edges(keys), "record entries": trie_edges(keys)}
+        assert directory.path_map() == want
 
     def test_check_scans_each_entry_once_plus_its_conflicts(self, work):
         lines = realistic_lines(400)

@@ -3,10 +3,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, distrib, filter_nothings, merge_disjoint
+from dtry.core import (
+    Dtry,
+    Leaf,
+    Node,
+    NonEmptyRecord,
+    _TrieBuilder,
+    distrib,
+    filter_nothings,
+    merge_disjoint,
+)
 from dtry.errors import BadNameError, PrefixConflictError
 from dtry.maybe import NOTHING, Just, join_maybe
 from dtry.paths import Name, Path
@@ -40,6 +49,50 @@ def dtries(leaf_values=values_st):
 
 
 records_st = st.dictionaries(names_st, values_st, min_size=1, max_size=4).map(NonEmptyRecord)
+
+# Keys of every kind from_path_map takes, over three letters so that
+# duplicates and prefix conflicts are dense, then at most two keys with
+# one bad segment each, all in a random order.
+good_segments_st = st.lists(st.sampled_from("abc"), max_size=3)
+bad_segments_st = st.tuples(
+    good_segments_st, st.sampled_from(["b-", "", 5]), st.lists(st.sampled_from("ab"), max_size=1)
+).map(lambda parts: [*parts[0], parts[1], *parts[2]])
+good_keys_st = st.one_of(
+    st.just(""),
+    good_segments_st.map(".".join),
+    good_segments_st.map(tuple),
+    good_segments_st.map(Path),
+    st.sampled_from(["a", "b", "ab"]).map(Name),
+)
+bad_keys_st = st.one_of(
+    bad_segments_st.filter(lambda segs: 5 not in segs).map(".".join),
+    bad_segments_st.map(tuple),
+    st.just(5),
+)
+path_maps_st = (
+    st.tuples(
+        st.lists(st.tuples(good_keys_st, values_st), max_size=8),
+        st.lists(st.tuples(bad_keys_st, values_st), max_size=2),
+    )
+    .flatmap(lambda lists: st.permutations(lists[0] + lists[1]))
+    .map(dict)
+)
+
+
+def reference_from_path_map(entries):
+    """Every key made a ``Path`` in the mapping's order, then sorted, then bound."""
+    items = sorted(((Path(p), v) for p, v in dict(entries).items()), key=lambda kv: kv[0])
+    builder = _TrieBuilder()
+    for path, value in items:
+        builder.add(path, value)
+    return Dtry(builder.freeze())
+
+
+def outcome(build, entries):
+    try:
+        return build(entries)
+    except Exception as exc:
+        return exc
 
 
 class TestConstruction:
@@ -202,6 +255,30 @@ class TestPathMapIsomorphism:
             Dtry.from_path_map({"a.b": 2, "a": 1, "zz": 0})
         assert exc.value.existing == Path("a")
         assert exc.value.incoming == Path("a.b")
+
+    @settings(max_examples=500, deadline=None)
+    @given(path_maps_st)
+    @example({Name("ab"): 1})
+    @example({"b.c": 1, "a.x.y": 2, "b": 3, "a.x": 4})
+    @example({"a.b": 1, "": 2, ("c", 5): 3, "b-": 4})
+    @example({"a": 1, "b-": 2})
+    def test_matches_the_sort_first_reference(self, entries):
+        want = outcome(reference_from_path_map, entries)
+        got = outcome(Dtry.from_path_map, entries)
+        if isinstance(want, Dtry):
+            assert got == want
+            assert got.path_map() == want.path_map()
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
+            if isinstance(want, PrefixConflictError):
+                assert (got.existing, got.incoming) == (want.existing, want.incoming)
+
+    def test_a_name_key_is_one_segment(self):
+        assert Dtry.from_path_map({Name("ab"): 1}).path_map() == {Path("ab"): 1}
+        assert Dtry.from_path_map({Name("ab"): 1, ("a", "c"): 2}).paths() == [
+            Path("a.c"),
+            Path("ab"),
+        ]
 
     def test_injectivity_on_random_pairs(self):
         rng = random.Random(43)

@@ -297,6 +297,23 @@ class TestFinSetSkeleton:
         with pytest.raises(ValueError):
             FinFn(0, (1,))
 
+    @pytest.mark.parametrize(
+        "cod, images, message",
+        [
+            (2.5, (1,), "codomain size 2.5 is not a nonnegative int"),
+            (True, (), "codomain size True is not a nonnegative int"),
+            (-1, (), "codomain size -1 is not a nonnegative int"),
+            (1, (True,), "image True is not an int"),
+            (1, (1.0,), "image 1.0 is not an int"),
+            (2, (1, "2"), "image '2' is not an int"),
+        ],
+        ids=("float_cod", "bool_cod", "negative_cod", "bool_image", "float_image", "str_image"),
+    )
+    def test_codomain_and_images_are_ints(self, cod, images, message):
+        # Each would name a morphism whose codomain is no object of SKEL.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FinFn(cod, images)
+
     def test_truncation_validates_as_a_category(self):
         cat = SKEL.truncate(2)
         cat.validate()
@@ -509,6 +526,20 @@ class TestFlattening:
             {"s1": DtryObj(SKEL, Dtry.empty()), "s2": DtryObj.of(SKEL, {"a": 2})}
         )
         assert mu_obj(dd).assign == {Path("s2.a"): 2}
+
+    def test_category_is_inferred_from_a_nested_outer_directory(self):
+        cat = FinCat.from_json(tiny_cat_json())
+        dd = Dtry.from_path_map(
+            {
+                "s.t": DtryObj.of(cat, {"a": "y"}),
+                "s.u.v": DtryObj.of(cat, {"b": "x", "c.d": "y"}),
+                "w": DtryObj(cat, Dtry.empty()),
+            }
+        )
+        flat = mu_obj(dd)
+        assert flat.cat is cat
+        assert flat == mu_obj(dd, cat=cat)
+        assert flat.assign == {Path("s.t.a"): "y", Path("s.u.v.b"): "x", Path("s.u.v.c.d"): "y"}
 
     def test_empty_outer_needs_an_explicit_category(self):
         with pytest.raises(ValueError):
