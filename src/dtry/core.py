@@ -168,39 +168,54 @@ def _present(leaf):
     return Leaf(entry.value)
 
 
-def _rebuild(tree, leaf):
+def _rebuild(tree, leaf, share=False):
     """``tree`` with each ``Leaf`` replaced by ``leaf(that_leaf)``.
 
     ``leaf`` returns the tree to put in its place, or None to delete the
     entry; a node left without entries is deleted too, so the result is
     None when nothing remains. ``tree`` is made of ``Node``s, whose leaves
     are visited in path order, or of the builder's ``_Dir``s. One
-    ``NonEmptyRecord`` is built per surviving node, children before
+    ``NonEmptyRecord`` is built per changed node, children before
     parents, and nothing recurses.
+
+    With ``share``, ``leaf`` returns its argument or None, and a node of
+    ``tree`` none of whose entries changed is kept as it is, with its
+    whole subtree, instead of being rebuilt. Without it, every node
+    counts as changed, which costs nothing per leaf.
     """
     if tree is None:
         return None
     if type(tree) is Leaf:
         return leaf(tree)
-    # A frame per open node: its name, its unvisited children, the rebuilt ones.
-    stack = [(None, iter(tree.children.items()), {})]
+    # A frame per open node: its name, the node, its unvisited children,
+    # the rebuilt ones, and whether any entry changed.
+    stack = [[None, tree, iter(tree.children.items()), {}, not share]]
     while True:
-        _, pending, kept = stack[-1]
-        for name, child in pending:
+        frame = stack[-1]
+        kept = frame[3]
+        for name, child in frame[2]:
             if type(child) is Leaf:
                 child = leaf(child)
                 if child is not None:
                     kept[name] = child
+                else:
+                    frame[4] = True
             else:
-                stack.append((name, iter(child.children.items()), {}))
+                stack.append([name, child, iter(child.children.items()), {}, not share])
                 break
         else:
-            name, _, kept = stack.pop()
-            node = Node(NonEmptyRecord(kept)) if kept else None
+            name, source, _, kept, changed = stack.pop()
+            if not changed:
+                node = source
+            else:
+                node = Node(NonEmptyRecord(kept)) if kept else None
             if not stack:
                 return node
+            parent = stack[-1]
             if node is not None:
-                stack[-1][2][name] = node
+                parent[3][name] = node
+            if node is not source:
+                parent[4] = True
 
 
 class _Dir(dict):
@@ -442,9 +457,12 @@ class Dtry(Generic[T]):
         """Keep entries whose value satisfies ``pred``.
 
         Subdirectories that lose every entry are deleted rather than
-        left behind.
+        left behind. A subtree that keeps every entry is shared with this
+        directory rather than copied.
         """
-        return Dtry(_rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None))
+        return Dtry(
+            _rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None, share=True)
+        )
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""

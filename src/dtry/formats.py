@@ -13,8 +13,11 @@ byte-identical documents:
   subdirectories are never empty. Object-valued leaves are not
   representable (they would read back as nodes). A key repeated in one
   object is an error, and so are ``NaN`` and the infinities, which are
-  not JSON numbers. Nesting is bounded by Python's recursion limit (1000
-  by default) less the frames already on the stack: about 990 levels.
+  not JSON numbers, and number literals Python cannot hold: a float that
+  overflows to an infinity, an integer longer than
+  ``sys.get_int_max_str_digits()``. Nesting is bounded by Python's
+  recursion limit (1000 by default) less the frames already on the
+  stack: about 990 levels.
   Emission stops a few levels short of what parsing reads from the same
   caller, so every emitted document reads back, and a document or
   directory beyond the bound is an ``E_TOO_DEEP`` error.
@@ -147,18 +150,54 @@ def emit_flat(directory: Dtry[str]) -> str:
     """Emit the canonical flat document: lex-ordered, LF, one line per entry.
 
     Values must be strings that survive the parser's trimming: no
-    newlines, no leading or trailing whitespace.
+    newlines, no leading or trailing whitespace. The lines are written
+    straight from the trie, each after the dotted path of its node.
+
+    Raises:
+        TypeError: at the first value in path order that is no string.
+        ValueError: at the first string value that has no flat line.
     """
+    root = directory.root
+    if root is None:
+        return ""
+    if type(root) is Leaf:
+        return _flat_line("", root.value)
     parts = []
-    for path, value in directory.path_map().items():
-        if not isinstance(value, str):
-            raise TypeError(f"flat emission needs string values, got {value!r}")
-        if "\n" in value or value != value.strip():
-            raise ValueError(
-                f"value at {_show(path)} is not representable on a flat line: {value!r}"
-            )
-        parts.append(f"{path} = {value}\n")
+    # Depth first without recursion, as Dtry.path_map walks: one iterator
+    # per open node, and ``prefixes[-1]`` is the innermost one's dotted
+    # path followed by a dot.
+    prefixes = [""]
+    pending = [iter(root.children.items())]
+    while pending:
+        prefix = prefixes[-1]
+        for name, child in pending[-1]:
+            if type(child) is Leaf:
+                value = child.value
+                # _flat_line's checks, inline for the common case
+                if type(value) is str and "\n" not in value and value == value.strip():
+                    parts.append(f"{prefix}{name} = {value}\n")
+                else:
+                    parts.append(_flat_line(prefix + name, value))
+            else:
+                prefixes.append(f"{prefix}{name}.")
+                pending.append(iter(child.children.items()))
+                break
+        else:
+            pending.pop()
+            prefixes.pop()
     return "".join(parts)
+
+
+def _flat_line(dotted: str, value) -> str:
+    """The flat line binding ``value`` at the path ``dotted``, if it has one."""
+    if not isinstance(value, str):
+        raise TypeError(f"flat emission needs string values, got {value!r}")
+    if "\n" in value or value != value.strip():
+        path = Path.parse(dotted)
+        raise ValueError(
+            f"value at {_show(path)} is not representable on a flat line: {value!r}"
+        )
+    return f"{dotted} = {value}\n"
 
 
 def parse_nested(text: str) -> Dtry:
@@ -167,19 +206,28 @@ def parse_nested(text: str) -> Dtry:
     JSON objects become nodes, any other JSON value becomes a leaf.
     Semantic diagnostics (bad key, repeated key, empty subdirectory,
     nesting too deep) carry line 1 and name the offending path where
-    there is one; JSON syntax errors, ``NaN`` and the infinities carry
-    the real line.
+    there is one; JSON syntax errors, ``NaN``, the infinities and number
+    literals Python cannot hold (a float that overflows, an integer of
+    more than ``sys.get_int_max_str_digits()`` digits) carry the real line.
     """
     diagnostics: list[Diagnostic] = []
     try:
         data = json.loads(text, object_pairs_hook=_object, parse_constant=_not_a_number)
-        root = _tree_from_json(data, (), diagnostics, top=True)
+        if isinstance(data, dict):
+            root = _node_from_json(data, (), {}, diagnostics, top=True)
+        else:  # checked as the one item of an array
+            _check_array([data], (), diagnostics)
+            root = Leaf(data)
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic("E_SYNTAX", exc.lineno, exc.msg)]) from exc
     except _NotANumber as exc:
         at = next(m.start() for m in _CONSTANT.finditer(text) if m.group(1))
         line = text.count("\n", 0, at) + 1
         raise ParseError([Diagnostic("E_SYNTAX", line, f"{exc} is not a JSON number")]) from exc
+    except ValueError as exc:
+        # json.loads refuses an integer literal longer than Python's limit,
+        # and the walk refuses a float literal that overflowed to infinity.
+        raise _out_of_range(text) from exc
     except RecursionError as exc:
         raise _too_deep() from exc
     if diagnostics:
@@ -214,6 +262,33 @@ def _not_a_number(name):
 
 # A JSON string, or one of the constants json reads outside strings.
 _CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+# A JSON string, or a number outside strings: its integer part and the rest.
+_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|(-?[0-9]+)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
+
+
+def _out_of_range(text: str) -> ParseError:
+    """The ``E_SYNTAX`` error at the first number literal in ``text`` that Python cannot hold."""
+    for match in _NUMBER.finditer(text):
+        whole, rest = match.groups()
+        if whole is None:  # a string
+            continue
+        if rest:
+            value = float(whole + rest)
+            if value - value == 0.0:  # finite
+                continue
+            message = f"{whole}{rest} is out of range for a float"
+        else:
+            try:
+                int(whole)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                digits = len(whole.lstrip("-"))
+                limit = sys.get_int_max_str_digits()
+                message = f"an integer of {digits} digits exceeds Python's limit of {limit}"
+            else:
+                continue
+        line = text.count("\n", 0, match.start()) + 1
+        return ParseError([Diagnostic("E_SYNTAX", line, message)])
+    return ParseError([Diagnostic("E_SYNTAX", 1, "a number is out of range")])
 
 
 def _too_deep() -> ParseError:
@@ -221,50 +296,68 @@ def _too_deep() -> ParseError:
     return ParseError([Diagnostic("E_TOO_DEEP", 1, message)])
 
 
-def _tree_from_json(value, at, diagnostics, top):
-    if not isinstance(value, dict):
-        if isinstance(value, list):
-            for key in _repeated_within(value):
-                message = f"duplicate key {key!r} in the value at {_show(Path(at))}"
-                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
-        return Leaf(value)
-    for key in getattr(value, "repeated", ()):
+def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: bool):
+    """The node of a JSON object at path ``at``, or None when it keeps no entry.
+
+    Recurses once per level of objects; a leaf is wrapped in place.
+    ``names`` maps each key text to its ``Name``, so a document validates
+    each distinct key once.
+    """
+    for key in getattr(obj, "repeated", ()):
         message = f"duplicate path '{'.'.join((*at, key))}'"
         diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
-    if not value:
-        if top:
-            return None
-        diagnostics.append(
-            Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(Path(at))}")
-        )
+    if not obj:
+        if not top:
+            diagnostics.append(
+                Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(Path(at))}")
+            )
         return None
     children = {}
-    for key in value:
-        try:
-            name = Name(key)
-        except BadNameError as exc:
-            diagnostics.append(
-                Diagnostic(
-                    exc.code, 1, f"invalid key {key!r} under {_show(Path(at))}: {exc.reason}"
+    for key, value in obj.items():
+        name = names.get(key)
+        if name is None:
+            try:
+                name = names[key] = Name(key)
+            except BadNameError as exc:
+                diagnostics.append(
+                    Diagnostic(
+                        exc.code, 1, f"invalid key {key!r} under {_show(Path(at))}: {exc.reason}"
+                    )
                 )
-            )
+                continue
+        if isinstance(value, dict):
+            subtree = _node_from_json(value, (*at, name), names, diagnostics, False)
+            if subtree is not None:
+                children[name] = subtree
             continue
-        subtree = _tree_from_json(value[key], at + (name,), diagnostics, top=False)
-        if subtree is not None:
-            children[name] = subtree
+        kind = type(value)
+        if kind is list:
+            _check_array(value, (*at, name), diagnostics)
+        elif kind is float and value - value != 0.0:  # overflowed to an infinity
+            raise ValueError(value)
+        children[name] = Leaf(value)
     return Node(NonEmptyRecord(children)) if children else None
 
 
-def _repeated_within(value):
-    # The keys repeated by the objects inside a leaf's array, without recursion.
+def _check_array(value: list, at: tuple, diagnostics: list) -> None:
+    """Check what an array leaf at ``at`` holds, without recursion.
+
+    Reports the keys its objects repeat; raises ``ValueError`` for a float
+    that overflowed to an infinity.
+    """
     stack = [value]
     while stack:
         item = stack.pop()
-        if isinstance(item, list):
+        kind = type(item)
+        if kind is list:
             stack.extend(item)
         elif isinstance(item, dict):
-            yield from getattr(item, "repeated", ())
+            for key in getattr(item, "repeated", ()):
+                message = f"duplicate key {key!r} in the value at {_show(Path(at))}"
+                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
             stack.extend(item.values())
+        elif kind is float and item - item != 0.0:
+            raise ValueError(item)
 
 
 def emit_nested(directory: Dtry) -> str:
@@ -314,25 +407,17 @@ def emit_nested(directory: Dtry) -> str:
         for name, child in pending[-1]:
             if type(child) is Leaf:
                 value = child.value
-                kind = type(value)
-                if kind is str:
-                    text = _string(value)
-                elif kind is int:
-                    text = _int(value)
-                elif kind is float and value - value == 0.0:  # finite
-                    text = _float(value)
-                elif value is None:
-                    text = "null"
-                elif value is True:
-                    text = "true"
-                elif value is False:
-                    text = "false"
-                else:
-                    text = _leaf_text(value, indent)
-                    # The value's own arrays and objects nest further; its
-                    # brackets bound how far.
-                    if len(pending) + text.count("[") + text.count("{") > readable:
-                        readable = max(readable, _readable(len(pending) + _levels(value)))
+                text = _scalar(value)
+                if text is None:
+                    text = _scalar_array(value, indent)
+                    if text is None:
+                        text = _leaf_text(value, indent)
+                        # The value's own arrays and objects nest further;
+                        # its brackets bound how far.
+                        if len(pending) + text.count("[") + text.count("{") > readable:
+                            readable = max(readable, _readable(len(pending) + _levels(value)))
+                    elif len(pending) >= readable:  # the array is one level more
+                        readable = _readable(len(pending) + 1)
                 out.append(f'{sep}"{name}": {text}')
                 sep = comma
             else:
@@ -356,7 +441,47 @@ def emit_nested(directory: Dtry) -> str:
 _string = json.encoder.encode_basestring  # the encoder of ensure_ascii=False
 _int = int.__repr__
 _float = float.__repr__
+# Every other leaf, as json.dumps writes it with the document's settings.
 _LEAF = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
+def _scalar(value) -> str | None:
+    """A str, exact int, finite float, bool or None as json writes it; None for other values."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return _int(value)
+    if kind is float and value - value == 0.0:  # finite
+        return _float(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return None
+
+
+def _scalar_array(value, indent: str) -> str | None:
+    """A list of values :func:`_scalar` writes, as json writes it at ``indent``.
+
+    None for any other value, so that only arrays holding arrays or
+    objects, and leaves of other types, go through json's encoder.
+    """
+    if type(value) is not list:
+        return None
+    if not value:
+        return "[]"
+    texts = []
+    for item in value:
+        text = _scalar(item)
+        if text is None:
+            return None
+        texts.append(text)
+    inner = indent + "  "
+    return f"[{inner}{(',' + inner).join(texts)}{indent}]"
+
 
 # Frames that reading a document back takes beyond one per level of
 # nesting: parse_nested's own and json's, and the CLI's path to them.

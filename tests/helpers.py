@@ -198,6 +198,16 @@ def _check_tree(tree) -> None:
         _check_tree(child)
 
 
+def nodes(tree):
+    """The ``Node``s of ``tree``, without recursion."""
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if type(tree) is Node:
+            yield tree
+            stack.extend(tree.children.values())
+
+
 # ------------------------------------------------------------- generators
 
 def random_tree(rng: random.Random, depth: int, branching: int, names, values, leaf_prob: float):

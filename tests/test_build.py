@@ -8,6 +8,7 @@ checking without timing anything.
 
 import contextlib
 import io
+import json
 import random
 from collections import Counter
 from unittest import mock
@@ -20,11 +21,11 @@ from dtry.cli import main
 from dtry.core import Dtry, NonEmptyRecord, distrib, merge_disjoint
 from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
-from dtry.formats import ParseError, parse_flat, scan_flat
+from dtry.formats import ParseError, emit_flat, parse_flat, parse_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
-from helpers import oracle_check, oracle_conflicts
+from helpers import nodes, oracle_check, oracle_conflicts
 
 # Three letters and short paths, so duplicates and prefix conflicts are dense.
 paths_st = st.lists(st.sampled_from("abc"), max_size=3).map(".".join)
@@ -156,6 +157,14 @@ def config_keys(n, seed=1):
     return keys[:n]
 
 
+def balanced_document(n, first=0):
+    """A nested JSON object of ``n`` int leaves, ``first`` onwards, split in halves "l" and "r"."""
+    if n == 1:
+        return first
+    half = n // 2
+    return {"l": balanced_document(half, first), "r": balanced_document(n - half, first + half)}
+
+
 class TestWork:
     @pytest.mark.parametrize(
         "lines", [wide_lines(2000), realistic_lines(2000)], ids=("wide", "realistic")
@@ -212,6 +221,57 @@ class TestWork:
         counts = dict(work)
         assert counts == {"Name": trie_edges(keys), "record entries": trie_edges(keys)}
         assert directory.path_map() == want
+
+    def test_parse_nested_validates_each_distinct_key_once(self, work, monkeypatch):
+        text = json.dumps(balanced_document(1000))
+        name_new = Name.__new__
+
+        def counting_name_new(cls, text):
+            work["Name"] += 1
+            return name_new(cls, text)
+
+        monkeypatch.setattr(Name, "__new__", counting_name_new)
+        directory = parse_nested(text)
+        assert len(directory) == 1000
+        assert work["Name"] == 2  # "l" and "r"
+
+    def test_filter_shares_the_subtrees_it_keeps_whole(self, work):
+        directory = parse_nested(json.dumps(balanced_document(1000)))
+        work.clear()
+        assert directory.filter(lambda v: True).root is directory.root
+        assert work["record entries"] == 0
+
+    def test_filter_rebuilds_only_the_path_to_a_dropped_leaf(self, work, monkeypatch):
+        directory = parse_nested(json.dumps(balanced_document(1000)))
+        dropped = directory.paths()[317]
+        built = []
+        counting_init = NonEmptyRecord.__init__
+
+        def listing_init(self, entries):
+            counting_init(self, entries)
+            built.append(self)
+
+        monkeypatch.setattr(NonEmptyRecord, "__init__", listing_init)
+        kept = directory.filter(lambda v: v != 317)
+        assert kept.paths() == [p for p in directory.paths() if p != dropped]
+        assert len(built) == len(dropped)  # the root and the nodes below it on the path
+        # every node off that path is the one of the input
+        old = set(map(id, nodes(directory.root)))
+        assert sum(id(node) not in old for node in nodes(kept.root)) == len(dropped)
+
+    def test_emit_flat_walks_the_trie_without_path_map(self, monkeypatch):
+        directory = parse_flat("\n".join(realistic_lines(2000)) + "\n")
+        calls = Counter()
+        path_map = Dtry.path_map
+
+        def counting_path_map(self):
+            calls["path_map"] += 1
+            return path_map(self)
+
+        monkeypatch.setattr(Dtry, "path_map", counting_path_map)
+        text = emit_flat(directory)
+        assert calls["path_map"] == 0
+        assert parse_flat(text) == directory
 
     def test_check_scans_each_entry_once_plus_its_conflicts(self, work):
         lines = realistic_lines(400)

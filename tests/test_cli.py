@@ -245,6 +245,24 @@ class TestInputFailures:
             f"{sys.getrecursionlimit()}\n"
         )
 
+    @pytest.mark.parametrize("literal", ["1e400", "7" * 5000], ids=("float", "int_5000_digits"))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--format", "nested"],
+            ["convert", "--from", "nested", "--to", "nested"],
+            ["convert", "--from", "nested", "--to", "flat"],
+        ],
+        ids=("validate", "to_nested", "to_flat"),
+    )
+    def test_number_literal_out_of_range(self, tmp_path, capsys, argv, literal):
+        src = write(tmp_path, "big.json", '{\n  "a": ' + literal + "\n}\n")
+        assert main(argv + [src]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("2:E_SYNTAX:") and out.err.count("\n") == 1
+        assert "Traceback" not in out.err
+
     def test_nested_output_too_deep(self, tmp_path, capsys):
         # the flat form holds the deep path; its nested form is past the bound
         src = write(tmp_path, "deep.dtry", ".".join(["s"] * 3000) + " = v\n")

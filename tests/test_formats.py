@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -121,7 +122,51 @@ class TestFlatDiagnostics:
                     parse_flat(text)
 
 
+def path_map_emit_flat(directory):
+    """The flat writer as it was when it went through ``Dtry.path_map``."""
+    parts = []
+    for path, value in directory.path_map().items():
+        if not isinstance(value, str):
+            raise TypeError(f"flat emission needs string values, got {value!r}")
+        if "\n" in value or value != value.strip():
+            shown = f"'{path}'" if len(path) else "the root"
+            raise ValueError(f"value at {shown} is not representable on a flat line: {value!r}")
+        parts.append(f"{path} = {value}\n")
+    return "".join(parts)
+
+
+def outcome(write, directory):
+    """What ``write`` returns for ``directory``, or the type and message it raises."""
+    try:
+        return write(directory)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Mostly writable strings; sometimes one with a newline or padding, or no string.
+flat_values_st = st.one_of(
+    st.sampled_from(["0", "x y", "#note", "= v", "é"]),
+    st.text(alphabet="ab \t\n=", max_size=4),
+    st.integers(),
+    st.none(),
+)
+flat_dtries_st = st.one_of(
+    st.just(Dtry.empty()),
+    st.recursive(
+        flat_values_st.map(Leaf),
+        lambda child: st.dictionaries(
+            st.from_regex(r"[a-c_0-9]{1,2}", fullmatch=True), child, min_size=1, max_size=4
+        ).map(lambda d: Node(NonEmptyRecord(d))),
+        max_leaves=12,
+    ).map(Dtry),
+)
+
+
 class TestFlatEmission:
+    @given(flat_dtries_st)
+    def test_matches_the_path_map_writer(self, d):
+        assert outcome(emit_flat, d) == outcome(path_map_emit_flat, d)
+
     def test_worked_example(self):
         d = Dtry.from_path_map({"b": "3", "a.x": "2"})
         assert emit_flat(d) == "a.x = 2\nb = 3\n"
@@ -238,14 +283,29 @@ class TestNestedFormat:
             parse_nested(text)
         assert [str(d) for d in exc.value.diagnostics] == [f"1:E_DUPLICATE_PATH:{message}"]
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            "-1e999",
+            pytest.param("7" * 5000, id="5000_digits"),
+        ],
+    )
     def test_non_finite_numbers_are_rejected(self, constant):
-        text = '{\n  "s": "NaN Infinity",\n  "v": [1, ' + constant + "]\n}"
+        text = '{\n  "s": "NaN Infinity 1e400",\n  "v": [1, ' + constant + "]\n}"
         with pytest.raises(ParseError) as exc:
             parse_nested(text)
-        assert [str(d) for d in exc.value.diagnostics] == [
-            f"3:E_SYNTAX:{constant} is not a JSON number"
-        ]
+        if constant.isdigit():
+            limit = sys.get_int_max_str_digits()
+            message = f"an integer of 5000 digits exceeds Python's limit of {limit}"
+        elif "e" in constant:
+            message = f"{constant} is out of range for a float"
+        else:
+            message = f"{constant} is not a JSON number"
+        assert [str(d) for d in exc.value.diagnostics] == [f"3:E_SYNTAX:{message}"]
         with pytest.raises(ValueError):
             emit_nested(Dtry.leaf(float(constant)))
 
@@ -350,6 +410,9 @@ class TestNestedWriter:
         twice = deepest(lambda depth: emits(chain(depth, [[1]])))
         empty = deepest(lambda depth: emits(chain(depth, [[], 2])))
         assert twice == empty == plain - 2
+        # arrays of scalars take a fast path, which still counts their level
+        assert deepest(lambda depth: emits(chain(depth, [1]))) == plain - 1
+        assert deepest(lambda depth: emits(chain(depth, ["s", None]))) == plain - 1
 
     def test_past_the_bound_is_refused_before_any_text_is_built(self):
         deep = chain(3000)

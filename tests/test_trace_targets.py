@@ -1,24 +1,57 @@
-"""Every span target of the benchmark's tracer names an attribute of ``dtry``.
+"""The benchmark's tracer still sees what it measures in ``dtry``.
 
 The tracer (``bench/tracing.py``) wraps functions and methods by name, so
-renaming one of them breaks a traced run; this test notices it in a
-fraction of a second.
+renaming one of them breaks a traced run, and it counts records by
+wrapping ``NonEmptyRecord.__init__``, so building a record another way
+blinds its counter; these tests notice either in a fraction of a second.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+import dtry
+import dtry.cli  # the tracer wraps targets in every module
+
+from helpers import nodes
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def load_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracing().TARGETS
+
+
+def test_record_counter_sees_every_record_built():
+    # 30 groups of four values; the filter drops the "tmp" ones: all of
+    # ten groups, one value of ten more, and none of the last ten
+    document = {
+        f"g{g}": {
+            f"k{k}": "tmp" if g % 3 == 0 or (g % 3 == 1 and k == g % 4) else "v" for k in range(4)
+        }
+        for g in range(30)
+    }
+    tracer = load_tracing().Tracer()
+    with tracer.installed(dtry):
+        parsed = dtry.formats.parse_nested(json.dumps(document))
+        kept = parsed.filter(lambda v: v != "tmp")
+        dtry.formats.emit_flat(kept)
+    calls, _, entries = tracer.reduce()[0]["core.record_init"]
+    # parsing builds every node; filtering builds the ones it changed
+    seen = set(map(id, nodes(parsed.root)))
+    built = list(nodes(parsed.root)) + [n for n in nodes(kept.root) if id(n) not in seen]
+    assert len(built) == 31 + 11  # the root and the ten groups that lost one value
+    assert (calls, entries) == (len(built), sum(len(n.children) for n in built))
 
 
 @pytest.mark.parametrize("span, module_name, owner, attr", load_targets())
