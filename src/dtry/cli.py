@@ -27,6 +27,7 @@ from .errors import BadNameError, BadPathError
 from .formats import (
     Diagnostic,
     ParseError,
+    _show,
     emit_flat,
     emit_nested,
     parse_flat,
@@ -100,9 +101,8 @@ def _unencodable(directory: Dtry) -> Diagnostic:
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
-            where = f"'{path}'" if path else "the root"
             message = (
-                f"value at {where} holds the lone surrogate {exc.object[exc.start]!r}, "
+                f"value at {_show(path)} holds the lone surrogate {exc.object[exc.start]!r}, "
                 "which UTF-8 cannot encode"
             )
             return Diagnostic("E_ENCODING", 1, message)

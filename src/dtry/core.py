@@ -16,6 +16,10 @@ empties: ``map_values``, ``filter``, ``flatten`` (which grafts the inner
 directories in place, so inner empties vanish), ``distrib`` and the
 builder's freeze are each one call of it.
 
+Every trie that is not derived from another is built by one mutable
+builder, and one routine of it binds each key, whatever its form:
+``Dtry.from_path_map``, ``Dtry.insert`` and the flat parser all call it.
+
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
 {Path('x'): 1, Path('y'): 2}
@@ -26,9 +30,10 @@ builder's freeze are each one call of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import BadNameError, PrefixConflictError
+from .errors import DtryError, PrefixConflictError
 from .maybe import NOTHING, Just
 from .paths import Name, Path
 
@@ -168,7 +173,7 @@ def _present(leaf):
     return Leaf(entry.value)
 
 
-def _rebuild(tree, leaf, share=False):
+def _rebuild(tree, leaf):
     """``tree`` with each ``Leaf`` replaced by ``leaf(that_leaf)``.
 
     ``leaf`` returns the tree to put in its place, or None to delete the
@@ -178,10 +183,9 @@ def _rebuild(tree, leaf, share=False):
     ``NonEmptyRecord`` is built per changed node, children before
     parents, and nothing recurses.
 
-    With ``share``, ``leaf`` returns its argument or None, and a node of
-    ``tree`` none of whose entries changed is kept as it is, with its
-    whole subtree, instead of being rebuilt. Without it, every node
-    counts as changed, which costs nothing per leaf.
+    A ``Node`` for which ``leaf`` returned each of its leaves as it was,
+    and none of whose child nodes changed, is kept as it is, with its
+    whole subtree. A ``_Dir`` always counts as changed.
     """
     if tree is None:
         return None
@@ -189,19 +193,20 @@ def _rebuild(tree, leaf, share=False):
         return leaf(tree)
     # A frame per open node: its name, the node, its unvisited children,
     # the rebuilt ones, and whether any entry changed.
-    stack = [[None, tree, iter(tree.children.items()), {}, not share]]
+    stack = [[None, tree, iter(tree.children.items()), {}, type(tree) is _Dir]]
     while True:
         frame = stack[-1]
         kept = frame[3]
         for name, child in frame[2]:
             if type(child) is Leaf:
-                child = leaf(child)
-                if child is not None:
-                    kept[name] = child
-                else:
+                new = leaf(child)
+                if new is not child:
                     frame[4] = True
+                    if new is None:
+                        continue
+                kept[name] = new
             else:
-                stack.append([name, child, iter(child.children.items()), {}, not share])
+                stack.append([name, child, iter(child.children.items()), {}, type(child) is _Dir])
                 break
         else:
             name, source, _, kept, changed = stack.pop()
@@ -219,13 +224,9 @@ def _rebuild(tree, leaf, share=False):
 
 
 class _Dir(dict):
-    """A mutable directory node of :class:`_TrieBuilder`: names to ``_Dir`` or ``Leaf``.
+    """A mutable directory node of :class:`_TrieBuilder`: names to ``_Dir`` or ``Leaf``."""
 
-    ``least`` is its least name, kept current as names are added, so a
-    conflict names the least bound path under a node without sorting.
-    """
-
-    __slots__ = ("least",)
+    __slots__ = ()
 
     @property
     def children(self) -> "_Dir":
@@ -233,12 +234,11 @@ class _Dir(dict):
         return self
 
 
-def _chain(names, value) -> "_Dir | Leaf":
+def _chain(names: list, value) -> "_Dir | Leaf":
     tree = Leaf(value)
     for name in reversed(names):
         node = _Dir()
         node[name] = tree
-        node.least = name
         tree = node
     return tree
 
@@ -246,76 +246,73 @@ def _chain(names, value) -> "_Dir | Leaf":
 class _TrieBuilder:
     """Collects prefix-free bindings in mutable nodes; ``freeze`` builds the trie once.
 
-    The one place where a conflict between a new path and the bound ones
-    is decided. A rejected ``add`` leaves the builder unchanged.
+    ``add`` is the one routine that binds a key, and so the one place
+    where a conflict between a new path and the bound ones is decided.
     """
 
-    __slots__ = ("_root",)
+    __slots__ = ("_root", "_least")
 
     def __init__(self):
         self._root: _Dir | Leaf | None = None
+        # id of a ``_Dir`` -> (its least name, its child count then), kept
+        # by rejected keys only. A node lives as long as the builder and
+        # never loses a child, and a dict keeps insertion order, so a later
+        # rejection compares only the children added since: the flat
+        # parser, which goes on after a conflict, pays O(fanout) per node
+        # in all, not per rejected line.
+        self._least: dict[int, tuple[Name, int]] = {}
 
-    def add(self, path: Path, value) -> None:
-        """Bind ``value`` at ``path``.
+    def add(self, key, value) -> None:
+        """Bind ``value`` at ``key``, walking the key once.
+
+        ``key`` is a ``Path``, a dotted string (a ``Name`` among them, one
+        segment) or a sequence of names. ``Name`` validates a segment only
+        where it makes a new edge, since one that follows an edge equals
+        that edge's name; it returns a ``Path``'s names, which are
+        ``Name``s already, as they are. A rejected key leaves the builder
+        unchanged: the new nodes are attached only once all of them are
+        made.
 
         Raises:
-            PrefixConflictError: against the bound path that ``path``
+            PrefixConflictError: against the bound path that ``key``
                 equals or extends, or else against the least bound path
-                that extends ``path``.
+                that extends ``key``.
+            BadNameError, BadPathError, TypeError: for a key that is no path.
         """
+        segments = (key.split(".") if key else ()) if isinstance(key, str) else key
         node = self._root
         if node is None:
-            self._root = _chain(path, value)
+            self._root = _chain([Name(s) for s in segments], value)
             return
-        for depth, name in enumerate(path):
+        rest = iter(segments)
+        for segment in rest:
             if type(node) is Leaf:
-                raise PrefixConflictError(existing=Path(path[:depth]), incoming=path)
-            child = node.get(name)
+                break
+            child = node.get(segment)
             if child is None:
-                node[name] = _chain(path[depth + 1 :], value)
-                if name < node.least:
-                    node.least = name
+                name = Name(segment)  # before the rest: the first bad segment is reported
+                node[name] = _chain([Name(s) for s in rest], value)
                 return
             node = child
-        names = list(path)
+        # ``key`` is bound already, extends a bound path or is a prefix of
+        # bound paths. Only a rejected key walks again: down its names while
+        # they last, then down the least name. The leaf it ends at is the
+        # bound path to name.
+        incoming = Path(key)
+        names = []
+        node = self._root
         while type(node) is _Dir:
-            names.append(node.least)
-            node = node[node.least]
-        raise PrefixConflictError(existing=Path(names), incoming=path)
-
-    def _add_keys(self, items) -> bool:
-        """Bind each ``(key, value)`` in the order given, walking each key once.
-
-        A key is a dotted string (a ``Name`` among them) or a sequence of
-        names. A segment is validated by ``Name`` only where it makes a new
-        edge, since one that follows an edge equals that edge's name.
-        Returns False at the first key that conflicts with a bound one; a
-        bad segment raises. Either way the builder is left partly filled.
-        """
-        for key, value in items:
-            if isinstance(key, str):
-                key = key.split(".") if key else ()
-            node = self._root
-            if type(node) is not _Dir:
-                if node is not None:  # a bound root path conflicts with any key
-                    return False
-                self._root = _chain([Name(s) for s in key], value)
-                continue
-            segments = iter(key)
-            for segment in segments:
-                child = node.get(segment)
-                if child is None:
-                    name = Name(segment)
-                    node[name] = _chain([Name(s) for s in segments], value)
-                    if name < node.least:
-                        node.least = name
-                    break
-                if type(child) is Leaf:  # the key equals or extends a bound path
-                    return False
-                node = child
-            else:  # the key is a prefix of bound paths
-                return False
-        return True
+            if len(names) < len(incoming):
+                name = incoming[len(names)]
+            else:
+                name, seen = self._least.get(id(node), (None, 0))
+                for added in islice(reversed(node), len(node) - seen):
+                    if name is None or added < name:
+                        name = added
+                self._least[id(node)] = (name, len(node))
+            names.append(name)
+            node = node[name]
+        raise PrefixConflictError(existing=Path(names), incoming=incoming)
 
     def freeze(self) -> Leaf | Node | None:
         """The immutable tree: one record per node, children before parents."""
@@ -373,11 +370,11 @@ class Dtry(Generic[T]):
         entries = dict(entries)
         builder = _TrieBuilder()
         try:
-            bound = builder._add_keys(entries.items())
-        except (BadNameError, TypeError):  # a key that is no path: the reference order raises it
-            bound = False
-        if not bound:
-            # The reference order: coerce every key, sort, bind.
+            for key, value in entries.items():
+                builder.add(key, value)
+        except (DtryError, TypeError):
+            # The reference order decides which error is reported: coerce
+            # every key, sort, bind.
             builder = _TrieBuilder()
             items = sorted(((Path(p), v) for p, v in entries.items()), key=lambda kv: kv[0])
             for path, value in items:
@@ -460,9 +457,7 @@ class Dtry(Generic[T]):
         left behind. A subtree that keeps every entry is shared with this
         directory rather than copied.
         """
-        return Dtry(
-            _rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None, share=True)
-        )
+        return Dtry(_rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None))
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""

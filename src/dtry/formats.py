@@ -125,20 +125,15 @@ def parse_flat(text: str) -> Dtry[str]:
     builder = _TrieBuilder()
     first_line: dict[Path, int] = {}
     for entry in entries:
-        if entry.path in first_line:
-            diagnostics.append(
-                Diagnostic(
-                    "E_DUPLICATE_PATH",
-                    entry.line,
-                    f"duplicate path {_show(entry.path)}; "
-                    f"first bound at line {first_line[entry.path]}",
-                )
-            )
-            continue
         try:
             builder.add(entry.path, entry.value)
         except PrefixConflictError as exc:
-            diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
+            if exc.existing == exc.incoming:
+                first = first_line[entry.path]
+                message = f"duplicate path {_show(entry.path)}; first bound at line {first}"
+                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", entry.line, message))
+            else:
+                diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
             continue
         first_line[entry.path] = entry.line
     if diagnostics:
@@ -193,9 +188,8 @@ def _flat_line(dotted: str, value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"flat emission needs string values, got {value!r}")
     if "\n" in value or value != value.strip():
-        path = Path.parse(dotted)
         raise ValueError(
-            f"value at {_show(path)} is not representable on a flat line: {value!r}"
+            f"value at {_show(dotted)} is not representable on a flat line: {value!r}"
         )
     return f"{dotted} = {value}\n"
 
@@ -209,10 +203,17 @@ def parse_nested(text: str) -> Dtry:
     there is one; JSON syntax errors, ``NaN``, the infinities and number
     literals Python cannot hold (a float that overflows, an integer of
     more than ``sys.get_int_max_str_digits()`` digits) carry the real line.
+    The read stops at the first JSON syntax error, integer too long for
+    Python or nesting too deep (``E_TOO_DEEP``) in the text, and reports
+    it alone; a ``NaN``, an infinity or an overflowing float before it is
+    not reported. A document read whole is walked in text order, which
+    stops at the first refused number, reporting the first refused
+    literal in the text, or at nesting too deep for the walk. Else the
+    semantic diagnostics.
     """
     diagnostics: list[Diagnostic] = []
     try:
-        data = json.loads(text, object_pairs_hook=_object, parse_constant=_not_a_number)
+        data = json.loads(text, object_pairs_hook=_object)
         if isinstance(data, dict):
             root = _node_from_json(data, (), {}, diagnostics, top=True)
         else:  # checked as the one item of an array
@@ -220,13 +221,10 @@ def parse_nested(text: str) -> Dtry:
             root = Leaf(data)
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic("E_SYNTAX", exc.lineno, exc.msg)]) from exc
-    except _NotANumber as exc:
-        at = next(m.start() for m in _CONSTANT.finditer(text) if m.group(1))
-        line = text.count("\n", 0, at) + 1
-        raise ParseError([Diagnostic("E_SYNTAX", line, f"{exc} is not a JSON number")]) from exc
     except ValueError as exc:
         # json.loads refuses an integer literal longer than Python's limit,
-        # and the walk refuses a float literal that overflowed to infinity.
+        # and the walk refuses a float that is not finite: NaN, an infinity,
+        # or a literal that overflowed to one.
         raise _out_of_range(text) from exc
     except RecursionError as exc:
         raise _too_deep() from exc
@@ -251,28 +249,22 @@ def _object(pairs):
     return marked
 
 
-class _NotANumber(ValueError):
-    pass
-
-
-def _not_a_number(name):
-    # parse_constant: NaN, Infinity and -Infinity are not JSON (RFC 8259 §6).
-    raise _NotANumber(name)
-
-
-# A JSON string, or one of the constants json reads outside strings.
-_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
-# A JSON string, or a number outside strings: its integer part and the rest.
-_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|(-?[0-9]+)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
+# A JSON string; or a number outside strings: its integer part and the rest;
+# or one of the constants json reads outside strings.
+_NUMBER = re.compile(
+    r'"(?:[^"\\]|\\.)*"|(-?[0-9]+)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)|(NaN|-?Infinity)'
+)
 
 
 def _out_of_range(text: str) -> ParseError:
-    """The ``E_SYNTAX`` error at the first number literal in ``text`` that Python cannot hold."""
+    """The ``E_SYNTAX`` error at the first number literal in ``text`` that is refused."""
     for match in _NUMBER.finditer(text):
-        whole, rest = match.groups()
-        if whole is None:  # a string
+        whole, rest, constant = match.groups()
+        if constant:  # NaN, Infinity and -Infinity are not JSON (RFC 8259 §6)
+            message = f"{constant} is not a JSON number"
+        elif whole is None:  # a string
             continue
-        if rest:
+        elif rest:
             value = float(whole + rest)
             if value - value == 0.0:  # finite
                 continue
@@ -333,7 +325,7 @@ def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
         kind = type(value)
         if kind is list:
             _check_array(value, (*at, name), diagnostics)
-        elif kind is float and value - value != 0.0:  # overflowed to an infinity
+        elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
         children[name] = Leaf(value)
     return Node(NonEmptyRecord(children)) if children else None
@@ -343,7 +335,7 @@ def _check_array(value: list, at: tuple, diagnostics: list) -> None:
     """Check what an array leaf at ``at`` holds, without recursion.
 
     Reports the keys its objects repeat; raises ``ValueError`` for a float
-    that overflowed to an infinity.
+    that is not finite.
     """
     stack = [value]
     while stack:
@@ -546,5 +538,5 @@ def _levels(value) -> int:
     return deepest
 
 
-def _show(path: Path) -> str:
+def _show(path: Path | str) -> str:
     return f"'{path}'" if len(path) else "the root"

@@ -1,7 +1,15 @@
-"""Prints one verdict line per acceptance criterion after the run."""
+"""Puts src/ on the import path of the CLI subprocesses that tests start,
+and prints one verdict line per acceptance criterion after the run."""
+
+import os
+from pathlib import Path
 
 
 def pytest_configure(config):
+    # pyproject's ``pythonpath`` puts src/ on this process's import path;
+    # a test that runs ``python -m dtry`` in a subprocess needs it there too.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     config.addinivalue_line(
         "markers",
         "criterion(num, label): acceptance criterion identity, one summary line each",

@@ -3,8 +3,11 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtry.cli import main
 from dtry.formats import emit_nested
@@ -323,3 +326,80 @@ class TestDeepNested:
         assert main(["validate", "--format", "nested", src]) == 0
         assert main(["get", ".".join(["s"] * bound), "--format", "nested", src]) == 0
         assert capsys.readouterr() == ("1\n", "")
+
+
+# Near-grammar documents: pieces of the flat and the nested grammar, good
+# and bad, joined at random. Each piece is short, so the documents stay
+# small and the defects dense.
+FLAT_PIECES = (
+    "a", "b", "a.b", "a.b.c", "a.", ".a", "a..b", "a-b", "", " ", " = ", "=", "#",
+    "x", "1", "caf\u00e9", "\ud800", "\t", "\r", "\n", "\r\n",
+)
+NESTED_PIECES = (
+    "{", "}", "[", "]", ":", ",", " ", "\n", '"a"', '"b"', '"a b"', '""', '"\\ud800"',
+    "1", "-0.5", "1e400", "7" * 30, "NaN", "-Infinity", "null", "true", "{}", "[]", '"x',
+)
+flat_line_st = st.tuples(
+    st.sampled_from(["a", "a.b", "a.b.c", "b", "", "a-b", "a..b", "# a"]),
+    st.sampled_from([" = ", "=", " "]),
+    st.sampled_from(["1", "", "x y", "#"]),
+).map("".join)
+flat_text_st = st.one_of(
+    st.lists(st.sampled_from(FLAT_PIECES), max_size=30).map("".join),
+    st.lists(flat_line_st, max_size=8).map("\n".join),
+)
+nested_text_st = st.one_of(
+    st.lists(st.sampled_from(NESTED_PIECES), max_size=30).map("".join),
+    st.recursive(
+        st.one_of(st.none(), st.integers(-5, 5), st.sampled_from(["v", " v", "\n"])),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.sampled_from(["a", "b", "a.b", "a b", ""]), inner, max_size=3),
+        ),
+        max_leaves=8,
+    ).map(json.dumps),
+)
+input_st = st.one_of(
+    st.binary(max_size=60),
+    flat_text_st.map(lambda t: t.encode("utf-8", "surrogatepass")),
+    nested_text_st.map(lambda t: t.encode("utf-8", "surrogatepass")),
+)
+# A path argument argparse takes as such: none starts with '-'.
+get_path_st = st.sampled_from(["", "a", "a.b", "b", "a-b", "a..b", "x y"])
+
+
+def run_on(data: bytes, argv) -> int:
+    """``main(argv)`` with ``data`` as stdin and its output dropped."""
+    saved = sys.stdin
+    sys.stdin = stdin_bytes(data)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        sys.stdin = saved
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(input_st, get_path_st)
+    def test_every_subcommand_ends_in_a_documented_exit_code(self, data, path):
+        argvs = [
+            ["validate", "-"],
+            ["validate", "--format", "nested", "-"],
+            ["check", "-"],
+            ["get", path, "-"],
+            ["get", path, "-", "--format", "nested"],
+            ["merge", "--prefix", "a=-"],
+        ] + [
+            ["convert", "--from", source, "--to", target, "-"]
+            for source in ("flat", "nested")
+            for target in ("flat", "nested")
+        ]
+        for argv in argvs:
+            assert run_on(data, argv) in (0, 1, 2, 3), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(flat_text_st)
+    def test_validate_accepts_exactly_what_check_accepts(self, text):
+        data = text.encode("utf-8", "surrogatepass")
+        assert (run_on(data, ["validate", "-"]) == 0) == (run_on(data, ["check", "-"]) == 0)

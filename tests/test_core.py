@@ -220,6 +220,70 @@ class TestInsert:
                     d.insert(p, "new")
 
 
+def builder_of(*keys):
+    builder = _TrieBuilder()
+    for value, key in enumerate(keys):
+        builder.add(key, value)
+    return builder
+
+
+class TestBuilderAdd:
+    """``add`` takes every key form, and a rejected key leaves the builder as it was."""
+
+    def test_every_key_form_binds_the_same_path(self):
+        keys = [Path("a.b"), "a.c", ("a", "d"), ["a", "e"], Name("f")]
+        assert Dtry(builder_of(*keys).freeze()).paths() == [
+            Path(p) for p in ("a.b", "a.c", "a.d", "a.e", "f")
+        ]
+
+    @pytest.mark.parametrize(
+        "bound, key, error, pair",
+        [
+            (["a.y"], "a.x.b-", BadNameError, None),
+            (["a.y"], ("a", "x", 5), BadNameError, None),
+            (["a.y"], ("a", ["x"]), TypeError, None),
+            (["a.y", "b"], "", PrefixConflictError, ("a.y", "")),
+            (["a.y", "b"], (), PrefixConflictError, ("a.y", "")),
+            (["a.y", "b"], Path(), PrefixConflictError, ("a.y", "")),
+            (["a.z", "a.m", "a.b"], "a", PrefixConflictError, ("a.b", "a")),
+            (["a.z", "a.m", "a.b"], Name("a"), PrefixConflictError, ("a.b", "a")),
+            (["a.z", "a.m", "a.b"], ("a",), PrefixConflictError, ("a.b", "a")),
+            (["a.z", "a.m", "a.b"], Path("a"), PrefixConflictError, ("a.b", "a")),
+            (["a.y"], "a.y", PrefixConflictError, ("a.y", "a.y")),
+            (["a.y"], ("a", "y", "q"), PrefixConflictError, ("a.y", "a.y.q")),
+            ([""], Path("a"), PrefixConflictError, ("", "a")),
+        ],
+        ids=[
+            "dotted_bad_segment_in_new_chain",
+            "tuple_holding_an_int",
+            "tuple_holding_a_list",
+            "root_dotted",
+            "root_tuple",
+            "root_path",
+            "prefix_dotted",
+            "prefix_name",
+            "prefix_tuple",
+            "prefix_path",
+            "bound_dotted",
+            "extension_tuple",
+            "extension_of_the_root",
+        ],
+    )
+    def test_a_rejected_key_changes_nothing(self, bound, key, error, pair):
+        builder = builder_of(*bound)
+        before = builder.freeze()
+        with pytest.raises(error) as exc:
+            builder.add(key, "new")
+        if pair is not None:
+            assert (exc.value.existing, exc.value.incoming) == (Path(pair[0]), Path(pair[1]))
+        assert builder.freeze() == before
+
+    def test_the_first_bad_segment_is_reported(self):
+        with pytest.raises(BadNameError) as exc:
+            builder_of("a.y").add("a.x-.b-", 0)
+        assert exc.value.text == "x-"
+
+
 class TestPathMapIsomorphism:
     def test_worked_example(self):
         listing = {"a.x": 2, "a.y": 1, "b": 3}

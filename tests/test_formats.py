@@ -4,6 +4,7 @@ import enum
 import json
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -103,6 +104,34 @@ class TestFlatDiagnostics:
             (4, "E_BAD_PATH"),
             (5, "E_PREFIX_CONFLICT"),
         ]
+
+    def test_many_rejected_prefix_lines_under_a_wide_node_stay_linear(self):
+        # Each `a = x` is a prefix of the paths under `a`, whose least one
+        # was bound just before it; a parser that scans all of `a`'s
+        # children per rejected line takes ~k/2 times as long as binding.
+        k = 10_000
+        bound = "".join(f"a.n{i:05d} = v\n" for i in range(k, 0, -1))
+        mixed = "".join(f"a.n{i:05d} = v\na = x\n" for i in range(k, 0, -1))
+        with pytest.raises(ParseError) as exc:
+            parse_flat(mixed)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{2 * (k - i + 1)}:E_PREFIX_CONFLICT:"
+            f"path 'a' is a prefix of the bound path 'a.n{i:05d}'"
+            for i in range(k, 0, -1)
+        ]
+
+        def best_of_three(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                try:
+                    parse_flat(text)
+                except ParseError:
+                    pass
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_three(mixed) < 10 * best_of_three(bound)
 
     def test_diagnostic_rendering(self):
         assert str(Diagnostic("E_SYNTAX", 4, "boom")) == "4:E_SYNTAX:boom"
@@ -308,6 +337,34 @@ class TestNestedFormat:
         assert [str(d) for d in exc.value.diagnostics] == [f"3:E_SYNTAX:{message}"]
         with pytest.raises(ValueError):
             emit_nested(Dtry.leaf(float(constant)))
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            ('{"a": 1e400,\n "b": NaN}', "1:E_SYNTAX:1e400 is out of range for a float"),
+            ('{"a": NaN,\n "b": 1e400}', "1:E_SYNTAX:NaN is not a JSON number"),
+            ('{"a": NaN, "b": }', "1:E_SYNTAX:Expecting value"),
+            ('{"a": 1e400, "b": }', "1:E_SYNTAX:Expecting value"),
+            (
+                '{"a": NaN, "b": ' + '{"s": ' * 5000 + "1" + "}" * 5001,
+                "1:E_TOO_DEEP:nesting too deep for Python's recursion limit"
+                f" of {sys.getrecursionlimit()}",
+            ),
+        ],
+        ids=(
+            "overflow_first",
+            "nan_first",
+            "nan_then_syntax",
+            "overflow_then_syntax",
+            "nan_then_too_deep",
+        ),
+    )
+    def test_refused_numbers_are_reported_in_one_order(self, text, diagnostic):
+        # the read's first error (a JSON syntax error, nesting too deep),
+        # else the first refused literal in the text
+        with pytest.raises(ParseError) as exc:
+            parse_nested(text)
+        assert [str(d) for d in exc.value.diagnostics] == [diagnostic]
 
     def test_nesting_within_the_bound_round_trips(self):
         d = Dtry.from_path_map({".".join(["s"] * 400): 1})
