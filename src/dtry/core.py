@@ -18,7 +18,8 @@ builder's freeze are each one call of it.
 
 Every trie that is not derived from another is built by one mutable
 builder, and one routine of it binds each key, whatever its form:
-``Dtry.from_path_map``, ``Dtry.insert`` and the flat parser all call it.
+``Dtry.from_path_map``, ``Dtry.insert`` and the flat parser all call it,
+the parser with each line's dotted text as it reads it.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()

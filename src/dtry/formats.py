@@ -83,15 +83,14 @@ class FlatLine:
     value: str
 
 
-def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
-    """Split a flat document into entries and lexical diagnostics.
+def _entry_lines(text: str, diagnostics: list):
+    """Yield ``(line, path text, value)`` for each ``path = value`` line of a flat document.
 
-    No cross-line checks happen here; duplicate and prefix conflicts are
-    the caller's concern (see parse_flat and the CLI check command).
+    The one reading of the line grammar: blank lines and lines starting
+    with ``#`` are skipped, a CR before the LF is dropped, and a line
+    without ``=`` is appended to ``diagnostics`` as ``E_SYNTAX``. Both
+    sides come stripped; the path text is not checked here.
     """
-    entries: list[FlatLine] = []
-    diagnostics: list[Diagnostic] = []
-    names: dict[str, Name] = {}  # one Name per distinct segment of the document
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -102,12 +101,26 @@ def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
                 Diagnostic("E_SYNTAX", lineno, "expected a 'path = value' line")
             )
             continue
+        yield lineno, lhs.strip(), rhs.strip()
+
+
+def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
+    """Split a flat document into entries and lexical diagnostics.
+
+    No cross-line checks happen here; duplicate and prefix conflicts are
+    the caller's concern (see the CLI check command). :func:`parse_flat`
+    reads the same line grammar without making a ``Path`` per line.
+    """
+    entries: list[FlatLine] = []
+    diagnostics: list[Diagnostic] = []
+    names: dict[str, Name] = {}  # one Name per distinct segment of the document
+    for lineno, lhs, value in _entry_lines(text, diagnostics):
         try:
-            path = Path.parse(lhs.strip(), names)
+            path = Path.parse(lhs, names)
         except BadPathError as exc:
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
-        entries.append(FlatLine(lineno, path, rhs.strip()))
+        entries.append(FlatLine(lineno, path, value))
     return entries, diagnostics
 
 
@@ -115,29 +128,45 @@ def parse_flat(text: str) -> Dtry[str]:
     """Parse a flat document into a directory of string values.
 
     Accepts exactly the documents whose paths are duplicate-free and
-    prefix-free. Every offending line yields a diagnostic; parsing
-    continues so one run reports all of them.
+    prefix-free. Every offending line yields a diagnostic, in line order;
+    parsing continues so one run reports all of them.
+
+    Each line's dotted text goes straight into the trie builder, which
+    validates a name only where it makes a new edge; no ``Path`` is made
+    for a line the builder takes. A line it rejects for a bad segment is
+    parsed as a ``Path`` once, for the error that names the segment.
 
     Raises:
         ParseError: with one diagnostic per failing line.
     """
-    entries, diagnostics = scan_flat(text)
+    diagnostics: list[Diagnostic] = []
     builder = _TrieBuilder()
-    first_line: dict[Path, int] = {}
-    for entry in entries:
+    # A dotted text names one path, so equal texts are equal paths.
+    first_line: dict[str, int] = {}
+    for lineno, key, value in _entry_lines(text, diagnostics):
         try:
-            builder.add(entry.path, entry.value)
+            builder.add(key, value)
         except PrefixConflictError as exc:
             if exc.existing == exc.incoming:
-                first = first_line[entry.path]
-                message = f"duplicate path {_show(entry.path)}; first bound at line {first}"
-                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", entry.line, message))
+                message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
+                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
             else:
-                diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
+                diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
-        first_line[entry.path] = entry.line
+        except (BadNameError, BadPathError) as exc:
+            # Past a bound leaf, ``add`` parsed the key itself. At a new edge
+            # it stopped at the bad name, whose error names no segment;
+            # parsing the line gives the error that does.
+            if type(exc) is BadNameError:
+                try:
+                    Path.parse(key)
+                except BadPathError as error:
+                    exc = error
+            diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
+            continue
+        first_line[key] = lineno
     if diagnostics:
-        raise ParseError(sorted(diagnostics, key=lambda d: d.line))
+        raise ParseError(diagnostics)
     return Dtry(builder.freeze())
 
 

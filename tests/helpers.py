@@ -13,10 +13,10 @@ import json
 import random
 from typing import Mapping
 
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
-from dtry.errors import NotACategoryError
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
+from dtry.errors import NotACategoryError, PrefixConflictError
 from dtry.fincat import DtryMor, DtryObj, Variant
-from dtry.formats import ParseError, emit_nested, scan_flat
+from dtry.formats import Diagnostic, ParseError, _show, emit_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -83,6 +83,32 @@ def oracle_check(text: str) -> list[str]:
                 )
     problems.sort(key=lambda p: p[0])
     return [text for _, text in problems]
+
+
+def reference_parse_flat(text: str) -> Dtry:
+    """The flat parser as it was when every line went through a ``Path``.
+
+    ``scan_flat`` makes one ``Path`` per line, and each is then bound in
+    the builder; a line's diagnostic is sorted into place by its line.
+    """
+    entries, diagnostics = scan_flat(text)
+    builder = _TrieBuilder()
+    first_line: dict[Path, int] = {}
+    for entry in entries:
+        try:
+            builder.add(entry.path, entry.value)
+        except PrefixConflictError as exc:
+            if exc.existing == exc.incoming:
+                first = first_line[entry.path]
+                message = f"duplicate path {_show(entry.path)}; first bound at line {first}"
+                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", entry.line, message))
+            else:
+                diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
+            continue
+        first_line[entry.path] = entry.line
+    if diagnostics:
+        raise ParseError(sorted(diagnostics, key=lambda d: d.line))
+    return Dtry(builder.freeze())
 
 
 def oracle_conflicts(paths) -> list[tuple | None]:

@@ -379,6 +379,25 @@ def run_on(data: bytes, argv) -> int:
         sys.stdin = saved
 
 
+class TestRepeatedCalls:
+    def test_each_call_gives_the_same_result(self, tmp_path, capsys):
+        # main builds its parser once; nothing of one call carries to the next
+        good = write(tmp_path, "ok.dtry", EXAMPLE_FLAT)
+        bad = write(tmp_path, "bad.dtry", CONFLICTED)
+        for argv in (["nope"], ["validate", "--help"], ["validate", good], ["validate", bad]):
+            results = []
+            for _ in range(2):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                results.append((code, *capsys.readouterr()))
+            assert results[0] == results[1], argv
+            if argv == ["nope"]:
+                code, out, err = results[0]
+                assert code == ("exit", 2) and out == "" and err.startswith("usage: dtry")
+
+
 class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(input_st, get_path_st)

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
@@ -32,6 +32,7 @@ from helpers import (
     example_directory,
     oracle_emit_nested,
     random_dtry,
+    reference_parse_flat,
 )
 
 
@@ -71,6 +72,19 @@ class TestFlatParsing:
     def test_value_keeps_inner_spacing(self):
         d = parse_flat("a = two  words\n")
         assert d.path_map()[Path("a")] == "two  words"
+
+
+def best_of_three(text):
+    """The least of three times, in seconds, that ``parse_flat`` takes on ``text``."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            parse_flat(text)
+        except ParseError:
+            pass
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 class TestFlatDiagnostics:
@@ -120,16 +134,21 @@ class TestFlatDiagnostics:
             for i in range(k, 0, -1)
         ]
 
-        def best_of_three(text):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                try:
-                    parse_flat(text)
-                except ParseError:
-                    pass
-                times.append(time.perf_counter() - start)
-            return min(times)
+        assert best_of_three(mixed) < 10 * best_of_three(bound)
+
+    def test_many_lines_with_a_bad_segment_past_a_bound_leaf_stay_linear(self):
+        # Each `a.nNNNNN.b-c` passes its bound leaf `a.nNNNNN`: the builder
+        # rejects it, and only then is it parsed as a path, once.
+        k = 10_000
+        bound = "".join(f"a.n{i:05d} = v\n" for i in range(k, 0, -1))
+        mixed = "".join(f"a.n{i:05d} = v\na.n{i:05d}.b-c = v\n" for i in range(k, 0, -1))
+        with pytest.raises(ParseError) as exc:
+            parse_flat(mixed)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{2 * (k - i + 1)}:E_BAD_PATH:"
+            f"bad path 'a.n{i:05d}.b-c' at segment 2: invalid character '-'"
+            for i in range(k, 0, -1)
+        ]
 
         assert best_of_three(mixed) < 10 * best_of_three(bound)
 
@@ -149,6 +168,50 @@ class TestFlatDiagnostics:
             else:
                 with pytest.raises(ParseError):
                     parse_flat(text)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` returns for ``text``, or the diagnostics it raises, as text."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return [str(d) for d in exc.diagnostics]
+
+
+# Lines near the flat grammar: paths of good, empty and bad segments with
+# padding, comments, blank lines, lines without '=' and CRs.
+flat_lines_st = st.one_of(
+    st.builds(
+        lambda segments, pad, value: f"{pad}{'.'.join(segments)}{pad}={value}",
+        st.lists(st.sampled_from(["a", "b", "c", "", "b-c", "b c"]), max_size=3),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", " 1", " x y", " =", " # v", " 1\r"]),
+    ),
+    st.sampled_from(["", "# a = 1", "a.b", "   ", "\r", "= v"]),
+)
+
+
+class TestFlatParserAgainstPathPerLine:
+    @given(st.lists(flat_lines_st, max_size=8).map("\n".join))
+    @example("a = 1\na.b-c = 2")
+    @example("a.b = 1\na.b c = 2")
+    @example("a.b = 1\na = 2\na = 3")
+    @example(" = x\n = y")
+    @example(". = 1")
+    @example("a. = 1")
+    @example("a.b = 1\r\na.c = 2\r\na.b = 3\r\nx\r\n")
+    def test_same_directory_or_diagnostics(self, text):
+        assert parse_outcome(parse_flat, text) == parse_outcome(reference_parse_flat, text)
+
+    @pytest.mark.parametrize(
+        "text, diagnostics",
+        [
+            ("a = 1\na.b-c = 2", ["2:E_BAD_PATH:bad path 'a.b-c' at segment 1: invalid character '-'"]),
+            (" = x\n = y", ["2:E_DUPLICATE_PATH:duplicate path the root; first bound at line 1"]),
+        ],
+    )
+    def test_named_cases(self, text, diagnostics):
+        assert parse_outcome(parse_flat, text) == diagnostics
 
 
 def path_map_emit_flat(directory):

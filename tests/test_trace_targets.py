@@ -54,6 +54,25 @@ def test_record_counter_sees_every_record_built():
     assert (calls, entries) == (len(built), sum(len(n.children) for n in built))
 
 
+def test_flat_parser_makes_a_path_only_for_a_rejected_line():
+    clean = "".join(f"s{i % 7}.k{i} = v\n" for i in range(1000))
+    # bad segments past a bound leaf, and at a new edge
+    bad = [f"s{i % 7}.k{i}.b-c = v\n" for i in range(0, 40, 4)] + [f"t{i}.b c = v\n" for i in range(5)]
+    tracer = load_tracing().Tracer()
+    with tracer.installed(dtry):
+        dtry.formats.parse_flat(clean)
+        stats = tracer.reduce()[0]
+    assert stats["paths.parse"][0] == 0
+    assert stats["formats.scan_flat"][0] == 0
+    tracer = load_tracing().Tracer()
+    with tracer.installed(dtry):
+        with pytest.raises(dtry.formats.ParseError) as exc:
+            dtry.formats.parse_flat(clean + "".join(bad))
+        stats = tracer.reduce()[0]
+    assert [d.code for d in exc.value.diagnostics] == ["E_BAD_PATH"] * len(bad)
+    assert stats["paths.parse"][0] == len(bad)
+
+
 @pytest.mark.parametrize("span, module_name, owner, attr", load_targets())
 def test_target_resolves(span, module_name, owner, attr):
     module = importlib.import_module(f"dtry.{module_name}")
