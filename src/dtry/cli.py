@@ -24,11 +24,10 @@ import json
 import sys
 
 from .core import Dtry, merge_disjoint
-from .errors import BadNameError, BadPathError
+from .errors import BadNameError, BadPathError, _show
 from .formats import (
     Diagnostic,
     ParseError,
-    _show,
     emit_flat,
     emit_nested,
     parse_flat,

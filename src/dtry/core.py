@@ -14,7 +14,9 @@ absent itself. The operations share one non-recursive rewrite that
 replaces each leaf by a tree or deletes it, and deletes each node it
 empties: ``map_values``, ``filter``, ``flatten`` (which grafts the inner
 directories in place, so inner empties vanish), ``distrib`` and the
-builder's freeze are each one call of it.
+builder's freeze are each one call of it. A record is sorted once: the
+rewrite sorts a builder node's entries, the nested reader a JSON object's,
+and the record keeps the dict they fill; a caller's it copies and sorts.
 
 Every trie that is not derived from another is built by one mutable
 builder, and one routine of it binds each key, whatever its form:
@@ -61,6 +63,9 @@ class NonEmptyRecord(Generic[T]):
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, T] | Iterable[tuple[str, T]]):
+        if type(entries) is _Sorted and entries:  # made in this module: kept as it is
+            self._entries = entries
+            return
         raw = entries if type(entries) is dict else dict(entries)
         if not raw:
             raise ValueError("record must have at least one entry")
@@ -83,7 +88,7 @@ class NonEmptyRecord(Generic[T]):
         return self._entries.get(key, default)
 
     def map_values(self, f: Callable[[T], Any]) -> "NonEmptyRecord":
-        return NonEmptyRecord({k: f(v) for k, v in self._entries.items()})
+        return NonEmptyRecord(_Sorted((k, f(v)) for k, v in self._entries.items()))
 
     def __getitem__(self, key) -> T:
         return self._entries[key]
@@ -108,18 +113,35 @@ class NonEmptyRecord(Generic[T]):
         return f"NonEmptyRecord({self._entries!r})"
 
 
+class _Sorted(dict):
+    """Entries that a record keeps as they are: ``Name`` keys in order, made and held here."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Leaf(Generic[T]):
     """A terminal tree node holding one value."""
 
+    __slots__ = ("value",)
     value: T
+
+    def __init__(self, value: T):
+        _set_value(self, value)
+
+    def __reduce__(self):  # copies and pickles go through __init__: the slot is frozen
+        return Leaf, (self.value,)
 
 
 @dataclass(frozen=True)
 class Node:
     """An internal tree node; children are themselves nonempty trees."""
 
+    __slots__ = ("children",)
     children: NonEmptyRecord
+
+    def __reduce__(self):
+        return Node, (self.children,)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -139,13 +161,21 @@ class Node:
         return True
 
 
+_set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats object.__setattr__
+
+
+def _node(children: dict) -> Node:
+    """The node of ``children``, a dict of ``Name`` keys that no one else holds, sorted once."""
+    return Node(NonEmptyRecord(_Sorted(sorted(children.items()))))
+
+
 def filter_nothings(record: NonEmptyRecord) -> NonEmptyRecord | None:
     """Drop absent entries of a record, unwrapping the present ones.
 
     Returns None exactly when every entry was NOTHING: a record cannot be
     empty, so total absence inside becomes absence of the whole record.
     """
-    kept = {}
+    kept = _Sorted()
     for key, entry in record.items():
         if entry is NOTHING:
             continue
@@ -179,10 +209,10 @@ def _rebuild(tree, leaf):
 
     ``leaf`` returns the tree to put in its place, or None to delete the
     entry; a node left without entries is deleted too, so the result is
-    None when nothing remains. ``tree`` is made of ``Node``s, whose leaves
-    are visited in path order, or of the builder's ``_Dir``s. One
-    ``NonEmptyRecord`` is built per changed node, children before
-    parents, and nothing recurses.
+    None when nothing remains. ``tree`` is made of ``Node``s or of the
+    builder's ``_Dir``s, each sorted once as the walk enters it, so leaves
+    come in path order and each changed node's record is built from the
+    dict the walk filled, children before parents; nothing recurses.
 
     A ``Node`` for which ``leaf`` returned each of its leaves as it was,
     and none of whose child nodes changed, is kept as it is, with its
@@ -194,7 +224,7 @@ def _rebuild(tree, leaf):
         return leaf(tree)
     # A frame per open node: its name, the node, its unvisited children,
     # the rebuilt ones, and whether any entry changed.
-    stack = [[None, tree, iter(tree.children.items()), {}, type(tree) is _Dir]]
+    stack = [[None, tree, iter(tree.children.items()), _Sorted(), False]]
     while True:
         frame = stack[-1]
         kept = frame[3]
@@ -207,11 +237,11 @@ def _rebuild(tree, leaf):
                         continue
                 kept[name] = new
             else:
-                stack.append([name, child, iter(child.children.items()), {}, type(child) is _Dir])
+                stack.append([name, child, iter(child.children.items()), _Sorted(), False])
                 break
         else:
             name, source, _, kept, changed = stack.pop()
-            if not changed:
+            if not changed and type(source) is not _Dir:
                 node = source
             else:
                 node = Node(NonEmptyRecord(kept)) if kept else None
@@ -230,9 +260,9 @@ class _Dir(dict):
     __slots__ = ()
 
     @property
-    def children(self) -> "_Dir":
-        """Itself, so that :func:`_rebuild` walks it as it walks a ``Node``."""
-        return self
+    def children(self) -> dict:
+        """Its entries in path order, so that :func:`_rebuild` walks it as it walks a ``Node``."""
+        return dict(sorted(self.items()))
 
 
 def _chain(names: list, value) -> "_Dir | Leaf":

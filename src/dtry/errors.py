@@ -84,5 +84,6 @@ class NotComposableError(DtryError):
 
 
 def _show(path) -> str:
-    text = ".".join(str(seg) for seg in tuple(path))
-    return f"'{text}'" if text else "the root path"
+    """A path (a dotted text or a sequence of names) in a message: quoted, or "the root"."""
+    text = path if isinstance(path, str) else ".".join(map(str, path))
+    return f"'{text}'" if text else "the root"

@@ -35,9 +35,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
-from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError
-from .paths import Name, Path
+from .core import Dtry, Leaf, Node, _node, _TrieBuilder
+from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
+from .paths import Name, Path, _names
 
 __all__ = [
     "Diagnostic",
@@ -322,17 +322,17 @@ def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
 
     Recurses once per level of objects; a leaf is wrapped in place.
     ``names`` maps each key text to its ``Name``, so a document validates
-    each distinct key once.
+    each new key once, in one call per object, and sorts each object once.
     """
     for key in getattr(obj, "repeated", ()):
         message = f"duplicate path '{'.'.join((*at, key))}'"
         diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
     if not obj:
         if not top:
-            diagnostics.append(
-                Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(Path(at))}")
-            )
+            diagnostics.append(Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(at)}"))
         return None
+    if new := [key for key in obj if key not in names]:
+        names.update(zip(new, _names(new) or ()))  # or none: the loop reports each bad one
     children = {}
     for key, value in obj.items():
         name = names.get(key)
@@ -341,9 +341,7 @@ def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
                 name = names[key] = Name(key)
             except BadNameError as exc:
                 diagnostics.append(
-                    Diagnostic(
-                        exc.code, 1, f"invalid key {key!r} under {_show(Path(at))}: {exc.reason}"
-                    )
+                    Diagnostic(exc.code, 1, f"invalid key {key!r} under {_show(at)}: {exc.reason}")
                 )
                 continue
         if isinstance(value, dict):
@@ -357,7 +355,7 @@ def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
         children[name] = Leaf(value)
-    return Node(NonEmptyRecord(children)) if children else None
+    return _node(children) if children else None
 
 
 def _check_array(value: list, at: tuple, diagnostics: list) -> None:
@@ -374,7 +372,7 @@ def _check_array(value: list, at: tuple, diagnostics: list) -> None:
             stack.extend(item)
         elif isinstance(item, dict):
             for key in getattr(item, "repeated", ()):
-                message = f"duplicate key {key!r} in the value at {_show(Path(at))}"
+                message = f"duplicate key {key!r} in the value at {_show(at)}"
                 diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
             stack.extend(item.values())
         elif kind is float and item - item != 0.0:
@@ -566,6 +564,3 @@ def _levels(value) -> int:
         pending.extend((x, level + 1) for x in item)
     return deepest
 
-
-def _show(path: Path | str) -> str:
-    return f"'{path}'" if len(path) else "the root"

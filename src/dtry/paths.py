@@ -28,11 +28,13 @@ _bad_char = re.compile(r"[^A-Za-z0-9_]").search
 
 
 class Name(str):
-    """A single path segment."""
+    """A single path segment; :func:`_names` makes many at once, for less."""
 
     __slots__ = ()
 
     def __new__(cls, text):
+        if type(text) is str and _is_name(text) is not None:
+            return str.__new__(cls, text)
         if type(text) is Name:
             return text
         if not isinstance(text, str):
@@ -43,6 +45,13 @@ class Name(str):
             bad = _bad_char(text)
             raise BadNameError(text, bad.start(), f"invalid character {bad.group()!r}")
         return super().__new__(cls, text)
+
+
+def _names(texts: list[str]) -> list[Name] | None:
+    """A ``Name`` per text, all validated by one ``fullmatch``; None when one is no name."""
+    if not all(texts) or _is_name("".join(texts)) is None:  # none empty, no character bad
+        return None
+    return [str.__new__(Name, text) for text in texts]
 
 
 class Path(tuple):

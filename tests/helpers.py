@@ -13,10 +13,11 @@ import json
 import random
 from typing import Mapping
 
+from dtry import formats
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
-from dtry.errors import NotACategoryError, PrefixConflictError
+from dtry.errors import BadNameError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
-from dtry.formats import Diagnostic, ParseError, _show, emit_nested, scan_flat
+from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -109,6 +110,70 @@ def reference_parse_flat(text: str) -> Dtry:
     if diagnostics:
         raise ParseError(sorted(diagnostics, key=lambda d: d.line))
     return Dtry(builder.freeze())
+
+
+def reference_parse_nested(text: str) -> Dtry:
+    """The nested reader as it was when each new key made its own ``Name``.
+
+    The same read as ``parse_nested``, and the same walk, except that each
+    key not yet seen is validated alone, in the object's order, and each
+    node's record goes through the public ``NonEmptyRecord``, which sorts
+    and re-keys it.
+    """
+    diagnostics: list[Diagnostic] = []
+    try:
+        data = json.loads(text, object_pairs_hook=formats._object)
+        if isinstance(data, dict):
+            root = _reference_node(data, (), {}, diagnostics, top=True)
+        else:
+            formats._check_array([data], (), diagnostics)
+            root = Leaf(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError([Diagnostic("E_SYNTAX", exc.lineno, exc.msg)]) from exc
+    except ValueError as exc:
+        raise formats._out_of_range(text) from exc
+    except RecursionError as exc:
+        raise formats._too_deep() from exc
+    if diagnostics:
+        raise ParseError(diagnostics)
+    return Dtry(root)
+
+
+def _reference_node(obj: dict, at: tuple, names: dict, diagnostics: list, top: bool):
+    for key in getattr(obj, "repeated", ()):
+        message = f"duplicate path '{'.'.join((*at, key))}'"
+        diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
+    if not obj:
+        if not top:
+            diagnostics.append(
+                Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(Path(at))}")
+            )
+        return None
+    children = {}
+    for key, value in obj.items():
+        name = names.get(key)
+        if name is None:
+            try:
+                name = names[key] = Name(key)
+            except BadNameError as exc:
+                diagnostics.append(
+                    Diagnostic(
+                        exc.code, 1, f"invalid key {key!r} under {_show(Path(at))}: {exc.reason}"
+                    )
+                )
+                continue
+        if isinstance(value, dict):
+            subtree = _reference_node(value, (*at, name), names, diagnostics, False)
+            if subtree is not None:
+                children[name] = subtree
+            continue
+        kind = type(value)
+        if kind is list:
+            formats._check_array(value, (*at, name), diagnostics)
+        elif kind is float and value - value != 0.0:  # NaN or an infinity
+            raise ValueError(value)
+        children[name] = Leaf(value)
+    return Node(NonEmptyRecord(children)) if children else None
 
 
 def oracle_conflicts(paths) -> list[tuple | None]:

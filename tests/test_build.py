@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtry import formats
 from dtry.cli import main
 from dtry.core import Dtry, NonEmptyRecord, distrib, merge_disjoint
 from dtry.errors import PrefixConflictError
@@ -25,7 +26,7 @@ from dtry.formats import ParseError, emit_flat, parse_flat, parse_nested, scan_f
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
-from helpers import nodes, oracle_check, oracle_conflicts
+from helpers import nodes, oracle_check, oracle_conflicts, reference_parse_nested
 
 # Three letters and short paths, so duplicates and prefix conflicts are dense.
 paths_st = st.lists(st.sampled_from("abc"), max_size=3).map(".".join)
@@ -127,6 +128,27 @@ def work(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts key validations: ``Name.__new__`` calls, and the bulk helper's calls and texts."""
+    counts = Counter()
+    name_new = Name.__new__
+    bulk = formats._names
+
+    def counting_name_new(cls, text):
+        counts["Name"] += 1
+        return name_new(cls, text)
+
+    def counting_bulk(texts):
+        counts["bulk calls"] += 1
+        counts["bulk texts"] += len(texts)
+        return bulk(texts)
+
+    monkeypatch.setattr(Name, "__new__", counting_name_new)
+    monkeypatch.setattr(formats, "_names", counting_bulk)
+    return counts
+
+
 def wide_lines(n):
     return [f"a.k{i} = {i}" for i in range(n)]
 
@@ -222,18 +244,30 @@ class TestWork:
         assert counts == {"Name": trie_edges(keys), "record entries": trie_edges(keys)}
         assert directory.path_map() == want
 
-    def test_parse_nested_validates_each_distinct_key_once(self, work, monkeypatch):
-        text = json.dumps(balanced_document(1000))
-        name_new = Name.__new__
-
-        def counting_name_new(cls, text):
-            work["Name"] += 1
-            return name_new(cls, text)
-
-        monkeypatch.setattr(Name, "__new__", counting_name_new)
-        directory = parse_nested(text)
+    def test_parse_nested_validates_each_distinct_key_once(self, validations):
+        directory = parse_nested(json.dumps(balanced_document(1000)))
         assert len(directory) == 1000
-        assert work["Name"] == 2  # "l" and "r"
+        # "l" and "r", in one bulk call at the top object
+        assert validations["Name"] + validations["bulk texts"] == 2
+
+    def test_parse_nested_validates_a_wide_object_in_one_call(self, validations):
+        directory = parse_nested(json.dumps({f"k{i}": i for i in range(1000)}))
+        assert len(directory) == 1000
+        assert validations == {"bulk calls": 1, "bulk texts": 1000}
+
+    def test_one_bad_key_among_many_gives_the_reference_diagnostics(self, validations):
+        keys = [f"k{i}" for i in range(1000)]
+        keys[500] = "k 500"
+        text = json.dumps({"top": {key: i for i, key in enumerate(keys)}})
+        with pytest.raises(ParseError) as caught:
+            parse_nested(text)
+        # the bulk call fails, so each new key is made alone, in order
+        assert validations == {"bulk calls": 2, "bulk texts": 1001, "Name": 1000}
+        want = ["1:E_BAD_NAME:invalid key 'k 500' under 'top': invalid character ' '"]
+        assert [str(d) for d in caught.value.diagnostics] == want
+        with pytest.raises(ParseError) as reference:
+            reference_parse_nested(text)
+        assert reference.value.diagnostics == caught.value.diagnostics
 
     def test_filter_shares_the_subtrees_it_keeps_whole(self, work):
         directory = parse_nested(json.dumps(balanced_document(1000)))

@@ -40,6 +40,11 @@ class TestValidate:
         assert "2:E_DUPLICATE_PATH:" in err
         assert "3:E_PREFIX_CONFLICT:" in err
 
+    def test_a_conflict_with_the_root_names_it_the_root(self, tmp_path, capsys):
+        assert main(["validate", write(tmp_path, "root.dtry", " = x\na = 1\n")]) == 1
+        out = capsys.readouterr()
+        assert out.err == "2:E_PREFIX_CONFLICT:path 'a' extends the bound path the root\n"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/no/such/file.dtry"]) == 2
         assert "error:" in capsys.readouterr().err

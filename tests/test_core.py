@@ -1,6 +1,10 @@
 """Directory structure, the unit/flatten laws, and the absence machinery."""
 
+import copy
+import pickle
 import random
+from collections import OrderedDict
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,12 +135,15 @@ class TestConstruction:
             NonEmptyRecord([])
 
     def test_record_keeps_no_alias_of_the_callers_dict(self):
-        entries = {"b": 1, "a": 2}
-        record = NonEmptyRecord(entries)
-        entries["a"] = 9
-        entries["c"] = 3
-        del entries["b"]
-        assert list(record.items()) == [("a", 2), ("b", 1)]
+        # Sorted Name keys in a plain dict or a dict subclass look like what
+        # the trie's own code hands over, and are still copied.
+        a, b = Name("a"), Name("b")
+        for entries in ({"b": 1, "a": 2}, {a: 2, b: 1}, OrderedDict([(a, 2), (b, 1)])):
+            record = NonEmptyRecord(entries)
+            entries["a"] = 9
+            entries["c"] = 3
+            del entries["b"]
+            assert list(record.items()) == [("a", 2), ("b", 1)]
 
     def test_singleton_matches_from_path_map(self):
         rng = random.Random(23)
@@ -152,6 +159,47 @@ class TestConstruction:
 
     def test_prefix_of_empty_is_empty(self):
         assert merge_disjoint({"a": Dtry.empty()}) == Dtry.empty()
+
+
+class TestNodeContract:
+    """``Leaf`` and ``Node`` keep the contract of frozen dataclasses."""
+
+    def test_reprs(self):
+        assert repr(Leaf(1)) == "Leaf(value=1)"
+        node = Node(NonEmptyRecord({"a": Leaf("x")}))
+        assert repr(node) == "Node(children=NonEmptyRecord({'a': Leaf(value='x')}))"
+
+    def test_equality_and_hash(self):
+        assert Leaf(1) == Leaf(1) and Leaf(1) != Leaf(2) and Leaf(1) != 1
+        assert hash(Leaf("v")) == hash(("v",))
+        assert len({Leaf(1), Leaf(1), Leaf(2)}) == 2
+
+        def node(value):
+            return Node(NonEmptyRecord({"a": Leaf(1), "b": Node(NonEmptyRecord({"c": Leaf(value)}))}))
+
+        assert node(2) == node(2) and node(2) != node(3) and node(2) != Leaf(2)
+        with pytest.raises(TypeError):
+            hash(node(2))
+
+    @pytest.mark.parametrize(
+        "tree, field",
+        [(Leaf(1), "value"), (Node(NonEmptyRecord({"a": Leaf(1)})), "children")],
+        ids=("Leaf", "Node"),
+    )
+    def test_frozen_and_slotted(self, tree, field):
+        before = getattr(tree, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(tree, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(tree, field)
+        with pytest.raises(FrozenInstanceError):
+            tree.other = None
+        assert getattr(tree, field) is before
+        assert not hasattr(tree, "__dict__")
+        assert copy.deepcopy(tree) == tree == pickle.loads(pickle.dumps(tree))
+
+    def test_leaf_is_generic(self):
+        assert Leaf[int](3) == Leaf(3)  # the alias's call tries to set __orig_class__
 
 
 class TestLookup:
@@ -195,6 +243,19 @@ class TestInsert:
             d.insert("a.b", 2)
         assert exc.value.existing == Path("a")
         assert exc.value.incoming == Path("a.b")
+
+    @pytest.mark.parametrize(
+        "bound, path, message",
+        [
+            ("", "", "path the root is already bound"),
+            ("", "a", "path 'a' extends the bound path the root"),
+            ("a", "", "path the root is a prefix of the bound path 'a'"),
+        ],
+    )
+    def test_conflicts_at_the_root_name_it_the_root(self, bound, path, message):
+        with pytest.raises(PrefixConflictError) as exc:
+            Dtry.from_path_map({bound: 1}).insert(path, 2)
+        assert str(exc.value) == message
 
     def test_prefix_conflict_names_a_witness(self):
         d = Dtry.from_path_map({"a.b.c": 1, "a.b.d": 2})

@@ -33,6 +33,7 @@ from helpers import (
     oracle_emit_nested,
     random_dtry,
     reference_parse_flat,
+    reference_parse_nested,
 )
 
 
@@ -212,6 +213,44 @@ class TestFlatParserAgainstPathPerLine:
     )
     def test_named_cases(self, text, diagnostics):
         assert parse_outcome(parse_flat, text) == diagnostics
+
+
+def json_text(tree) -> str:
+    """The JSON text of a drawn ``("object", pairs)``, ``("array", items)`` or ``("value", v)``.
+
+    An object is written from its pairs, so a key may repeat.
+    """
+    kind, body = tree
+    if kind == "object":
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(v)}" for k, v in body) + "}"
+    if kind == "array":
+        return "[" + ", ".join(json_text(v) for v in body) + "]"
+    return json.dumps(body)
+
+
+# Keys that are names, and near-names: a newline inside or at the end, empty,
+# a space, a dot, a non-ASCII letter. A small pool, so keys repeat.
+json_keys_st = st.sampled_from(["a", "b", "x_1", "a\nb", "a\n", "", "b c", "a.b", "é"])
+json_values_st = st.recursive(
+    st.sampled_from([0, 1, -2, 1.5, None, True, "s"]).map(lambda v: ("value", v)),
+    lambda inner: st.one_of(
+        st.lists(st.tuples(json_keys_st, inner), max_size=4).map(lambda p: ("object", p)),
+        st.lists(inner, max_size=3).map(lambda items: ("array", items)),
+    ),
+    max_leaves=10,
+)
+json_documents_st = st.lists(st.tuples(json_keys_st, json_values_st), max_size=5).map(
+    lambda pairs: json_text(("object", pairs))
+)
+
+
+class TestNestedParserAgainstNamePerKey:
+    @given(json_documents_st)
+    @example(json.dumps({"x": {"a\nb": 1}}))
+    @example(json.dumps({"x": {"a\n": 1, "b": 2}}))
+    @example('{"b": {}, "a": [{"c": 1, "c": 2}], "a": 3, "": {"b c": 1}}')
+    def test_same_directory_or_diagnostics(self, text):
+        assert parse_outcome(parse_nested, text) == parse_outcome(reference_parse_nested, text)
 
 
 def path_map_emit_flat(directory):
