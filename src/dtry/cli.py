@@ -169,12 +169,10 @@ def cmd_check(args) -> int:
         while j < len(ordered) and entry.path.is_prefix_of(ordered[j].path):
             first, second = sorted((entry, ordered[j]), key=lambda e: e.line)
             if first.path == second.path:
-                message = f"duplicate path '{second.path}'; first bound at line {first.line}"
+                message = f"duplicate path {_show(second.path)}; first bound at line {first.line}"
                 diag = Diagnostic("E_DUPLICATE_PATH", second.line, message)
             else:
-                message = (
-                    f"paths '{first.path}' (line {first.line}) and '{second.path}' conflict"
-                )
+                message = f"paths {_show(first.path)} (line {first.line}) and {_show(second.path)} conflict"
                 diag = Diagnostic("E_PREFIX_CONFLICT", second.line, message)
             problems.append((second.line, first.line, diag))
             j += 1

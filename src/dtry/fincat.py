@@ -75,9 +75,8 @@ class FinCat:
 
     The morphism ids are interned once, while the structure is checked:
     each is hashed once per table entry, and morphism ``i`` of the table
-    is the integer ``i`` from then on. The law check is integer lookups
-    in one row of composites per morphism, so ids that are costly to hash
-    are never hashed again; only the error messages map back to the ids.
+    is the integer ``i`` from then on. The law check is integer lookups in
+    one row of composites per morphism; only its messages name the ids.
     """
 
     def __init__(
@@ -93,34 +92,11 @@ class FinCat:
         morphisms = dict(morphisms)
         ends = [(d, c) for d, c in morphisms.values()]
         self._identity = dict(identity)
-        self._check_structure(list(morphisms), ends, dict(compose))
-        if check_laws:
-            self.validate()
-
-    def _check_structure(self, ids: list, ends: list, compose: dict):
-        """Intern the tables as integer ones, checking their structure on the way.
-
-        ``_ids[i]`` is morphism ``i`` and ``_index`` its inverse,
-        ``_dom[i]``/``_cod[i]`` its endpoints, ``_after[i]`` maps each ``j``
-        it composes with to the composite ``i;j``, ``_entries`` lists the
-        composites ``(i, j, i;j)`` in their given order, ``_by_dom`` maps
-        each object to the morphisms out of it, and ``_ident`` each
-        object to its identity.
-        """
-        objects = self._objects
-        self._ids = ids
-        index = self._index = {m: i for i, m in enumerate(ids)}
-        dom = self._dom = []
-        cod = self._cod = []
-        by_dom = self._by_dom = {}
-        for i, (d, c) in enumerate(ends):
-            if d not in objects or c not in objects:
-                raise NotACategoryError(f"morphism {ids[i]!r} has unknown endpoint", ids[i])
-            dom.append(d)
-            cod.append(c)
-            by_dom.setdefault(d, []).append(i)
-        ident = self._ident = {}
-        for x in objects:
+        compose = dict(compose)
+        self._intern(list(morphisms), ends)
+        index, dom, cod = self._index, self._dom, self._cod
+        ident = {}
+        for x in self._objects:
             i = self._identity.get(x)
             k = None if i is None else index.get(i)
             if k is None:
@@ -128,8 +104,7 @@ class FinCat:
             if (dom[k], cod[k]) != (x, x):
                 raise NotACategoryError(f"identity of {x!r} is not an endomorphism", x)
             ident[x] = k
-        after = self._after = [{} for _ in ids]
-        entries = self._entries = []
+        entries = []
         for (f, g), h in compose.items():
             fi = index.get(f)
             gi = None if fi is None else index.get(g)
@@ -140,15 +115,58 @@ class FinCat:
                 raise NotACategoryError(f"composite defined for non-composable pair ({f!r}, {g!r})", (f, g))
             if (dom[hi], cod[hi]) != (dom[fi], cod[gi]):
                 raise NotACategoryError(f"composite of ({f!r}, {g!r}) has wrong endpoints", (f, g))
-            after[fi][gi] = hi
             entries.append((fi, gi, hi))
+        self._link(ident, entries, check_laws)
+
+    @classmethod
+    def _of_rows(cls, objects, ids: list, ends: list, ident: dict, rows: list, *, check_laws: bool):
+        """Interned tables: ``rows[i]`` holds ``i;j`` for each ``j`` out of ``cod i``, in order."""
+        self = cls.__new__(cls)
+        self._objects, self._identity = frozenset(objects), {x: ids[i] for x, i in ident.items()}
+        self._intern(ids, ends)
+        by_dom, cod = self._by_dom, self._cod
+        entries = [(f, g, h) for f, row in enumerate(rows) for g, h in zip(by_dom[cod[f]], row)]
+        self._link(ident, entries, check_laws)
+        return self
+
+    def _intern(self, ids: list, ends: list):
+        """Number the morphisms, checking that their endpoints are objects.
+
+        ``_ids[i]`` is morphism ``i`` and ``_index`` its inverse, ``_dom[i]``/``_cod[i]``
+        its endpoints, and ``_by_dom`` maps each object to the morphisms out of it.
+        """
+        objects = self._objects
+        self._ids, self._index = ids, {m: i for i, m in enumerate(ids)}
+        dom = self._dom = []
+        cod = self._cod = []
+        by_dom = self._by_dom = {}
+        for i, (d, c) in enumerate(ends):
+            if d not in objects or c not in objects:
+                raise NotACategoryError(f"morphism {ids[i]!r} has unknown endpoint", ids[i])
+            dom.append(d)
+            cod.append(c)
+            by_dom.setdefault(d, []).append(i)
+
+    def _link(self, ident: dict, entries: list, check_laws: bool):
+        """Set the composites, check that each morphism has all of its own, then the laws if asked.
+
+        ``_ident`` maps each object to its identity, ``_entries`` lists the composites
+        ``(i, j, i;j)`` in their given order, and ``_after[i]`` maps each ``j`` to ``i;j``.
+        """
+        self._ident, self._entries = ident, entries
+        after = self._after = [{} for _ in self._ids]
+        for f, g, h in entries:
+            after[f][g] = h
         # Each row holds only composable partners, so a row is complete
         # exactly when it is as long as the list of morphisms it composes with.
+        ids, cod, by_dom = self._ids, self._cod, self._by_dom
         for f, row in enumerate(after):
             partners = by_dom.get(cod[f], ())
             if len(row) != len(partners):
                 f, g = ids[f], ids[next(g for g in partners if g not in row)]
                 raise NotACategoryError(f"missing composite for ({f!r}, {g!r})", (f, g))
+        if check_laws:
+            self.validate()
 
     def validate(self):
         """Check the identity and associativity laws over the full tables.
@@ -324,20 +342,29 @@ class FinSetSkeleton:
         return FinFn(sum(sizes), tuple(images))
 
     def truncate(self, max_size: int, *, check_laws: bool = True) -> FinCat:
-        """Explicit tables for the full subcategory on sizes 0..max_size."""
-        objects = list(range(max_size + 1))
-        morphisms = {}
-        for m in objects:
-            for n in objects:
-                for f in self.hom(m, n):
-                    morphisms[f] = (m, n)
-        identity = {n: self.identity(n) for n in objects}
-        compose = {}
-        for f in morphisms:
-            for g in morphisms:
-                if f.cod == g.dom:
-                    compose[(f, g)] = self.compose(f, g)
-        return FinCat(objects, morphisms, identity, compose, check_laws=check_laws)
+        """Explicit tables for the full subcategory on sizes 0..max_size.
+
+        Each hom-set is enumerated once, and morphism ``i`` of that list is the
+        integer ``i``. Composites are computed by index, so none is built as a
+        :class:`FinFn`, and each id is hashed once, to intern it.
+
+        >>> cat = FinSetSkeleton().truncate(2)
+        >>> len(cat.morphisms())
+        11
+        >>> swap = FinFn(2, (2, 1))
+        >>> cat.compose(swap, swap)
+        FinFn(2, (1, 2))
+        """
+        sizes = range(max_size + 1)
+        out_of = [[f for n in sizes for f in self.hom(m, n)] for m in sizes]
+        ids = [f for fns in out_of for f in fns]
+        index = [{f.images: i for i, f in enumerate(ids) if f.cod == n} for n in sizes]
+        # Led by a 0, g's images read along f's images are the composite's.
+        led = [[(index[g.cod], (0,) + g.images) for g in fns] for fns in out_of]
+        rows = [[at[tuple([g[i] for i in f.images])] for at, g in led[f.cod]] for f in ids]
+        ident = {n: index[n][tuple(range(1, n + 1))] for n in sizes}
+        ends = [(f.dom, f.cod) for f in ids]
+        return FinCat._of_rows(sizes, ids, ends, ident, rows, check_laws=check_laws)
 
 
 class Variant(Enum):

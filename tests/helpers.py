@@ -70,7 +70,7 @@ def oracle_check(text: str) -> list[str]:
                 problems.append(
                     (
                         second.line,
-                        f"{second.line}:E_DUPLICATE_PATH:duplicate path '{second.path}'; "
+                        f"{second.line}:E_DUPLICATE_PATH:duplicate path {_show(second.path)}; "
                         f"first bound at line {first.line}",
                     )
                 )
@@ -78,8 +78,8 @@ def oracle_check(text: str) -> list[str]:
                 problems.append(
                     (
                         second.line,
-                        f"{second.line}:E_PREFIX_CONFLICT:paths '{first.path}' "
-                        f"(line {first.line}) and '{second.path}' conflict",
+                        f"{second.line}:E_PREFIX_CONFLICT:paths {_show(first.path)} "
+                        f"(line {first.line}) and {_show(second.path)} conflict",
                     )
                 )
     problems.sort(key=lambda p: p[0])

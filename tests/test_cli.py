@@ -172,6 +172,14 @@ class TestCheck:
         assert main(["check", write(tmp_path, "bad.dtry", text)]) == 1
         assert "2:E_SYNTAX:" in capsys.readouterr().err
 
+    def test_conflicts_with_the_root_name_it_the_root(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "root.dtry", " = x\na = 1\n = y\n")]) == 1
+        assert capsys.readouterr().err == (
+            "2:E_PREFIX_CONFLICT:paths the root (line 1) and 'a' conflict\n"
+            "3:E_DUPLICATE_PATH:duplicate path the root; first bound at line 1\n"
+            "3:E_PREFIX_CONFLICT:paths 'a' (line 2) and the root conflict\n"
+        )
+
 
 NON_UTF8 = b"sec.key = 1\nsec.other = caf\xe9\n\xff = 2\n"
 NON_UTF8_IDS = ("validate", "validate_nested", "convert", "get", "merge", "check")

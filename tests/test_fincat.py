@@ -270,6 +270,56 @@ class TestTableWork:
         FinCat(sizes, morphisms, identity, compose, check_laws=False)
         assert fn_hashes["hash"] <= len(morphisms) + len(identity) + 3 * len(compose)
 
+    def test_truncate_makes_and_hashes_only_its_hom_sets(self, fn_hashes, monkeypatch):
+        fn_init = FinFn.__init__
+
+        def counting_init(self, *args, **kwargs):
+            fn_hashes["init"] += 1
+            fn_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FinFn, "__init__", counting_init)
+        cat = SKEL.truncate(3)
+        morphisms = cat.morphisms()
+        assert len(morphisms) == 60
+        assert fn_hashes["hash"] <= len(morphisms)
+        assert fn_hashes["init"] <= len(morphisms)
+
+
+def truncate_by_ids(k):
+    """``truncate(k)`` as the tables of ``FinFn`` ids, checked and interned by ``FinCat``."""
+    sizes = range(k + 1)
+    fns = [f for m in sizes for n in sizes for f in SKEL.hom(m, n)]
+    morphisms = {f: (f.dom, f.cod) for f in fns}
+    identity = {n: SKEL.identity(n) for n in sizes}
+    compose = {(f, g): SKEL.compose(f, g) for f in fns for g in fns if f.cod == g.dom}
+    return FinCat(sizes, morphisms, identity, compose)
+
+
+class TestTruncateTables:
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
+    def test_truncate_is_the_category_of_its_id_tables(self, k):
+        cat, want = SKEL.truncate(k), truncate_by_ids(k)
+        assert cat.objects() == want.objects()
+        morphisms = cat.morphisms()
+        assert morphisms == want.morphisms()
+        for x in cat.objects():
+            assert cat.identity(x) == want.identity(x)
+            for y in cat.objects():
+                assert cat.hom(x, y) == want.hom(x, y)
+        enumerated = {id(m) for m in morphisms}
+        for f in morphisms:
+            assert (cat.dom(f), cat.cod(f)) == (want.dom(f), want.cod(f))
+            for g in morphisms:
+                if cat.cod(f) == cat.dom(g):
+                    h = cat.compose(f, g)
+                    assert h == want.compose(f, g) and id(h) in enumerated
+                else:
+                    with pytest.raises(NotComposableError) as got:
+                        cat.compose(f, g)
+                    with pytest.raises(NotComposableError) as expected:
+                        want.compose(f, g)
+                    assert str(got.value) == str(expected.value)
+
 
 class TestFinSetSkeleton:
     def test_hom_counts(self):
