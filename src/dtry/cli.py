@@ -23,16 +23,17 @@ import functools
 import json
 import sys
 
-from .core import Dtry, merge_disjoint
+from .core import Dtry, Leaf, _rebuild, merge_disjoint
 from .errors import BadNameError, BadPathError, _show
 from .formats import (
     Diagnostic,
     ParseError,
+    _key_conflicts,
+    _read_flat,
     emit_flat,
     emit_nested,
     parse_flat,
     parse_nested,
-    scan_flat,
 )
 from .paths import Name, Path
 
@@ -66,16 +67,20 @@ def _load(source: str, fmt: str) -> Dtry:
     return parse_flat(text) if fmt == "flat" else parse_nested(text)
 
 
-def _flat_value(value) -> str:
+def _flat_leaf(leaf: Leaf) -> Leaf:
     # Nested leaves may be any JSON scalar or array; flat lines hold text.
-    return value if isinstance(value, str) else json.dumps(value)
+    return leaf if isinstance(leaf.value, str) else Leaf(json.dumps(leaf.value))
 
 
 def _flat_text(directory: Dtry) -> str:
-    # A value no flat line can hold is invalid input, reported like a parse failure.
-    flat = directory.map_values(_flat_value)
+    """The flat text of ``directory``, whose values are turned into text.
+
+    A node whose values are all text already is kept with its whole subtree,
+    not rebuilt. A value no flat line can hold is invalid input, reported
+    like a parse failure.
+    """
     try:
-        return emit_flat(flat)
+        return emit_flat(Dtry(_rebuild(directory.root, _flat_leaf)))
     except ValueError as exc:
         raise ParseError([Diagnostic("E_UNREPRESENTABLE", 1, str(exc))]) from exc
 
@@ -110,7 +115,11 @@ def _unencodable(directory: Dtry) -> Diagnostic:
 
 
 def cmd_validate(args) -> int:
-    _load(args.file, args.format)
+    text = _read(args.file)
+    if args.format == "flat":
+        _read_flat(text)  # every line binds: the trie is not needed
+    else:
+        parse_nested(text)
     return EXIT_OK
 
 
@@ -126,7 +135,14 @@ def cmd_get(args) -> int:
     except BadPathError as exc:
         print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
         return EXIT_INVALID
-    found = _load(args.file, args.format).lookup(path)
+    text = _read(args.file)
+    if args.format == "flat":
+        # Only the subtree asked for is built. As in Dtry.lookup, the root
+        # path is found in any file.
+        tree = _read_flat(text).freeze(path)
+        found = None if tree is None and path else Dtry(tree)
+    else:
+        found = parse_nested(text).lookup(path)
     if found is None:
         print(f"error: no entry at {str(path)!r}", file=sys.stderr)
         return EXIT_NOT_FOUND
@@ -157,28 +173,9 @@ def cmd_merge(args) -> int:
 
 
 def cmd_check(args) -> int:
-    entries, diagnostics = scan_flat(_read(args.file))
-    # Key discipline is checked on the raw lines, without the trie. Sorted
-    # by path, the copies and extensions of a path follow it contiguously,
-    # so each scan stops at the first path it is not a prefix of: the cost
-    # is O(n log n + conflicting pairs), each pair found once.
-    ordered = sorted(entries, key=lambda e: e.path)
-    problems = [(d.line, 0, d) for d in diagnostics]
-    for i, entry in enumerate(ordered):
-        j = i + 1
-        while j < len(ordered) and entry.path.is_prefix_of(ordered[j].path):
-            first, second = sorted((entry, ordered[j]), key=lambda e: e.line)
-            if first.path == second.path:
-                message = f"duplicate path {_show(second.path)}; first bound at line {first.line}"
-                diag = Diagnostic("E_DUPLICATE_PATH", second.line, message)
-            else:
-                message = f"paths {_show(first.path)} (line {first.line}) and {_show(second.path)} conflict"
-                diag = Diagnostic("E_PREFIX_CONFLICT", second.line, message)
-            problems.append((second.line, first.line, diag))
-            j += 1
-    if problems:
-        problems.sort(key=lambda p: p[:2])
-        _report(diag for _, _, diag in problems)
+    diagnostics = _key_conflicts(_read(args.file))
+    if diagnostics:
+        _report(diagnostics)
         return EXIT_INVALID
     return EXIT_OK
 

@@ -345,9 +345,18 @@ class _TrieBuilder:
             node = node[name]
         raise PrefixConflictError(existing=Path(names), incoming=incoming)
 
-    def freeze(self) -> Leaf | Node | None:
-        """The immutable tree: one record per node, children before parents."""
-        return _rebuild(self._root, lambda leaf: leaf)
+    def freeze(self, path: Path = ()) -> Leaf | Node | None:
+        """The immutable tree bound at ``path``, or None: one record per node, children before parents.
+
+        Only that subtree is built. None for a path that is not bound, or
+        that runs past a leaf, and for the root of an empty builder.
+        """
+        tree = self._root
+        for name in path:
+            if type(tree) is not _Dir:
+                return None
+            tree = tree.get(name)
+        return _rebuild(tree, lambda leaf: leaf)
 
 
 class Dtry(Generic[T]):

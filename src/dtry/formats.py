@@ -33,11 +33,12 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .core import Dtry, Leaf, Node, _node, _TrieBuilder
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Name, Path, _names
+from .paths import Name, Path, _are_paths, _names
 
 __all__ = [
     "Diagnostic",
@@ -107,9 +108,10 @@ def _entry_lines(text: str, diagnostics: list):
 def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
     """Split a flat document into entries and lexical diagnostics.
 
-    No cross-line checks happen here; duplicate and prefix conflicts are
-    the caller's concern (see the CLI check command). :func:`parse_flat`
-    reads the same line grammar without making a ``Path`` per line.
+    One ``Path`` and one ``FlatLine`` per line. No cross-line checks
+    happen here. No command reads a document through it: the parser and
+    the key check below read the same line grammar without a ``Path`` per
+    line, and the tests keep this reading as their reference.
     """
     entries: list[FlatLine] = []
     diagnostics: list[Diagnostic] = []
@@ -131,13 +133,22 @@ def parse_flat(text: str) -> Dtry[str]:
     prefix-free. Every offending line yields a diagnostic, in line order;
     parsing continues so one run reports all of them.
 
+    Raises:
+        ParseError: with one diagnostic per failing line.
+    """
+    return Dtry(_read_flat(text).freeze())
+
+
+def _read_flat(text: str) -> _TrieBuilder:
+    """The builder holding every binding of a flat document: :func:`parse_flat` without the freeze.
+
     Each line's dotted text goes straight into the trie builder, which
     validates a name only where it makes a new edge; no ``Path`` is made
     for a line the builder takes. A line it rejects for a bad segment is
     parsed as a ``Path`` once, for the error that names the segment.
 
     Raises:
-        ParseError: with one diagnostic per failing line.
+        ParseError: with one diagnostic per failing line, in line order.
     """
     diagnostics: list[Diagnostic] = []
     builder = _TrieBuilder()
@@ -167,7 +178,60 @@ def parse_flat(text: str) -> Dtry[str]:
         first_line[key] = lineno
     if diagnostics:
         raise ParseError(diagnostics)
-    return Dtry(builder.freeze())
+    return builder
+
+
+def _key_conflicts(text: str) -> list[Diagnostic]:
+    """Every problem of a flat document's keys, each conflicting pair of lines once.
+
+    The lexical diagnostics of :func:`scan_flat`, and for each two lines
+    whose paths are equal or one a prefix of the other, one diagnostic at
+    the later line; ordered by that line, then by the earlier one. Works
+    on the dotted texts, without a ``Path`` per line and without the trie.
+    The keys are validated together, by one ``fullmatch``; only when one
+    is bad is each parsed alone, for the error that names its segment.
+
+    Sorted by text, the copies and extensions of a path follow it
+    contiguously, since ``.`` sorts below every character of a name and
+    so text order is path order: each scan stops at the first text its
+    own is no prefix of, and the cost is O(n log n + conflicting pairs).
+    """
+    diagnostics: list[Diagnostic] = []
+    entries = [(key, lineno) for lineno, key, _ in _entry_lines(text, diagnostics)]
+    if not _are_paths([key for key, _ in entries]):
+        names: dict[str, Name] = {}
+        clean = []
+        for key, lineno in entries:
+            try:
+                Path.parse(key, names)
+            except BadPathError as exc:
+                diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
+                continue
+            clean.append((key, lineno))
+        entries = clean
+    problems = [(d.line, 0, d) for d in diagnostics]
+    entries.sort()
+    for i, (key, _) in enumerate(entries):
+        j = i + 1
+        while j < len(entries) and _text_prefix(key, entries[j][0]):
+            (first, first_line), (second, second_line) = sorted(
+                (entries[i], entries[j]), key=itemgetter(1)
+            )
+            if first == second:
+                message = f"duplicate path {_show(second)}; first bound at line {first_line}"
+                diag = Diagnostic("E_DUPLICATE_PATH", second_line, message)
+            else:
+                message = f"paths {_show(first)} (line {first_line}) and {_show(second)} conflict"
+                diag = Diagnostic("E_PREFIX_CONFLICT", second_line, message)
+            problems.append((second_line, first_line, diag))
+            j += 1
+    problems.sort(key=itemgetter(0, 1))
+    return [diag for _, _, diag in problems]
+
+
+def _text_prefix(a: str, b: str) -> bool:
+    """Whether the path dotted as ``a`` is a prefix of the one dotted as ``b`` (reflexively)."""
+    return not a or b == a or b.startswith(a + ".")
 
 
 def emit_flat(directory: Dtry[str]) -> str:

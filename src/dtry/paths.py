@@ -24,6 +24,7 @@ __all__ = ["Name", "Path"]
 
 # ``fullmatch``, since ``$`` would also accept a trailing newline.
 _is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
+_is_dotted = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*").fullmatch
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
 
 
@@ -52,6 +53,16 @@ def _names(texts: list[str]) -> list[Name] | None:
     if not all(texts) or _is_name("".join(texts)) is None:  # none empty, no character bad
         return None
     return [str.__new__(Name, text) for text in texts]
+
+
+def _are_paths(texts: list[str]) -> bool:
+    """Whether every text is dotted-path syntax, tested by one ``fullmatch`` as in :func:`_names`.
+
+    The root ``''`` is left out. Joined by dots, the other texts have an
+    empty segment exactly where one of them has.
+    """
+    dotted = ".".join(filter(None, texts))
+    return not dotted or _is_dotted(dotted) is not None
 
 
 class Path(tuple):

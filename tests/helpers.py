@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from typing import Mapping
 
-from dtry import formats
+from dtry import cli, formats
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
-from dtry.errors import BadNameError, NotACategoryError, PrefixConflictError, _show
+from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
 from dtry.maybe import NOTHING, Just
@@ -110,6 +111,37 @@ def reference_parse_flat(text: str) -> Dtry:
     if diagnostics:
         raise ParseError(sorted(diagnostics, key=lambda d: d.line))
     return Dtry(builder.freeze())
+
+
+def reference_cmd_validate(args) -> int:
+    """``dtry validate`` as it was when it parsed a flat file into a whole trie."""
+    cli._load(args.file, args.format)
+    return cli.EXIT_OK
+
+
+def reference_flat_text(directory: Dtry) -> str:
+    """``cli._flat_text`` as it was, when ``map_values`` copied every value, text or not."""
+    flat = directory.map_values(lambda v: v if isinstance(v, str) else json.dumps(v))
+    try:
+        return formats.emit_flat(flat)
+    except ValueError as exc:
+        raise ParseError([Diagnostic("E_UNREPRESENTABLE", 1, str(exc))]) from exc
+
+
+def reference_cmd_get(args) -> int:
+    """``dtry get`` as it was: the whole trie, ``Dtry.lookup``, then the flat text of what it found."""
+    try:
+        path = Path.parse(args.path)
+    except BadPathError as exc:
+        print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
+        return cli.EXIT_INVALID
+    found = cli._load(args.file, args.format).lookup(path)
+    if found is None:
+        print(f"error: no entry at {str(path)!r}", file=sys.stderr)
+        return cli.EXIT_NOT_FOUND
+    text = reference_flat_text(found)
+    cli._write(text.removeprefix(" = ") if found.is_leaf else text, found)
+    return cli.EXIT_OK
 
 
 def reference_parse_nested(text: str) -> Dtry:

@@ -10,11 +10,12 @@ import contextlib
 import io
 import json
 import random
+import time
 from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtry import formats
@@ -22,7 +23,7 @@ from dtry.cli import main
 from dtry.core import Dtry, NonEmptyRecord, distrib, merge_disjoint
 from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
-from dtry.formats import ParseError, emit_flat, parse_flat, parse_nested, scan_flat
+from dtry.formats import ParseError, emit_flat, emit_nested, parse_flat, parse_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -35,14 +36,29 @@ lines_st = st.one_of(
     st.sampled_from(["", "# note", "no binding", "a..b = 1"]),
 )
 documents_st = st.lists(lines_st, max_size=16).map(lambda lines: "\n".join(lines) + "\n")
+# Names of characters on both sides of '.' in byte order ('0' < 'Z' < '_' <
+# 'a' < 'b'), so that sorting by text would part a path from its
+# extensions if '.' did not sort below every character of a name.
+ordered_paths_st = st.lists(st.text(alphabet="ab_0Z", min_size=1, max_size=2), max_size=3).map(
+    ".".join
+)
+ordered_documents_st = st.lists(ordered_paths_st.map(lambda p: f"{p} = v"), max_size=12).map(
+    lambda lines: "\n".join(lines) + "\n"
+)
+
+
+def run_cli(argv, text):
+    """``main(argv)`` with ``text`` as stdin: the exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def run_check(text):
-    stderr = io.StringIO()
-    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-    with mock.patch("sys.stdin", stdin), contextlib.redirect_stderr(stderr):
-        code = main(["check", "-"])
-    return code, stderr.getvalue()
+    code, _, err = run_cli(["check", "-"], text)
+    return code, err
 
 
 def show(path):
@@ -61,6 +77,15 @@ class TestDifferential:
     @settings(max_examples=400, deadline=None)
     @given(documents_st)
     def test_check_matches_the_pairwise_oracle(self, text):
+        want = oracle_check(text)
+        assert run_check(text) == (1 if want else 0, "".join(f"{t}\n" for t in want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_documents_st)
+    @example("a.b = 1\na0 = 2\na_ = 3\na = 4\n")
+    @example("a.b = 1\naZ.b = 2\na = 3\na_ = 4\n = 5\na.b = 6\n")
+    @example("a0 = 1\na.0 = 2\n = 3\na = 4\n")
+    def test_check_sorts_by_text_as_by_path(self, text):
         want = oracle_check(text)
         assert run_check(text) == (1 if want else 0, "".join(f"{t}\n" for t in want))
 
@@ -111,20 +136,21 @@ class TestDifferential:
 
 @pytest.fixture
 def work(monkeypatch):
+    """Counts the entries of the records built, and ``check``'s prefix tests."""
     counts = Counter()
     record_init = NonEmptyRecord.__init__
-    is_prefix_of = Path.is_prefix_of
+    text_prefix = formats._text_prefix
 
     def counting_record_init(self, entries):
         record_init(self, entries)
         counts["record entries"] += len(self)
 
-    def counting_is_prefix_of(self, other):
-        counts["is_prefix_of"] += 1
-        return is_prefix_of(self, other)
+    def counting_text_prefix(a, b):
+        counts["prefix tests"] += 1
+        return text_prefix(a, b)
 
     monkeypatch.setattr(NonEmptyRecord, "__init__", counting_record_init)
-    monkeypatch.setattr(Path, "is_prefix_of", counting_is_prefix_of)
+    monkeypatch.setattr(formats, "_text_prefix", counting_text_prefix)
     return counts
 
 
@@ -315,7 +341,65 @@ class TestWork:
         entries = scan_flat(text)[0]
         conflicting_pairs = len(oracle_check(text))  # no syntax errors here
         assert run_check(text)[0] == 1
-        assert 0 < work["is_prefix_of"] <= len(entries) + conflicting_pairs
+        assert 0 < work["prefix tests"] <= len(entries) + conflicting_pairs
+        assert work["record entries"] == 0
+
+    def test_check_with_one_bad_key_stays_linear(self):
+        # The bad key fails the one bulk validation, and each line is then
+        # parsed alone, for the error that names the segment.
+        clean = "".join(f"s{i % 97}.k{i} = v\n" for i in range(10_000))
+        mixed = clean + "s1.b-c = v\n"
+        assert run_check(clean) == (0, "")
+        assert run_check(mixed) == (
+            1,
+            "10001:E_BAD_PATH:bad path 's1.b-c' at segment 1: invalid character '-'\n",
+        )
+        assert best_of_three(run_check, mixed) < 10 * best_of_three(run_check, clean)
+
+    def test_flat_validate_builds_no_record(self, work):
+        text = "\n".join(realistic_lines(1000)) + "\n"
+        assert run_cli(["validate", "-"], text) == (0, "", "")
+        assert work["record entries"] == 0  # so no record: none is empty
+
+    def test_nested_to_flat_convert_copies_no_text_value(self, work):
+        lines = realistic_lines(1000)
+        text = emit_nested(parse_flat("\n".join(lines)))
+        work.clear()
+        parse_nested(text)
+        parsed = work["record entries"]
+        work.clear()
+        code, out, _ = run_cli(["convert", "--from", "nested", "--to", "flat", "-"], text)
+        assert code == 0 and out == "".join(sorted(f"{line}\n" for line in lines))
+        assert work["record entries"] == parsed
+
+    @pytest.mark.parametrize("path", ["a.b3.c7", "a.b3", "a", ""])
+    def test_flat_get_builds_only_the_subtree_it_prints(self, work, monkeypatch, path):
+        text = "\n".join(realistic_lines(1000)) + "\n"
+        subtree = parse_flat(text).lookup(path).root
+        want = list(nodes(subtree))
+        work.clear()
+        built = []
+        counting_init = NonEmptyRecord.__init__
+
+        def listing_init(self, entries):
+            counting_init(self, entries)
+            built.append(self)
+
+        monkeypatch.setattr(NonEmptyRecord, "__init__", listing_init)
+        code, out, _ = run_cli(["get", path, "-"], text)
+        assert code == 0 and out
+        assert len(built) == len(want)
+        assert work["record entries"] == sum(len(node.children) for node in want)
+
+
+def best_of_three(run, text):
+    """The least of three times, in seconds, that ``run(text)`` takes."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 # ------------------------------------------------------------- deep paths

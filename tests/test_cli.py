@@ -4,15 +4,27 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtry import cli
 from dtry.cli import main
-from dtry.formats import emit_nested
+from dtry.errors import BadPathError
+from dtry.formats import ParseError, emit_nested, parse_nested
+from dtry.paths import Path
 
-from helpers import EXAMPLE_FLAT, chain, deepest, emits
+from helpers import (
+    EXAMPLE_FLAT,
+    chain,
+    deepest,
+    emits,
+    reference_cmd_get,
+    reference_cmd_validate,
+    reference_flat_text,
+)
 
 CONFLICTED = "a.b = 1\na.b = 2\na = 3\n"
 
@@ -381,15 +393,30 @@ input_st = st.one_of(
 get_path_st = st.sampled_from(["", "a", "a.b", "b", "a-b", "a..b", "x y"])
 
 
-def run_on(data: bytes, argv) -> int:
-    """``main(argv)`` with ``data`` as stdin and its output dropped."""
+def outcome_on(data: bytes, argv) -> tuple[int, str, str]:
+    """``main(argv)`` with ``data`` as stdin: the exit code, stdout and stderr."""
     saved = sys.stdin
     sys.stdin = stdin_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return main(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_on(data: bytes, argv) -> int:
+    """``main(argv)`` with ``data`` as stdin and its output dropped."""
+    return outcome_on(data, argv)[0]
+
+
+def is_path(text: str) -> bool:
+    try:
+        Path.parse(text)
+    except BadPathError:
+        return False
+    return True
 
 
 class TestRepeatedCalls:
@@ -435,3 +462,74 @@ class TestProperties:
     def test_validate_accepts_exactly_what_check_accepts(self, text):
         data = text.encode("utf-8", "surrogatepass")
         assert (run_on(data, ["validate", "-"]) == 0) == (run_on(data, ["check", "-"]) == 0)
+
+
+class TestFlatCommandsAgainstTheWholeTrie:
+    """Flat commands that build less than they did print what they printed then.
+
+    The references in ``helpers`` are the commands as they were: the whole
+    trie, ``Dtry.lookup``, and flat text through a ``map_values`` copy.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(flat_text_st, get_path_st)
+    @example("", "")
+    @example("# a comment\n", "")
+    @example("a.b = 1\n", "a.b.c")
+    @example(" = x\n", "")
+    @example(CONFLICTED, "a")
+    @example(EXAMPLE_FLAT, "oscillator")
+    def test_same_outcome_as_the_whole_trie_route(self, text, path):
+        data = text.encode("utf-8", "surrogatepass")
+        outcomes = {}
+        for argv, reference in (
+            (["validate", "-"], reference_cmd_validate),
+            (["get", path, "-"], reference_cmd_get),
+        ):
+            outcomes[argv[0]] = outcome_on(data, argv)
+            with mock.patch.object(cli, f"cmd_{argv[0]}", reference):
+                assert outcome_on(data, argv) == outcomes[argv[0]], argv
+        # an invalid file gives get the diagnostics it gives validate
+        if outcomes["validate"][0] == 1 and is_path(path):
+            assert outcomes["get"] == outcomes["validate"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(nested_text_st)
+    @example('{"a": {"b": "x", "c": 1}, "d": "y"}')
+    @example('{"a": " v"}')
+    @example('"v"')
+    def test_flat_text_matches_the_map_values_copy(self, text):
+        try:
+            directory = parse_nested(text)
+        except ParseError:
+            return
+        outcomes = []
+        for flat_text in (cli._flat_text, reference_flat_text):
+            try:
+                outcomes.append(flat_text(directory))
+            except ParseError as exc:
+                outcomes.append(exc.diagnostics)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "text, path, want",
+        [
+            ("", "", (0, "", "")),
+            ("# a comment\n", "", (0, "", "")),
+            ("a.b = 1\n", "a.b.c", (3, "", "error: no entry at 'a.b.c'\n")),
+            (" = x\n", "", (0, "x\n", "")),
+            (
+                CONFLICTED,
+                "a",
+                (
+                    1,
+                    "",
+                    "2:E_DUPLICATE_PATH:duplicate path 'a.b'; first bound at line 1\n"
+                    "3:E_PREFIX_CONFLICT:path 'a' is a prefix of the bound path 'a.b'\n",
+                ),
+            ),
+        ],
+        ids=("empty", "comment_only", "past_a_leaf", "root_leaf", "conflicts"),
+    )
+    def test_pinned_outcomes(self, text, path, want):
+        assert outcome_on(text.encode(), ["get", path, "-"]) == want

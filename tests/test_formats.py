@@ -599,3 +599,53 @@ class TestScan:
         entries, diags = scan_flat("?\na = 1\n??\n")
         assert len(entries) == 1
         assert [d.line for d in diags] == [1, 3]
+
+
+def reaches_a_fixpoint(parse, emit, text) -> bool:
+    """Whether parse → emit → parse from ``text`` gives back the directory and the text.
+
+    True as well for a ``text`` that does not parse.
+    """
+    try:
+        directory = parse(text)
+    except ParseError:
+        return True
+    once = emit(directory)
+    again = parse(once)
+    return again == directory and emit(again) == once
+
+
+# Strings a flat line holds: no newline and no whitespace at either end.
+flat_strings_st = st.text(alphabet='ab #=\t\r"\\é\u2028', max_size=4).filter(
+    lambda v: v == v.strip()
+)
+string_dtries_st = st.one_of(
+    st.just(Dtry.empty()),
+    st.recursive(
+        flat_strings_st.map(Leaf),
+        lambda child: st.dictionaries(writer_names_st, child, min_size=1, max_size=4).map(
+            lambda d: Node(NonEmptyRecord(d))
+        ),
+        max_leaves=12,
+    ).map(Dtry),
+)
+
+
+class TestFixpoints:
+    @given(st.lists(flat_lines_st, max_size=8).map("\n".join))
+    @example("b = 2\r\na.x = 1\r\n# c\r\n")
+    @example(" = x")
+    def test_flat_parse_emit_parse(self, text):
+        assert reaches_a_fixpoint(parse_flat, emit_flat, text)
+
+    @given(st.one_of(json_documents_st, nested_dtries_st.map(emit_nested)))
+    @example('{"b": [1, {"y": 2, "x": null}], "a": {"c": -0.0}}')
+    @example(emit_nested(chain(300)))
+    def test_nested_parse_emit_parse(self, text):
+        assert reaches_a_fixpoint(parse_nested, emit_nested, text)
+
+    @given(string_dtries_st)
+    @example(Dtry.leaf("x"))
+    @example(Dtry.from_path_map({"a.b": "1 2", "a.c": "# v", "b": "a\rb"}))
+    def test_both_formats_read_back_a_directory_of_flat_strings(self, d):
+        assert parse_flat(emit_flat(d)) == d == parse_nested(emit_nested(d))

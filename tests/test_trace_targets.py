@@ -73,6 +73,19 @@ def test_flat_parser_makes_a_path_only_for_a_rejected_line():
     assert stats["paths.parse"][0] == len(bad)
 
 
+def test_check_makes_no_path_and_scans_no_flatline(tmp_path, capsys):
+    source = tmp_path / "clean.dtry"
+    source.write_text("".join(f"s{i % 7}.k{i} = v\n" for i in range(1000)), encoding="utf-8")
+    tracer = load_tracing().Tracer()
+    with tracer.installed(dtry):
+        assert dtry.cli.main(["check", str(source)]) == 0
+        stats = tracer.reduce()[0]
+    assert capsys.readouterr() == ("", "")
+    assert stats["cli.check"][0] == 1
+    assert stats["paths.parse"][0] == 0
+    assert stats["formats.scan_flat"][0] == 0
+
+
 @pytest.mark.parametrize("span, module_name, owner, attr", load_targets())
 def test_target_resolves(span, module_name, owner, attr):
     module = importlib.import_module(f"dtry.{module_name}")
