@@ -72,21 +72,22 @@ def _flat_leaf(leaf: Leaf) -> Leaf:
     return leaf if isinstance(leaf.value, str) else Leaf(json.dumps(leaf.value))
 
 
-def _flat_text(directory: Dtry) -> str:
-    """The flat text of ``directory``, whose values are turned into text.
+def _flat_text(directory: Dtry) -> tuple[str, Dtry]:
+    """The flat text of ``directory``, and the directory it writes: its values turned into text.
 
     A node whose values are all text already is kept with its whole subtree,
     not rebuilt. A value no flat line can hold is invalid input, reported
     like a parse failure.
     """
+    written = Dtry(_rebuild(directory.root, _flat_leaf))
     try:
-        return emit_flat(Dtry(_rebuild(directory.root, _flat_leaf)))
+        return emit_flat(written), written
     except ValueError as exc:
         raise ParseError([Diagnostic("E_UNREPRESENTABLE", 1, str(exc))]) from exc
 
 
 def _write(text: str, directory: Dtry) -> None:
-    """Write ``text``, the output made from ``directory``, to stdout.
+    """Write ``text`` to stdout; ``directory`` holds the values as ``text`` writes them.
 
     A lone surrogate (JSON's ``"\\ud800"`` reads as one) has no UTF-8
     form; output that holds one is an ``E_ENCODING`` diagnostic naming the
@@ -125,7 +126,10 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     directory = _load(args.file, args.from_)
-    _write(emit_nested(directory) if args.to == "nested" else _flat_text(directory), directory)
+    if args.to == "nested":
+        _write(emit_nested(directory), directory)
+    else:
+        _write(*_flat_text(directory))
     return EXIT_OK
 
 
@@ -146,9 +150,9 @@ def cmd_get(args) -> int:
     if found is None:
         print(f"error: no entry at {str(path)!r}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    text = _flat_text(found)
+    text, written = _flat_text(found)
     # A leaf's flat form is the root line ' = VALUE'; get prints the bare value.
-    _write(text.removeprefix(" = ") if found.is_leaf else text, found)
+    _write(text.removeprefix(" = ") if found.is_leaf else text, written)
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import DtryError, PrefixConflictError
+from .errors import BadNameError, DtryError, PrefixConflictError
 from .maybe import NOTHING, Just
 from .paths import Name, Path
 
@@ -308,23 +308,29 @@ class _TrieBuilder:
             PrefixConflictError: against the bound path that ``key``
                 equals or extends, or else against the least bound path
                 that extends ``key``.
-            BadNameError, BadPathError, TypeError: for a key that is no path.
+            BadPathError: for a dotted key with a bad segment, naming it.
+            BadNameError, TypeError: for a sequence key that is no path.
         """
         segments = (key.split(".") if key else ()) if isinstance(key, str) else key
-        node = self._root
-        if node is None:
-            self._root = _chain([Name(s) for s in segments], value)
-            return
-        rest = iter(segments)
-        for segment in rest:
-            if type(node) is Leaf:
-                break
-            child = node.get(segment)
-            if child is None:
-                name = Name(segment)  # before the rest: the first bad segment is reported
-                node[name] = _chain([Name(s) for s in rest], value)
+        try:
+            node = self._root
+            if node is None:
+                self._root = _chain([Name(s) for s in segments], value)
                 return
-            node = child
+            rest = iter(segments)
+            for segment in rest:
+                if type(node) is Leaf:
+                    break
+                child = node.get(segment)
+                if child is None:
+                    name = Name(segment)  # before the rest: the first bad segment is reported
+                    node[name] = _chain([Name(s) for s in rest], value)
+                    return
+                node = child
+        except BadNameError:
+            if isinstance(key, str):
+                Path.parse(key)  # raises the error that names the bad segment
+            raise
         # ``key`` is bound already, extends a bound path or is a prefix of
         # bound paths. Only a rejected key walks again: down its names while
         # they last, then down the least name. The leaf it ends at is the

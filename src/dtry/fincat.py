@@ -200,15 +200,16 @@ class FinCat:
         must be strings), and ``compose`` (list of ``[f, g, h]`` triples).
 
         Raises:
-            NotACategoryError: when the document is not of that shape, or
-                its tables are not a category.
+            NotACategoryError: when the text is no JSON document of that
+                shape (nesting too deep to read among them), or its tables
+                are not a category.
         """
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             morphisms = {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]}
             compose = {(f, g): h for f, g, h in data["compose"]}
             return cls(data["objects"], morphisms, data["identity"], compose, check_laws=check_laws)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise NotACategoryError(f"not a category table document: {exc!r}") from exc
 
     def objects(self) -> frozenset:

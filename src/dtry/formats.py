@@ -38,7 +38,7 @@ from typing import Any, Mapping
 
 from .core import Dtry, Leaf, Node, _node, _TrieBuilder
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Name, Path, _are_paths, _names
+from .paths import Name, Path, _is_dotted, _names
 
 __all__ = [
     "Diagnostic",
@@ -115,10 +115,9 @@ def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
     """
     entries: list[FlatLine] = []
     diagnostics: list[Diagnostic] = []
-    names: dict[str, Name] = {}  # one Name per distinct segment of the document
     for lineno, lhs, value in _entry_lines(text, diagnostics):
         try:
-            path = Path.parse(lhs, names)
+            path = Path.parse(lhs)
         except BadPathError as exc:
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
@@ -157,23 +156,12 @@ def _read_flat(text: str) -> _TrieBuilder:
     for lineno, key, value in _entry_lines(text, diagnostics):
         try:
             builder.add(key, value)
-        except PrefixConflictError as exc:
-            if exc.existing == exc.incoming:
+        except (PrefixConflictError, BadPathError) as exc:
+            if isinstance(exc, PrefixConflictError) and exc.existing == exc.incoming:
                 message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
                 diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
             else:
                 diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
-            continue
-        except (BadNameError, BadPathError) as exc:
-            # Past a bound leaf, ``add`` parsed the key itself. At a new edge
-            # it stopped at the bad name, whose error names no segment;
-            # parsing the line gives the error that does.
-            if type(exc) is BadNameError:
-                try:
-                    Path.parse(key)
-                except BadPathError as error:
-                    exc = error
-            diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
         first_line[key] = lineno
     if diagnostics:
@@ -188,8 +176,8 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     whose paths are equal or one a prefix of the other, one diagnostic at
     the later line; ordered by that line, then by the earlier one. Works
     on the dotted texts, without a ``Path`` per line and without the trie.
-    The keys are validated together, by one ``fullmatch``; only when one
-    is bad is each parsed alone, for the error that names its segment.
+    Each key is matched whole as its line is read; only a key that fails
+    is parsed, for the error that names its segment.
 
     Sorted by text, the copies and extensions of a path follow it
     contiguously, since ``.`` sorts below every character of a name and
@@ -197,18 +185,15 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     own is no prefix of, and the cost is O(n log n + conflicting pairs).
     """
     diagnostics: list[Diagnostic] = []
-    entries = [(key, lineno) for lineno, key, _ in _entry_lines(text, diagnostics)]
-    if not _are_paths([key for key, _ in entries]):
-        names: dict[str, Name] = {}
-        clean = []
-        for key, lineno in entries:
+    entries = []
+    for lineno, key, _ in _entry_lines(text, diagnostics):
+        if _is_dotted(key) is None:
             try:
-                Path.parse(key, names)
+                Path.parse(key)
             except BadPathError as exc:
                 diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
                 continue
-            clean.append((key, lineno))
-        entries = clean
+        entries.append((key, lineno))
     problems = [(d.line, 0, d) for d in diagnostics]
     entries.sort()
     for i, (key, _) in enumerate(entries):

@@ -24,7 +24,7 @@ __all__ = ["Name", "Path"]
 
 # ``fullmatch``, since ``$`` would also accept a trailing newline.
 _is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
-_is_dotted = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*").fullmatch
+_is_dotted = re.compile(r"(?:[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)?").fullmatch  # '' too: the root
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
 
 
@@ -55,16 +55,6 @@ def _names(texts: list[str]) -> list[Name] | None:
     return [str.__new__(Name, text) for text in texts]
 
 
-def _are_paths(texts: list[str]) -> bool:
-    """Whether every text is dotted-path syntax, tested by one ``fullmatch`` as in :func:`_names`.
-
-    The root ``''`` is left out. Joined by dots, the other texts have an
-    empty segment exactly where one of them has.
-    """
-    dotted = ".".join(filter(None, texts))
-    return not dotted or _is_dotted(dotted) is not None
-
-
 class Path(tuple):
     """An immutable sequence of names addressing an entry in a directory."""
 
@@ -78,26 +68,20 @@ class Path(tuple):
         return super().__new__(cls, (Name(s) for s in segments))
 
     @classmethod
-    def parse(cls, text: str, names: dict[str, Name] | None = None) -> "Path":
+    def parse(cls, text: str) -> "Path":
         """Parse dotted-path syntax; the empty string is the root path.
 
-        ``names`` maps segment texts to the names already made for them,
-        and is updated: parsing many paths with one such dict validates
-        each distinct segment once and shares one ``Name`` for it.
+        The one routine that names the bad segment of a dotted key; the
+        trie builder and ``dtry check`` call it only for a key they found bad.
         """
         if text == "":
             return tuple.__new__(cls, ())
-        if names is None:
-            names = {}
-        segments = []
-        for i, part in enumerate(text.split(".")):
-            name = names.get(part)
-            if name is None:
-                try:
-                    name = names[part] = Name(part)
-                except BadNameError as exc:
-                    raise BadPathError(text, i, exc.reason) from exc
-            segments.append(name)
+        segments = text.split(".")
+        for i, part in enumerate(segments):
+            try:
+                segments[i] = Name(part)
+            except BadNameError as exc:
+                raise BadPathError(text, i, exc.reason) from exc
         return tuple.__new__(cls, segments)
 
     def concat(self, other) -> "Path":

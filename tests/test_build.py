@@ -258,9 +258,9 @@ class TestWork:
             work["Path"] += 1
             return path_new(cls, segments)
 
-        def counting_parse(cls, text, names=None):
+        def counting_parse(cls, text):
             work["Path.parse"] += 1
-            return parse(cls, text, names)
+            return parse(cls, text)
 
         monkeypatch.setattr(Name, "__new__", counting_name_new)
         monkeypatch.setattr(Path, "__new__", counting_path_new)
@@ -345,8 +345,7 @@ class TestWork:
         assert work["record entries"] == 0
 
     def test_check_with_one_bad_key_stays_linear(self):
-        # The bad key fails the one bulk validation, and each line is then
-        # parsed alone, for the error that names the segment.
+        # Only the bad key is parsed, for the error that names the segment.
         clean = "".join(f"s{i % 97}.k{i} = v\n" for i in range(10_000))
         mixed = clean + "s1.b-c = v\n"
         assert run_check(clean) == (0, "")

@@ -20,7 +20,7 @@ from dtry.core import (
     filter_nothings,
     merge_disjoint,
 )
-from dtry.errors import BadNameError, PrefixConflictError
+from dtry.errors import BadNameError, BadPathError, PrefixConflictError
 from dtry.maybe import NOTHING, Just, join_maybe
 from dtry.paths import Name, Path
 
@@ -300,7 +300,7 @@ class TestBuilderAdd:
     @pytest.mark.parametrize(
         "bound, key, error, pair",
         [
-            (["a.y"], "a.x.b-", BadNameError, None),
+            (["a.y"], "a.x.b-", BadPathError, None),
             (["a.y"], ("a", "x", 5), BadNameError, None),
             (["a.y"], ("a", ["x"]), TypeError, None),
             (["a.y", "b"], "", PrefixConflictError, ("a.y", "")),
@@ -337,12 +337,14 @@ class TestBuilderAdd:
             builder.add(key, "new")
         if pair is not None:
             assert (exc.value.existing, exc.value.incoming) == (Path(pair[0]), Path(pair[1]))
+        if error is BadPathError:
+            assert exc.value.segment == 2  # 'b-'
         assert builder.freeze() == before
 
     def test_the_first_bad_segment_is_reported(self):
-        with pytest.raises(BadNameError) as exc:
+        with pytest.raises(BadPathError) as exc:
             builder_of("a.y").add("a.x-.b-", 0)
-        assert exc.value.text == "x-"
+        assert exc.value.segment == 1
 
 
 class TestPathMapIsomorphism:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtry.core import Dtry
+from dtry.core import Dtry, Leaf, NonEmptyRecord, distrib, filter_nothings
 from dtry.errors import NotACategoryError, NotComposableError
 from dtry.fincat import (
     DtryMor,
@@ -128,6 +128,13 @@ class TestFinCatTables:
     def test_document_of_another_shape_is_not_a_category(self, data):
         with pytest.raises(NotACategoryError, match="not a category table document"):
             FinCat.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text", ["not json", "[" * 100_000 + "]" * 100_000], ids=["not_json", "nested_too_deep"]
+    )
+    def test_text_that_is_no_json_document_is_not_a_category(self, text):
+        with pytest.raises(NotACategoryError, match="not a category table document"):
+            FinCat.from_json(text)
 
     def test_composing_undefined_pair_raises(self):
         cat = FinCat.from_json(tiny_cat_json())
@@ -800,3 +807,50 @@ class TestFullFaithfulness:
         src = DtryObj.of(SKEL, {"a": 2})
         empty = DtryObj(SKEL, Dtry.empty())
         assert self.enumerate_general_mors(src, empty) == 0
+
+
+
+def two_category_mors():
+    """Identities on empty objects of two categories, under the names ``a`` and ``b``."""
+    mors = {"a": DtryObj.of(TINY, {}), "b": DtryObj.of(SKEL, {})}
+    return Dtry.from_path_map({name: identity_mor(x) for name, x in mors.items()})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: filter_nothings(NonEmptyRecord({"a": 1})), TypeError, "not Just"),
+        (lambda: distrib(Leaf(1)), TypeError, "not Just"),
+        (lambda: Dtry(root=5), TypeError, "root must be"),
+        (lambda: Dtry.from_path_map({"a": 1}).value, ValueError, "does not bind"),
+        (lambda: Dtry.from_path_map({"a": 1}).flatten(), TypeError, "be a directory"),
+        (lambda: SKEL.block_perm([1, 2], [0, 0]), ValueError, "not a permutation"),
+        (
+            lambda: DtryMor(Variant.GENERAL, DtryObj.of(TINY, {}), DtryObj.of(SKEL, {}), {}, {}),
+            ValueError,
+            "different categories",
+        ),
+        (lambda: mu_mor(two_category_mors()), NotComposableError, "mixed categories"),
+        (lambda: shape_with_n_leaves(-1), ValueError, "nonnegative"),
+        (
+            lambda: algebra_eval_mor(ALG, identity_mor(DtryObj.of(SKEL, {"a": 1}))),
+            ValueError,
+            "bijective variant",
+        ),
+    ],
+    ids=[
+        "filter_nothings_of_a_bare_value",
+        "distrib_of_a_bare_value",
+        "root_that_is_no_tree",
+        "value_of_a_node",
+        "flatten_of_a_value_that_is_no_directory",
+        "block_perm_of_no_permutation",
+        "mor_between_two_categories",
+        "mu_mor_over_two_categories",
+        "negative_leaf_count",
+        "algebra_eval_of_a_general_mor",
+    ],
+)
+def test_documented_input_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -86,6 +86,20 @@ def test_check_makes_no_path_and_scans_no_flatline(tmp_path, capsys):
     assert stats["formats.scan_flat"][0] == 0
 
 
+def test_check_parses_only_the_bad_key(tmp_path, capsys):
+    lines = [f"s{i % 7}.k{i} = v\n" for i in range(1000)]
+    lines[500] = "s1.b-c = v\n"
+    source = tmp_path / "mixed.dtry"
+    source.write_text("".join(lines), encoding="utf-8")
+    tracer = load_tracing().Tracer()
+    with tracer.installed(dtry):
+        assert dtry.cli.main(["check", str(source)]) == 1
+        stats = tracer.reduce()[0]
+    want = "501:E_BAD_PATH:bad path 's1.b-c' at segment 1: invalid character '-'\n"
+    assert capsys.readouterr() == ("", want)
+    assert stats["paths.parse"][0] == 1
+
+
 @pytest.mark.parametrize("span, module_name, owner, attr", load_targets())
 def test_target_resolves(span, module_name, owner, attr):
     module = importlib.import_module(f"dtry.{module_name}")
