@@ -23,7 +23,7 @@ import functools
 import json
 import sys
 
-from .core import Dtry, Leaf, _rebuild, merge_disjoint
+from .core import Dtry, Leaf, _rebuild, _sorted_lookup, merge_disjoint
 from .errors import BadNameError, BadPathError, _show
 from .formats import (
     Diagnostic,
@@ -118,7 +118,7 @@ def _unencodable(directory: Dtry) -> Diagnostic:
 def cmd_validate(args) -> int:
     text = _read(args.file)
     if args.format == "flat":
-        _read_flat(text)  # every line binds: the trie is not needed
+        _read_flat(text)  # the keys are paths, none repeated, none a prefix: no trie is built
     else:
         parse_nested(text)
     return EXIT_OK
@@ -141,10 +141,7 @@ def cmd_get(args) -> int:
         return EXIT_INVALID
     text = _read(args.file)
     if args.format == "flat":
-        # Only the subtree asked for is built. As in Dtry.lookup, the root
-        # path is found in any file.
-        tree = _read_flat(text).freeze(path)
-        found = None if tree is None and path else Dtry(tree)
+        found = _sorted_lookup(_read_flat(text), str(path))  # builds only what it finds
     else:
         found = parse_nested(text).lookup(path)
     if found is None:

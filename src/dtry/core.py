@@ -18,10 +18,14 @@ builder's freeze are each one call of it. A record is sorted once: the
 rewrite sorts a builder node's entries, the nested reader a JSON object's,
 and the record keeps the dict they fill; a caller's it copies and sorts.
 
-Every trie that is not derived from another is built by one mutable
-builder, and one routine of it binds each key, whatever its form:
-``Dtry.from_path_map``, ``Dtry.insert`` and the flat parser all call it,
-the parser with each line's dotted text as it reads it.
+A trie that is not derived from another is built from its keys as
+dotted texts, sorted once: since ``.`` sorts below every character of a
+name, text order is path order, so one pass fills each record in order,
+children before parents. ``Dtry.from_path_map`` and the flat parser build
+so whatever they are given that is clean: paths, none repeated and none
+a prefix of another. What fails, and ``Dtry.insert``, goes through one
+mutable builder, whose one routine binds a key, whatever its form, and
+decides every conflict that is reported.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
@@ -32,13 +36,15 @@ the parser with each line's dotted text as it reads it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import BadNameError, DtryError, PrefixConflictError
+from .errors import BadNameError, PrefixConflictError
 from .maybe import NOTHING, Just
-from .paths import Name, Path
+from .paths import Name, Path, _is_dotted, _is_name, _text_prefix
 
 T = TypeVar("T")
 
@@ -351,18 +357,71 @@ class _TrieBuilder:
             node = node[name]
         raise PrefixConflictError(existing=Path(names), incoming=incoming)
 
-    def freeze(self, path: Path = ()) -> Leaf | Node | None:
-        """The immutable tree bound at ``path``, or None: one record per node, children before parents.
+    def freeze(self) -> Leaf | Node | None:
+        """The immutable tree, or None when empty: one record per node, children before parents."""
+        return _rebuild(self._root, lambda leaf: leaf)
 
-        Only that subtree is built. None for a path that is not bound, or
-        that runs past a leaf, and for the root of an empty builder.
-        """
-        tree = self._root
-        for name in path:
-            if type(tree) is not _Dir:
-                return None
-            tree = tree.get(name)
-        return _rebuild(tree, lambda leaf: leaf)
+
+_text = itemgetter(0)
+
+
+def _sorted_clean(items: list) -> list | None:
+    """``(dotted text, value)`` pairs sorted by text for :func:`_from_sorted`, or None.
+
+    None unless every text is a path, none repeats and none is a prefix
+    of another. Since ``.`` sorts below every character of a name, text
+    order is path order, so a text's copies and extensions follow it at
+    once, and each text is tested only against the one before it.
+    """
+    items = sorted(items, key=_text)
+    previous = None
+    for text, _ in items:
+        if _is_dotted(text) is None or previous is not None and _text_prefix(previous, text):
+            return None
+        previous = text
+    return items
+
+
+def _from_sorted(items) -> Leaf | Node | None:
+    """The tree of clean ``(dotted text, value)`` pairs in text order (see :func:`_sorted_clean`).
+
+    One pass, without recursion: each key closes the open nodes it does
+    not share, opens the ones it starts, and binds its last name; a key of
+    the innermost open node, as most are, is bound at once. A node's
+    entries come in name order, and its record is built once, when the
+    node closes, so children before parents. A name is made only where an
+    edge starts, without a second check, since the whole text matched.
+    """
+    if not items:
+        return None
+    if not items[0][0]:  # the root path: clean, so the only key
+        return Leaf(items[0][1])
+    new = str.__new__
+    names: list[Name] = []  # the open nodes below the root, outermost first
+    records = [_Sorted()]  # the entries of the root and of each open node
+    prefix = ""  # the innermost open node's text and a '.'; '' at the root
+    for text, value in items:
+        if text.startswith(prefix) and text.find(".", len(prefix)) < 0:  # in that node
+            records[-1][new(Name, text[len(prefix) :])] = Leaf(value)
+            continue
+        segments = text.split(".")
+        last = len(segments) - 1
+        depth = min(len(names), last)
+        shared = 0
+        while shared < depth and segments[shared] == names[shared]:
+            shared += 1
+        while len(names) > shared:
+            entries = records.pop()
+            records[-1][names.pop()] = Node(NonEmptyRecord(entries))
+        for segment in segments[shared:last]:
+            names.append(new(Name, segment))
+            records.append(_Sorted())
+        records[-1][new(Name, segments[last])] = Leaf(value)
+        prefix = text[: len(text) - len(segments[last])]
+    while names:
+        entries = records.pop()
+        records[-1][names.pop()] = Node(NonEmptyRecord(entries))
+    return Node(NonEmptyRecord(records[0]))
 
 
 class Dtry(Generic[T]):
@@ -393,14 +452,17 @@ class Dtry(Generic[T]):
         """Build a directory from a path-to-value mapping.
 
         A key is a ``Path``, a dotted string, or a sequence of names; a
-        ``Name`` key is one segment. Each key is walked once into the trie,
-        and each edge of the trie validates its name once.
+        ``Name`` key is one segment. Each key is made dotted text once: a
+        string is used as it is, and a sequence whose names all match is
+        joined. The texts are sorted, and if every one is a path and none
+        is a prefix of another, the trie is built from them in one pass.
 
         Errors are reported as if every key were first made a ``Path``, in
         the mapping's order, and the paths were then bound in lexicographic
         order: a bad key is raised before any conflict, the first bad key
         in the mapping's order, and the reported conflict pair is the
-        lexicographically first one. Only a failing input is sorted.
+        lexicographically first one. An input that is not clean is built in
+        that order, which decides the error.
 
         >>> Dtry.from_path_map({("a", "y"): 1, "a.x": 2, Name("b"): 3}).path_map()
         {Path('a.x'): 2, Path('a.y'): 1, Path('b'): 3}
@@ -414,17 +476,25 @@ class Dtry(Generic[T]):
             BadPathError, BadNameError, TypeError: for a key that is no path.
         """
         entries = dict(entries)
+        items = []
+        for key, value in entries.items():
+            if not isinstance(key, str):
+                try:
+                    if not all(key) or _is_name("".join(key)) is None:
+                        break
+                except TypeError:
+                    break
+                key = ".".join(key)
+            items.append((key, value))
+        else:
+            ordered = _sorted_clean(items)
+            if ordered is not None:
+                return cls(_from_sorted(ordered))
+        # The reference order decides which error is reported: coerce every
+        # key, sort, bind.
         builder = _TrieBuilder()
-        try:
-            for key, value in entries.items():
-                builder.add(key, value)
-        except (DtryError, TypeError):
-            # The reference order decides which error is reported: coerce
-            # every key, sort, bind.
-            builder = _TrieBuilder()
-            items = sorted(((Path(p), v) for p, v in entries.items()), key=lambda kv: kv[0])
-            for path, value in items:
-                builder.add(path, value)
+        for path, value in sorted(((Path(p), v) for p, v in entries.items()), key=_text):
+            builder.add(path, value)
         return cls(builder.freeze())
 
     @property
@@ -557,6 +627,27 @@ class Dtry(Generic[T]):
     def __repr__(self) -> str:
         entries = ", ".join(f"{str(p)!r}: {v!r}" for p, v in self.path_map().items())
         return f"Dtry({{{entries}}})"
+
+
+def _sorted_lookup(items: list, at: str) -> Dtry | None:
+    """``Dtry.lookup`` of the dotted path ``at`` in what :func:`_sorted_clean` returned.
+
+    Only the subtree found is built: the texts that extend ``at`` lie from
+    ``at + "."`` to just below ``at + "/"``, since ``/`` follows ``.``. As
+    in ``Dtry.lookup``, the root path is found in any directory, an empty
+    one too, and a path that runs past a leaf is not found.
+    """
+    if not at:
+        return Dtry(_from_sorted(items))
+    i = bisect_left(items, at, key=_text)
+    if i < len(items) and items[i][0] == at:
+        return Dtry(Leaf(items[i][1]))
+    lo = bisect_left(items, at + ".", lo=i, key=_text)
+    hi = bisect_left(items, at + "/", lo=lo, key=_text)
+    if lo == hi:
+        return None
+    cut = len(at) + 1
+    return Dtry(_from_sorted([(text[cut:], value) for text, value in items[lo:hi]]))
 
 
 def _inner_root(leaf):

@@ -206,9 +206,21 @@ class FinCat:
         """
         try:
             data = json.loads(text)
-            morphisms = {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]}
-            compose = {(f, g): h for f, g, h in data["compose"]}
-            return cls(data["objects"], morphisms, data["identity"], compose, check_laws=check_laws)
+            objects, rows, identity, triples = (
+                data["objects"], data["morphisms"], data["identity"], data["compose"]
+            )
+            # json reads only lists and dicts as containers, and each of them
+            # iterates: check the shape, or a string would give its characters.
+            lists = (objects, rows, triples)
+            if any(type(field) is not list for field in lists) or type(identity) is not dict:
+                raise TypeError("objects, morphisms and compose must be lists, identity an object")
+            if not all(type(m) is dict for m in rows):
+                raise TypeError("each morphism must be an object")
+            if not all(type(t) is list and len(t) == 3 for t in triples):
+                raise TypeError("each composite must be a list of three morphisms")
+            morphisms = {m["id"]: (m["dom"], m["cod"]) for m in rows}
+            compose = {(f, g): h for f, g, h in triples}
+            return cls(objects, morphisms, identity, compose, check_laws=check_laws)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise NotACategoryError(f"not a category table document: {exc!r}") from exc
 

@@ -33,12 +33,12 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _node, _TrieBuilder
+from .core import Dtry, Leaf, Node, _from_sorted, _node, _sorted_clean, _TrieBuilder
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Name, Path, _is_dotted, _names
+from .paths import Name, Path, _is_dotted, _names, _text_prefix
 
 __all__ = [
     "Diagnostic",
@@ -130,30 +130,40 @@ def parse_flat(text: str) -> Dtry[str]:
 
     Accepts exactly the documents whose paths are duplicate-free and
     prefix-free. Every offending line yields a diagnostic, in line order;
-    parsing continues so one run reports all of them.
+    parsing continues so one run reports all of them. A clean document is
+    built from its keys sorted as text, one record per node.
 
     Raises:
         ParseError: with one diagnostic per failing line.
     """
-    return Dtry(_read_flat(text).freeze())
+    return Dtry(_from_sorted(_read_flat(text)))
 
 
-def _read_flat(text: str) -> _TrieBuilder:
-    """The builder holding every binding of a flat document: :func:`parse_flat` without the freeze.
+def _read_flat(text: str) -> list[tuple[str, str]]:
+    """The ``(dotted text, value)`` pairs of a flat document, sorted by text: the trie unbuilt.
 
-    Each line's dotted text goes straight into the trie builder, which
-    validates a name only where it makes a new edge; no ``Path`` is made
-    for a line the builder takes. A line it rejects for a bad segment is
-    parsed as a ``Path`` once, for the error that names the segment.
+    The lines are read once. When every key is a path and none repeats or
+    is a prefix of another (tested on the sorted texts), no ``Path`` and no
+    trie is made. Otherwise the lines read are bound in file order into
+    the trie builder, which decides every conflict; a line it rejects for
+    a bad segment is parsed as a ``Path`` once, for the error that names
+    the segment.
 
     Raises:
         ParseError: with one diagnostic per failing line, in line order.
     """
     diagnostics: list[Diagnostic] = []
+    items, linenos = [], []
+    for lineno, key, value in _entry_lines(text, diagnostics):
+        items.append((key, value))
+        linenos.append(lineno)
+    ordered = None if diagnostics else _sorted_clean(items)
+    if ordered is not None:
+        return ordered
     builder = _TrieBuilder()
     # A dotted text names one path, so equal texts are equal paths.
     first_line: dict[str, int] = {}
-    for lineno, key, value in _entry_lines(text, diagnostics):
+    for lineno, (key, value) in zip(linenos, items):
         try:
             builder.add(key, value)
         except (PrefixConflictError, BadPathError) as exc:
@@ -164,9 +174,8 @@ def _read_flat(text: str) -> _TrieBuilder:
                 diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
         first_line[key] = lineno
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return builder
+    diagnostics.sort(key=attrgetter("line"))  # the syntax errors came first; one per line
+    raise ParseError(diagnostics)
 
 
 def _key_conflicts(text: str) -> list[Diagnostic]:
@@ -212,11 +221,6 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
             j += 1
     problems.sort(key=itemgetter(0, 1))
     return [diag for _, _, diag in problems]
-
-
-def _text_prefix(a: str, b: str) -> bool:
-    """Whether the path dotted as ``a`` is a prefix of the one dotted as ``b`` (reflexively)."""
-    return not a or b == a or b.startswith(a + ".")
 
 
 def emit_flat(directory: Dtry[str]) -> str:

@@ -28,6 +28,11 @@ _is_dotted = re.compile(r"(?:[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)?").fullmatch  # 
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
 
 
+def _text_prefix(a: str, b: str) -> bool:
+    """Whether the path dotted as ``a`` is a prefix of the one dotted as ``b`` (reflexively)."""
+    return not a or b == a or b.startswith(a + ".")
+
+
 class Name(str):
     """A single path segment; :func:`_names` makes many at once, for less."""
 

@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 from dtry import formats
 from dtry.cli import main
-from dtry.core import Dtry, NonEmptyRecord, distrib, merge_disjoint
+from dtry.core import (
+    Dtry,
+    NonEmptyRecord,
+    _from_sorted,
+    _sorted_clean,
+    _TrieBuilder,
+    distrib,
+    merge_disjoint,
+)
 from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
 from dtry.formats import ParseError, emit_flat, emit_nested, parse_flat, parse_nested, scan_flat
@@ -41,6 +49,11 @@ documents_st = st.lists(lines_st, max_size=16).map(lambda lines: "\n".join(lines
 # extensions if '.' did not sort below every character of a name.
 ordered_paths_st = st.lists(st.text(alphabet="ab_0Z", min_size=1, max_size=2), max_size=3).map(
     ".".join
+)
+# Names over 'A', 'Z', '_', 'a' and '0', for the same reason, and sometimes
+# a key of its own at the root.
+sorted_build_paths_st = st.lists(st.text(alphabet="AZ_a0", min_size=1, max_size=2), max_size=4).map(
+    tuple
 )
 ordered_documents_st = st.lists(ordered_paths_st.map(lambda p: f"{p} = v"), max_size=12).map(
     lambda lines: "\n".join(lines) + "\n"
@@ -129,6 +142,31 @@ class TestDifferential:
         hit = oracle_conflicts(bound + [incoming])[-1]
         want_pair = None if hit is None else (hit, tuple(incoming))
         assert conflict_pair(lambda: base.insert(incoming, "new")) == want_pair
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(sorted_build_paths_st, max_size=16))
+    @example([()])
+    @example([("s",) * 3000])
+    @example([("s",) * 3000, ("s", "t"), ("a",)])
+    @example([("a", "b"), ("a_",), ("a0",), ("ab", "c"), ("A", "x")])
+    def test_sorted_build_matches_the_builder(self, paths):
+        # The clean test accepts exactly the key sets the builder binds whole.
+        items = [(".".join(p), i) for i, p in enumerate(paths)]
+        builder = _TrieBuilder()
+        kept = []
+        for path, (text, value) in zip(paths, items):
+            try:
+                builder.add(path, value)
+            except PrefixConflictError:
+                continue
+            kept.append((text, value))
+        assert (_sorted_clean(items) is not None) == (len(kept) == len(items))
+        # The sorted build of the bound keys is the builder's trie.
+        tree = _from_sorted(_sorted_clean(kept))
+        assert tree == builder.freeze()
+        for node in nodes(tree):  # == compares key sets: the order is checked here
+            keys = list(node.children)
+            assert keys == sorted(keys) and all(type(key) is Name for key in keys)
 
 
 # ------------------------------------------------------------ work counts
@@ -244,7 +282,7 @@ class TestWork:
         assert work["record entries"] == trie_edges(flat.paths())
 
     @pytest.mark.parametrize("dotted", [False, True], ids=("tuple", "dotted"))
-    def test_from_path_map_validates_one_name_per_trie_edge(self, work, monkeypatch, dotted):
+    def test_from_path_map_of_clean_keys_makes_no_name_and_no_path(self, work, monkeypatch, dotted):
         keys = config_keys(600)
         entries = {(".".join(k) if dotted else k): i for i, k in enumerate(keys)}
         want = {Path(k): i for i, k in enumerate(keys)}
@@ -267,8 +305,47 @@ class TestWork:
         monkeypatch.setattr(Path, "parse", classmethod(counting_parse))
         directory = Dtry.from_path_map(entries)
         counts = dict(work)
-        assert counts == {"Name": trie_edges(keys), "record entries": trie_edges(keys)}
+        # Each key is matched whole, so no name is checked again: no
+        # Name.__new__, Path or Path.parse call, and one entry per edge.
+        assert counts == {"record entries": trie_edges(keys)}
         assert directory.path_map() == want
+
+    def test_clean_input_binds_no_key_in_the_builder(self, monkeypatch):
+        calls = Counter()
+        add = _TrieBuilder.add
+
+        def counting_add(self, key, value):
+            calls["add"] += 1
+            return add(self, key, value)
+
+        monkeypatch.setattr(_TrieBuilder, "add", counting_add)
+        lines = realistic_lines(1000)
+        text = "\n".join(lines) + "\n"
+        assert len(parse_flat(text)) == 1000
+        assert run_cli(["validate", "-"], text) == (0, "", "")
+        assert len(Dtry.from_path_map({line.partition(" = ")[0]: 1 for line in lines})) == 1000
+        assert calls["add"] == 0
+        # A failing input goes through the builder, which names the conflict.
+        with pytest.raises(ParseError):
+            parse_flat(text + lines[0] + "\n")
+        assert calls["add"] == len(lines) + 1
+
+    def test_a_repeated_last_line_reads_in_a_few_times_the_clean_time(self):
+        lines = realistic_lines(10_000)
+        random.Random(1).shuffle(lines)
+        clean = "\n".join(lines) + "\n"
+        repeated = clean + lines[17].replace(" = ", " = again ") + "\n"
+
+        def read(text):
+            try:
+                parse_flat(text)
+            except ParseError as exc:
+                return exc.diagnostics
+            return ()
+
+        (diag,) = read(repeated)
+        assert (diag.code, diag.line) == ("E_DUPLICATE_PATH", 10_001)
+        assert best_of_three(read, repeated) < 3 * best_of_three(read, clean)
 
     def test_parse_nested_validates_each_distinct_key_once(self, validations):
         directory = parse_nested(json.dumps(balanced_document(1000)))

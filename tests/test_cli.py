@@ -503,6 +503,22 @@ class TestFlatCommandsAgainstTheWholeTrie:
         if outcomes["validate"][0] == 1 and is_path(path):
             assert outcomes["get"] == outcomes["validate"]
 
+    # '.' < '/' < '0' < 'A' < '_' < 'a' < 'b': the keys under 'a' sort apart
+    # from 'a_' and 'a0', between which 'a.b' and 'ab.c' fall.
+    BISECTED = "a.b = 1\na_ = 2\na0 = 3\nab.c = 4\nA.x = 5\n"
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [(BISECTED, "a"), (BISECTED, "a_"), (BISECTED, "a.b.c"), (BISECTED, ""), ("", "")],
+        ids=["subtree", "leaf", "past_a_leaf", "root", "root_of_an_empty_file"],
+    )
+    def test_get_finds_a_range_of_the_sorted_keys(self, text, path):
+        data = text.encode()
+        outcome = outcome_on(data, ["get", path, "-"])
+        with mock.patch.object(cli, "cmd_get", reference_cmd_get):
+            assert outcome_on(data, ["get", path, "-"]) == outcome
+        assert outcome[0] == (3 if path == "a.b.c" else 0)
+
     @settings(max_examples=200, deadline=None)
     @given(nested_text_st)
     @example('{"a": {"b": "x", "c": 1}, "d": "y"}')

@@ -129,6 +129,30 @@ class TestFinCatTables:
         with pytest.raises(NotACategoryError, match="not a category table document"):
             FinCat.from_json(json.dumps(data))
 
+    # One object and its identity, with one-letter ids, so that a string
+    # read as a sequence of ids would give a category.
+    ONE = {
+        "objects": ["x"],
+        "morphisms": [{"id": "i", "dom": "x", "cod": "x"}],
+        "identity": {"x": "i"},
+        "compose": [["i", "i", "i"]],
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("objects", {"x": 1}),
+            ("objects", "x"),
+            ("compose", ["iii"]),
+            ("identity", [["x", "i"]]),
+        ],
+        ids=["objects_object", "objects_string", "compose_triple_string", "identity_pairs"],
+    )
+    def test_document_of_the_wrong_container_types_is_not_a_category(self, field, value):
+        FinCat.from_json(json.dumps(self.ONE))  # the document as it should be
+        with pytest.raises(NotACategoryError, match="not a category table document"):
+            FinCat.from_json(json.dumps({**self.ONE, field: value}))
+
     @pytest.mark.parametrize(
         "text", ["not json", "[" * 100_000 + "]" * 100_000], ids=["not_json", "nested_too_deep"]
     )

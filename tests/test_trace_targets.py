@@ -100,6 +100,32 @@ def test_check_parses_only_the_bad_key(tmp_path, capsys):
     assert stats["paths.parse"][0] == 1
 
 
+def test_flat_validate_makes_each_diagnostic_once(tmp_path, capsys):
+    lines = [f"s{i % 7}.k{i} = v\n" for i in range(1000)]
+    # a syntax error, a duplicate, a prefix conflict and a bad segment
+    lines[100] = "no binding\n"
+    lines[200] = lines[7]
+    lines[300] = "s1 = v\n"
+    lines[400] = "s2.b-c = v\n"
+    reported = {}
+    for name, text in (("clean", "".join(lines[:100])), ("failing", "".join(lines))):
+        source = tmp_path / f"{name}.dtry"
+        source.write_text(text, encoding="utf-8")
+        tracer = load_tracing().Tracer()
+        with tracer.installed(dtry):
+            dtry.cli.main(["validate", str(source)])
+            stats = tracer.reduce()[0]
+        reported[name] = capsys.readouterr().err.splitlines()
+        assert stats["formats.diagnostic"][0] == len(reported[name])
+    assert reported["clean"] == []
+    assert [line.split(":")[:2] for line in reported["failing"]] == [
+        ["101", "E_SYNTAX"],
+        ["201", "E_DUPLICATE_PATH"],
+        ["301", "E_PREFIX_CONFLICT"],
+        ["401", "E_BAD_PATH"],
+    ]
+
+
 @pytest.mark.parametrize("span, module_name, owner, attr", load_targets())
 def test_target_resolves(span, module_name, owner, attr):
     module = importlib.import_module(f"dtry.{module_name}")
