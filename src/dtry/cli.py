@@ -22,17 +22,19 @@ import argparse
 import functools
 import json
 import sys
+from bisect import bisect_left
 
-from .core import Dtry, Leaf, _rebuild, _sorted_lookup, merge_disjoint
+from .core import Dtry, Leaf, _rebuild, _text
 from .errors import BadNameError, BadPathError, _show
 from .formats import (
     Diagnostic,
     ParseError,
+    _flat_from_sorted,
     _key_conflicts,
+    _nested_from_sorted,
     _read_flat,
     emit_flat,
     emit_nested,
-    parse_flat,
     parse_nested,
 )
 from .paths import Name, Path
@@ -60,11 +62,6 @@ def _read(source: str) -> str:
 def _report(diagnostics) -> None:
     for diag in diagnostics:
         print(diag, file=sys.stderr)
-
-
-def _load(source: str, fmt: str) -> Dtry:
-    text = _read(source)
-    return parse_flat(text) if fmt == "flat" else parse_nested(text)
 
 
 def _flat_leaf(leaf: Leaf) -> Leaf:
@@ -125,12 +122,38 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    directory = _load(args.file, args.from_)
+    text = _read(args.file)
+    if args.from_ == "flat":
+        # The sorted pairs are the directory, unbuilt; what they hold was
+        # decoded as strict UTF-8, which yields no lone surrogate, so the
+        # output needs no _unencodable walk.
+        write = _nested_from_sorted if args.to == "nested" else _flat_from_sorted
+        sys.stdout.write(write(_read_flat(text)))
+        return EXIT_OK
+    directory = parse_nested(text)
     if args.to == "nested":
         _write(emit_nested(directory), directory)
     else:
         _write(*_flat_text(directory))
     return EXIT_OK
+
+
+def _flat_get(items: list, at: str) -> str | None:
+    """What ``get`` prints for the dotted path ``at`` in a clean flat file's sorted pairs.
+
+    None when nothing is found. The texts that extend ``at`` lie from
+    ``at + "."`` to just below ``at + "/"``, since ``/`` follows ``.``.
+    As in ``Dtry.lookup``, the root path is found in any directory, an
+    empty one too, and a path that runs past a leaf is not found.
+    """
+    i = bisect_left(items, at, key=_text)
+    if i < len(items) and items[i][0] == at:  # a leaf: its bare value
+        return items[i][1] + "\n"
+    if not at:
+        return _flat_from_sorted(items)
+    lo = bisect_left(items, at + ".", lo=i, key=_text)
+    hi = bisect_left(items, at + "/", lo=lo, key=_text)
+    return _flat_from_sorted(items[lo:hi], len(at) + 1) if lo < hi else None
 
 
 def cmd_get(args) -> int:
@@ -141,20 +164,23 @@ def cmd_get(args) -> int:
         return EXIT_INVALID
     text = _read(args.file)
     if args.format == "flat":
-        found = _sorted_lookup(_read_flat(text), str(path))  # builds only what it finds
+        found = _flat_get(_read_flat(text), str(path))
+        if found is not None:
+            sys.stdout.write(found)  # strict UTF-8 text, as in convert
+            return EXIT_OK
     else:
-        found = parse_nested(text).lookup(path)
-    if found is None:
-        print(f"error: no entry at {str(path)!r}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    text, written = _flat_text(found)
-    # A leaf's flat form is the root line ' = VALUE'; get prints the bare value.
-    _write(text.removeprefix(" = ") if found.is_leaf else text, written)
-    return EXIT_OK
+        directory = parse_nested(text).lookup(path)
+        if directory is not None:
+            text, written = _flat_text(directory)
+            # A leaf's flat form is the root line ' = VALUE'; get prints the bare value.
+            _write(text.removeprefix(" = ") if directory.is_leaf else text, written)
+            return EXIT_OK
+    print(f"error: no entry at {str(path)!r}", file=sys.stderr)
+    return EXIT_NOT_FOUND
 
 
 def cmd_merge(args) -> int:
-    entries: dict[Name, Dtry] = {}
+    entries: dict[Name, list] = {}
     for binding in args.prefix:
         name_text, sep, file_name = binding.partition("=")
         if not sep:
@@ -168,8 +194,15 @@ def cmd_merge(args) -> int:
         if name in entries:
             print(f"error: duplicate prefix {name!r}", file=sys.stderr)
             return EXIT_INVALID
-        entries[name] = _load(file_name, "flat")
-    sys.stdout.write(emit_flat(merge_disjoint(entries)))
+        entries[name] = _read_flat(_read(file_name))
+    # Under its name, each file's sorted keys stay in path order; a root
+    # key becomes the name itself.
+    merged = [
+        (f"{name}.{text}" if text else name, value)
+        for name in sorted(entries)
+        for text, value in entries[name]
+    ]
+    sys.stdout.write(_flat_from_sorted(merged))
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ decides every conflict that is reported.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -627,27 +626,6 @@ class Dtry(Generic[T]):
     def __repr__(self) -> str:
         entries = ", ".join(f"{str(p)!r}: {v!r}" for p, v in self.path_map().items())
         return f"Dtry({{{entries}}})"
-
-
-def _sorted_lookup(items: list, at: str) -> Dtry | None:
-    """``Dtry.lookup`` of the dotted path ``at`` in what :func:`_sorted_clean` returned.
-
-    Only the subtree found is built: the texts that extend ``at`` lie from
-    ``at + "."`` to just below ``at + "/"``, since ``/`` follows ``.``. As
-    in ``Dtry.lookup``, the root path is found in any directory, an empty
-    one too, and a path that runs past a leaf is not found.
-    """
-    if not at:
-        return Dtry(_from_sorted(items))
-    i = bisect_left(items, at, key=_text)
-    if i < len(items) and items[i][0] == at:
-        return Dtry(Leaf(items[i][1]))
-    lo = bisect_left(items, at + ".", lo=i, key=_text)
-    hi = bisect_left(items, at + "/", lo=lo, key=_text)
-    if lo == hi:
-        return None
-    cut = len(at) + 1
-    return Dtry(_from_sorted([(text[cut:], value) for text, value in items[lo:hi]]))
 
 
 def _inner_root(leaf):

@@ -88,13 +88,12 @@ def _entry_lines(text: str, diagnostics: list):
     """Yield ``(line, path text, value)`` for each ``path = value`` line of a flat document.
 
     The one reading of the line grammar: blank lines and lines starting
-    with ``#`` are skipped, a CR before the LF is dropped, and a line
-    without ``=`` is appended to ``diagnostics`` as ``E_SYNTAX``. Both
-    sides come stripped; the path text is not checked here.
+    with ``#`` are skipped, and a line without ``=`` is appended to
+    ``diagnostics`` as ``E_SYNTAX``. Both sides come stripped, which
+    drops a CR before the LF too; the path text is not checked here.
     """
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line or line.isspace() or line.startswith("#"):
             continue
         lhs, sep, rhs = line.partition("=")
         if not sep:
@@ -263,6 +262,15 @@ def emit_flat(directory: Dtry[str]) -> str:
             pending.pop()
             prefixes.pop()
     return "".join(parts)
+
+
+def _flat_from_sorted(items: list, cut: int = 0) -> str:
+    """What :func:`emit_flat` writes for clean ``(dotted text, value)`` pairs in text order.
+
+    Each text is written from index ``cut`` on. Every value was read from
+    a flat line, so a flat line holds it.
+    """
+    return "".join(f"{text[cut:]} = {value}\n" for text, value in items)
 
 
 def _flat_line(dotted: str, value) -> str:
@@ -506,6 +514,63 @@ def emit_nested(directory: Dtry) -> str:
             if not pending:
                 return "".join(out) + "\n"
             sep = comma = "," + indent
+
+
+def _nested_from_sorted(items: list) -> str:
+    """What :func:`emit_nested` writes for clean ``(dotted text, text value)`` pairs in text order.
+
+    The pairs are those :func:`parse_flat` builds its trie of, and they
+    are walked as :func:`_from_sorted` walks them, without the trie: each
+    key closes the open objects it does not share, opens the ones it
+    starts, and writes its last name. The depth is bounded as in
+    :func:`emit_nested`, before any text is built.
+
+    Raises:
+        ParseError: one ``E_TOO_DEEP`` diagnostic, as from :func:`emit_nested`.
+    """
+    if not items:
+        return "{}\n"
+    if not items[0][0]:  # the root path: clean, so the only key
+        _readable(0)
+        return _string(items[0][1]) + "\n"
+    _readable(max(text.count(".") for text, _ in items) + 1)  # the nodes on the longest path
+    out = ["{"]
+    names: list[str] = []  # the open objects below the root, outermost first
+    prefix = ""  # the innermost open object's text and a '.'; '' at the root
+    # ``indent`` starts each line of the innermost open object, and ``sep``
+    # goes before its next entry, as in emit_nested.
+    indent = "\n  "
+    comma = "," + indent
+    sep = indent
+    for text, value in items:
+        if text.startswith(prefix) and text.find(".", len(prefix)) < 0:  # in that object
+            out.append(f'{sep}"{text[len(prefix) :]}": {_string(value)}')
+            sep = comma
+            continue
+        segments = text.split(".")
+        last = len(segments) - 1
+        depth = min(len(names), last)
+        shared = 0
+        while shared < depth and segments[shared] == names[shared]:
+            shared += 1
+        while len(names) > shared:
+            names.pop()
+            indent = indent[:-2]
+            out.append(indent + "}")
+            sep = comma = "," + indent
+        for segment in segments[shared:last]:
+            out.append(f'{sep}"{segment}": {{')
+            names.append(segment)
+            indent += "  "
+            comma = "," + indent
+            sep = indent
+        out.append(f'{sep}"{segments[last]}": {_string(value)}')
+        sep = comma
+        prefix = text[: len(text) - len(segments[last])]
+    for _ in names:
+        indent = indent[:-2]
+        out.append(indent + "}")
+    return "".join(out) + "\n}\n"
 
 
 # What json writes for a str, an int and a finite float; the leaf's exact

@@ -15,7 +15,7 @@ import sys
 from typing import Mapping
 
 from dtry import cli, formats
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
@@ -113,9 +113,50 @@ def reference_parse_flat(text: str) -> Dtry:
     return Dtry(builder.freeze())
 
 
+def reference_load(source: str, fmt: str) -> Dtry:
+    """The whole trie of a file, as every command read one before the flat route."""
+    text = cli._read(source)
+    return formats.parse_flat(text) if fmt == "flat" else formats.parse_nested(text)
+
+
 def reference_cmd_validate(args) -> int:
     """``dtry validate`` as it was when it parsed a flat file into a whole trie."""
-    cli._load(args.file, args.format)
+    reference_load(args.file, args.format)
+    return cli.EXIT_OK
+
+
+def reference_cmd_convert(args) -> int:
+    """``dtry convert`` as it was: the whole trie, then ``emit_nested`` or ``emit_flat``.
+
+    Called in place of ``cli.cmd_convert``, it reaches ``emit_nested``
+    through as many frames as the command reaches its writer.
+    """
+    directory = reference_load(args.file, args.from_)
+    if args.to == "nested":
+        cli._write(emit_nested(directory), directory)
+    else:
+        cli._write(*cli._flat_text(directory))
+    return cli.EXIT_OK
+
+
+def reference_cmd_merge(args) -> int:
+    """``dtry merge`` as it was: each file's trie, ``merge_disjoint``, then ``emit_flat``."""
+    entries = {}
+    for binding in args.prefix:
+        name_text, sep, file_name = binding.partition("=")
+        if not sep:
+            print(f"error: --prefix takes NAME=FILE, got {binding!r}", file=sys.stderr)
+            return cli.EXIT_INVALID
+        try:
+            name = Name(name_text)
+        except BadNameError as exc:
+            print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
+            return cli.EXIT_INVALID
+        if name in entries:
+            print(f"error: duplicate prefix {name!r}", file=sys.stderr)
+            return cli.EXIT_INVALID
+        entries[name] = reference_load(file_name, "flat")
+    sys.stdout.write(formats.emit_flat(merge_disjoint(entries)))
     return cli.EXIT_OK
 
 
@@ -135,7 +176,7 @@ def reference_cmd_get(args) -> int:
     except BadPathError as exc:
         print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
         return cli.EXIT_INVALID
-    found = cli._load(args.file, args.format).lookup(path)
+    found = reference_load(args.file, args.format).lookup(path)
     if found is None:
         print(f"error: no entry at {str(path)!r}", file=sys.stderr)
         return cli.EXIT_NOT_FOUND

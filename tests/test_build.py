@@ -449,23 +449,22 @@ class TestWork:
         assert work["record entries"] == parsed
 
     @pytest.mark.parametrize("path", ["a.b3.c7", "a.b3", "a", ""])
-    def test_flat_get_builds_only_the_subtree_it_prints(self, work, monkeypatch, path):
+    def test_flat_get_builds_no_record(self, work, path):
         text = "\n".join(realistic_lines(1000)) + "\n"
-        subtree = parse_flat(text).lookup(path).root
-        want = list(nodes(subtree))
-        work.clear()
-        built = []
-        counting_init = NonEmptyRecord.__init__
-
-        def listing_init(self, entries):
-            counting_init(self, entries)
-            built.append(self)
-
-        monkeypatch.setattr(NonEmptyRecord, "__init__", listing_init)
         code, out, _ = run_cli(["get", path, "-"], text)
         assert code == 0 and out
-        assert len(built) == len(want)
-        assert work["record entries"] == sum(len(node.children) for node in want)
+        assert work["record entries"] == 0  # so no record: none is empty
+
+    def test_flat_convert_and_merge_build_no_record(self, work, tmp_path):
+        text = "\n".join(realistic_lines(1000)) + "\n"
+        for target in ("flat", "nested"):
+            code, out, _ = run_cli(["convert", "--from", "flat", "--to", target, "-"], text)
+            assert code == 0 and out
+        source = tmp_path / "in.dtry"
+        source.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(["merge", "--prefix", f"x={source}", "--prefix", f"y={source}"], "")
+        assert code == 0 and out.count("\n") == 2000
+        assert work["record entries"] == 0
 
 
 def best_of_three(run, text):

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -21,7 +23,9 @@ from helpers import (
     chain,
     deepest,
     emits,
+    reference_cmd_convert,
     reference_cmd_get,
+    reference_cmd_merge,
     reference_cmd_validate,
     reference_flat_text,
 )
@@ -559,3 +563,130 @@ class TestFlatCommandsAgainstTheWholeTrie:
     )
     def test_pinned_outcomes(self, text, path, want):
         assert outcome_on(text.encode(), ["get", path, "-"]) == want
+
+
+# Flat documents over names of characters on both sides of '.' in byte
+# order ('0' < 'Z' < '_' < 'a' < 'b'), with root lines, values that JSON
+# escapes, and empty files. Half of them keep only keys that are no prefix
+# of another, so that most files convert.
+route_key_st = st.lists(st.text(alphabet="ab_0Z", min_size=1, max_size=2), max_size=3).map(
+    ".".join
+)
+route_value_st = st.sampled_from(
+    ["v", "x y", 'say "hi"', "back\\slash", "\x01", "caf\u00e9", "a\u2028b"]
+)
+
+
+def related(a: str, b: str) -> bool:
+    """Whether the dotted paths ``a`` and ``b`` are equal or one is a prefix of the other."""
+    return a == b or not a or not b or a.startswith(b + ".") or b.startswith(a + ".")
+
+
+def prefix_free(lines):
+    """The lines whose key no other line's key equals, extends or is a prefix of."""
+    return [(key, value) for key, value in lines if sum(related(key, k) for k, _ in lines) == 1]
+
+
+route_lines_st = st.lists(st.tuples(route_key_st, route_value_st), max_size=8)
+route_doc_st = st.one_of(route_lines_st, route_lines_st.map(prefix_free)).map(
+    lambda lines: "".join(f"{key} = {value}\n" for key, value in lines)
+)
+TO_NESTED = ["convert", "--from", "flat", "--to", "nested", "-"]
+TO_FLAT = ["convert", "--from", "flat", "--to", "flat", "-"]
+ESCAPED = 'a = say "hi"\nb = back\\slash\nc = \x01\nd = caf\u00e9\ne = a\u2028b\n'
+
+
+def against_the_trie(data: bytes, argv, reference):
+    """The outcome of ``main(argv)`` on ``data``, asserted equal to the reference command's."""
+    outcome = outcome_on(data, argv)
+    with mock.patch.object(cli, f"cmd_{argv[0]}", reference):
+        assert outcome_on(data, argv) == outcome, argv
+    return outcome
+
+
+def get_paths(text: str) -> set:
+    """Every prefix of every key of ``text``, and one path past each key."""
+    paths = {""}
+    for line in text.split("\n"):
+        key = line.partition(" = ")[0]
+        segments = key.split(".") if key else []
+        paths.update(".".join(segments[:i]) for i in range(len(segments) + 1))
+        paths.add(f"{key}.a" if key else "a")
+    return paths
+
+
+class TestFlatRouteAgainstTheTrie:
+    """Flat ``convert``, ``merge`` and ``get`` write from the sorted keys what the trie route wrote.
+
+    The references in ``helpers`` build the trie with ``parse_flat`` and
+    write it with ``emit_nested``, ``emit_flat`` after ``merge_disjoint``,
+    or ``Dtry.lookup``.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(route_doc_st)
+    @example("")
+    @example(" = root\n")
+    @example(ESCAPED)
+    @example("a.b = 1\na_ = 2\na0 = 3\nab.c = 4\nZ.x = 5\n")
+    def test_convert_and_get(self, text):
+        data = text.encode()
+        for argv in (TO_NESTED, TO_FLAT):
+            against_the_trie(data, argv, reference_cmd_convert)
+        for path in sorted(get_paths(text)):
+            against_the_trie(data, ["get", path, "-"], reference_cmd_get)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(route_doc_st, min_size=1, max_size=3),
+        st.permutations(["a", "b", "_", "0", "Z"]),
+    )
+    @example(["", " = root\n", "a.b = 1\n"], ["b", "a", "_", "0", "Z"])
+    def test_merge(self, texts, names):
+        with tempfile.TemporaryDirectory() as folder:
+            argv = ["merge"]
+            for name, text in zip(names, texts):
+                source = os.path.join(folder, f"{name}.dtry")
+                with open(source, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv += ["--prefix", f"{name}={source}"]
+            against_the_trie(b"", argv, reference_cmd_merge)
+
+    def test_values_that_json_escapes(self):
+        want = {"a": 'say "hi"', "b": "back\\slash", "c": "\x01", "d": "caf\u00e9", "e": "a\u2028b"}
+        nested = json.dumps(want, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        data = ESCAPED.encode()
+        assert against_the_trie(data, TO_NESTED, reference_cmd_convert) == (0, nested, "")
+        assert against_the_trie(data, TO_FLAT, reference_cmd_convert) == (0, ESCAPED, "")
+
+    @pytest.mark.parametrize(
+        "text, nested, flat, got",
+        [(" = root\n", '"root"\n', " = root\n", "root\n"), ("", "{}\n", "", "")],
+        ids=("root_leaf", "empty"),
+    )
+    def test_a_root_leaf_and_an_empty_file(self, tmp_path, text, nested, flat, got):
+        data = text.encode()
+        assert against_the_trie(data, TO_NESTED, reference_cmd_convert) == (0, nested, "")
+        assert against_the_trie(data, TO_FLAT, reference_cmd_convert) == (0, flat, "")
+        assert against_the_trie(data, ["get", "", "-"], reference_cmd_get) == (0, got, "")
+        source = write(tmp_path, "in.dtry", text)
+        merged = "x = root\n" if text else ""
+        argv = ["merge", "--prefix", f"x={source}"]
+        assert against_the_trie(b"", argv, reference_cmd_merge) == (0, merged, "")
+
+    def test_the_deepest_key_that_converts_still_converts(self):
+        # Both routes run at each depth the bisection tries, from the same
+        # frame, so each meets the same recursion limit.
+        seen = {}
+
+        def converts(depth):
+            data = (".".join(["s"] * depth) + " = v\n").encode()
+            seen[depth] = against_the_trie(data, TO_NESTED, reference_cmd_convert)
+            return seen[depth][0] == 0
+
+        bound = deepest(converts)
+        assert bound > 700
+        code, out, err = seen[bound]
+        assert (code, err) == (0, "") and json.loads(out)
+        code, out, err = seen[bound + 1]
+        assert (code, out) == (1, "") and err.startswith("1:E_TOO_DEEP:") and err.count("\n") == 1

@@ -62,6 +62,10 @@ class TestFlatParsing:
         d = parse_flat("a = 1\r\nb = 2\r\n")
         assert d.path_map() == {Path("a"): "1", Path("b"): "2"}
 
+    def test_lines_of_whitespace_are_blank(self):
+        d = parse_flat("a = 1\n   \n\t\r\n\r\nb = 2\r\n")
+        assert d.path_map() == {Path("a"): "1", Path("b"): "2"}
+
     def test_root_path_line(self):
         d = parse_flat(" = 5\n")
         assert d == Dtry.leaf("5")
