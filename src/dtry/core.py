@@ -43,7 +43,7 @@ from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import BadNameError, PrefixConflictError
 from .maybe import NOTHING, Just
-from .paths import Name, Path, _is_dotted, _is_name, _text_prefix
+from .paths import Name, Path, _are_dotted
 
 T = TypeVar("T")
 
@@ -368,16 +368,22 @@ def _sorted_clean(items: list) -> list | None:
     """``(dotted text, value)`` pairs sorted by text for :func:`_from_sorted`, or None.
 
     None unless every text is a path, none repeats and none is a prefix
-    of another. Since ``.`` sorts below every character of a name, text
-    order is path order, so a text's copies and extensions follow it at
-    once, and each text is tested only against the one before it.
+    of another. The texts are matched in one bulk call (:func:`_are_dotted`).
+    Since ``.`` sorts below every character of a name, text order is path
+    order, so a text's copies and extensions follow it at once, and each
+    text is tested only against the one before it: with a ``.`` after
+    each, a text is a copy or an extension of the one before exactly when
+    it starts with it. The root, ``''``, sorts first and must stand alone.
     """
     items = sorted(items, key=_text)
-    previous = None
-    for text, _ in items:
-        if _is_dotted(text) is None or previous is not None and _text_prefix(previous, text):
-            return None
-        previous = text
+    texts = list(map(_text, items))
+    if not _are_dotted(texts):
+        return None
+    if texts and not texts[0]:
+        return items if len(texts) == 1 else None
+    stops = (".\n".join(texts) + ".").split("\n")  # no text holds a newline
+    if any(map(str.startswith, stops[1:], stops)):
+        return None
     return items
 
 
@@ -452,9 +458,10 @@ class Dtry(Generic[T]):
 
         A key is a ``Path``, a dotted string, or a sequence of names; a
         ``Name`` key is one segment. Each key is made dotted text once: a
-        string is used as it is, and a sequence whose names all match is
-        joined. The texts are sorted, and if every one is a path and none
-        is a prefix of another, the trie is built from them in one pass.
+        string is used as it is, and a sequence is joined, unless one of its
+        names holds a ``.`` or it is ``("",)``. The texts are sorted and
+        matched in one call, and if every one is a path and none is a
+        prefix of another, the trie is built from them in one pass.
 
         Errors are reported as if every key were first made a ``Path``, in
         the mapping's order, and the paths were then bound in lexicographic
@@ -479,11 +486,13 @@ class Dtry(Generic[T]):
         for key, value in entries.items():
             if not isinstance(key, str):
                 try:
-                    if not all(key) or _is_name("".join(key)) is None:
+                    text = ".".join(key)
+                    # () is the root; ("",) is not, and no name holds a '.'
+                    if key and (not text or text.count(".") != len(key) - 1):
                         break
                 except TypeError:
                     break
-                key = ".".join(key)
+                key = text
             items.append((key, value))
         else:
             ordered = _sorted_clean(items)

@@ -38,7 +38,7 @@ from typing import Any, Mapping
 
 from .core import Dtry, Leaf, Node, _from_sorted, _node, _sorted_clean, _TrieBuilder
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Name, Path, _is_dotted, _names, _text_prefix
+from .paths import Name, Path, _are_dotted, _is_dotted, _names, _text_prefix
 
 __all__ = [
     "Diagnostic",
@@ -141,12 +141,12 @@ def parse_flat(text: str) -> Dtry[str]:
 def _read_flat(text: str) -> list[tuple[str, str]]:
     """The ``(dotted text, value)`` pairs of a flat document, sorted by text: the trie unbuilt.
 
-    The lines are read once. When every key is a path and none repeats or
-    is a prefix of another (tested on the sorted texts), no ``Path`` and no
-    trie is made. Otherwise the lines read are bound in file order into
-    the trie builder, which decides every conflict; a line it rejects for
-    a bad segment is parsed as a ``Path`` once, for the error that names
-    the segment.
+    The lines are read once. When every key is a path (one match for all
+    the keys) and none repeats or is a prefix of another (each sorted text
+    against the one before it), no ``Path`` and no trie is made. Otherwise
+    the lines read are bound in file order into the trie builder, which
+    decides every conflict; a line it rejects for a bad segment is parsed
+    as a ``Path`` once, for the error that names the segment.
 
     Raises:
         ParseError: with one diagnostic per failing line, in line order.
@@ -184,8 +184,9 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     whose paths are equal or one a prefix of the other, one diagnostic at
     the later line; ordered by that line, then by the earlier one. Works
     on the dotted texts, without a ``Path`` per line and without the trie.
-    Each key is matched whole as its line is read; only a key that fails
-    is parsed, for the error that names its segment.
+    The keys are matched in one call; only when that fails is each key
+    matched alone, and only a key that fails is parsed, for the error that
+    names its segment.
 
     Sorted by text, the copies and extensions of a path follow it
     contiguously, since ``.`` sorts below every character of a name and
@@ -193,15 +194,18 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     own is no prefix of, and the cost is O(n log n + conflicting pairs).
     """
     diagnostics: list[Diagnostic] = []
-    entries = []
-    for lineno, key, _ in _entry_lines(text, diagnostics):
-        if _is_dotted(key) is None:
-            try:
-                Path.parse(key)
-            except BadPathError as exc:
-                diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
-                continue
-        entries.append((key, lineno))
+    entries = [(key, lineno) for lineno, key, _ in _entry_lines(text, diagnostics)]
+    if not _are_dotted([key for key, _ in entries]):
+        dotted = []
+        for key, lineno in entries:
+            if _is_dotted(key) is None:
+                try:
+                    Path.parse(key)
+                except BadPathError as exc:
+                    diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
+                    continue
+            dotted.append((key, lineno))
+        entries = dotted
     problems = [(d.line, 0, d) for d in diagnostics]
     entries.sort()
     for i, (key, _) in enumerate(entries):

@@ -26,6 +26,27 @@ __all__ = ["Name", "Path"]
 _is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
 _is_dotted = re.compile(r"(?:[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)?").fullmatch  # '' too: the root
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
+_dotted_chars = re.compile(r"[A-Za-z0-9_.\n]*").fullmatch
+
+
+def _are_dotted(texts: list[str]) -> bool:
+    """``all(_is_dotted(t) for t in texts)``, in a few passes over the texts joined.
+
+    The texts go one per line, with a newline before the first and after
+    the last. No text holds a newline when the newlines are one more than
+    the texts; then every character is of a name or a ``.``, and no
+    segment is empty when no ``.`` stands next to another or to a newline.
+    """
+    if not texts:  # joined, [] would read as [""]
+        return True
+    joined = "\n" + "\n".join(texts) + "\n"
+    return (
+        joined.count("\n") == len(texts) + 1
+        and _dotted_chars(joined) is not None
+        and ".." not in joined
+        and "\n." not in joined
+        and ".\n" not in joined
+    )
 
 
 def _text_prefix(a: str, b: str) -> bool:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtry import formats
+from dtry import core, formats
 from dtry.cli import main
 from dtry.core import (
     Dtry,
@@ -210,6 +210,26 @@ def validations(monkeypatch):
 
     monkeypatch.setattr(Name, "__new__", counting_name_new)
     monkeypatch.setattr(formats, "_names", counting_bulk)
+    return counts
+
+
+@pytest.fixture
+def key_matches(monkeypatch):
+    """Counts the bulk key matches (``_are_dotted``) and the per-key ones (``_is_dotted``)."""
+    counts = Counter()
+    are_dotted, is_dotted = core._are_dotted, formats._is_dotted
+
+    def counting_are_dotted(texts):
+        counts["bulk calls"] += 1
+        return are_dotted(texts)
+
+    def counting_is_dotted(text):
+        counts["one key"] += 1
+        return is_dotted(text)
+
+    monkeypatch.setattr(core, "_are_dotted", counting_are_dotted)
+    monkeypatch.setattr(formats, "_are_dotted", counting_are_dotted)
+    monkeypatch.setattr(formats, "_is_dotted", counting_is_dotted)
     return counts
 
 
@@ -409,6 +429,25 @@ class TestWork:
         text = emit_flat(directory)
         assert calls["path_map"] == 0
         assert parse_flat(text) == directory
+
+    def test_clean_keys_are_matched_in_one_call(self, key_matches):
+        lines = realistic_lines(1000)
+        text = "\n".join(lines) + "\n"
+        for command in ("validate", "check"):
+            key_matches.clear()
+            assert run_cli([command, "-"], text) == (0, "", "")
+            assert key_matches == {"bulk calls": 1}
+        key_matches.clear()
+        keys = [tuple(line.partition(" = ")[0].split(".")) for line in lines]
+        assert len(Dtry.from_path_map(dict.fromkeys(keys, 1))) == 1000
+        assert key_matches == {"bulk calls": 1}
+
+    def test_check_matches_each_key_alone_only_when_the_bulk_match_fails(self, key_matches):
+        lines = realistic_lines(1000)
+        lines[500] = "a.b-c = v"
+        want = "501:E_BAD_PATH:bad path 'a.b-c' at segment 1: invalid character '-'\n"
+        assert run_check("\n".join(lines) + "\n") == (1, want)
+        assert key_matches == {"bulk calls": 1, "one key": 1000}
 
     def test_check_scans_each_entry_once_plus_its_conflicts(self, work):
         lines = realistic_lines(400)

@@ -407,6 +407,32 @@ class TestPathMapIsomorphism:
             Path("ab"),
         ]
 
+    @pytest.mark.parametrize(
+        "key,error",
+        [
+            (("a.b",), "bad name 'a.b' at character 1: invalid character '.'"),
+            (("",), "bad name '' at character 0: name is empty"),
+            (("a", ""), "bad name '' at character 0: name is empty"),
+            (("a", 1), "bad name '1' at character 0: not a string"),
+            (("a\nb",), "bad name 'a\\nb' at character 1: invalid character '\\n'"),
+            (("a", "b c"), "bad name 'b c' at character 1: invalid character ' '"),
+        ],
+    )
+    @pytest.mark.parametrize("mixed", [False, True], ids=("alone", "mixed"))
+    def test_a_bad_tuple_key_names_its_name(self, key, error, mixed):
+        clean = {(f"c{i}", "k"): i for i in range(100)}
+        entries = {**dict(list(clean.items())[:50]), key: -1, **clean} if mixed else {key: -1}
+        with pytest.raises(BadNameError) as exc:
+            Dtry.from_path_map(entries)
+        assert str(exc.value) == error
+
+    def test_the_empty_tuple_key_is_the_root(self):
+        assert repr(Dtry.from_path_map({(): 1})) == "Dtry({'': 1})"
+        clean = {(f"c{i}", "k"): i for i in range(100)}
+        with pytest.raises(PrefixConflictError) as exc:
+            Dtry.from_path_map({**clean, (): 1})
+        assert str(exc.value) == "path 'c0.k' extends the bound path the root"
+
     def test_injectivity_on_random_pairs(self):
         rng = random.Random(43)
         for _ in range(1_000):

@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtry.core import Dtry
 from dtry.errors import BadNameError, BadPathError, PrefixConflictError
-from dtry.paths import Name, Path
+from dtry.paths import Name, Path, _are_dotted, _is_dotted
 
 from helpers import NAME_POOL, oracle_prefix_free, random_path
 
@@ -86,6 +86,25 @@ class TestPathParsing:
 
     def test_constructor_accepts_segments_and_text(self):
         assert Path(["a", "b"]) == Path("a.b")
+
+
+# Names' characters, '.', the newline that joins the texts, and characters
+# no name holds: ASCII ones, a letter and a digit that are not ASCII.
+dotted_texts_st = st.lists(st.text(alphabet="aZ0_.\n\r -é٣", max_size=6), max_size=8)
+
+
+class TestBulkMatch:
+    @given(dotted_texts_st)
+    @example([])
+    @example([""])
+    @example(["", "a"])
+    @example(["a\nb"])
+    @example(["a\n", "b"])
+    @example(["a."])
+    @example([".a"])
+    @example(["a..b"])
+    def test_matches_each_text_alone(self, texts):
+        assert _are_dotted(texts) == all(_is_dotted(t) is not None for t in texts)
 
 
 class TestConcat:
