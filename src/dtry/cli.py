@@ -37,7 +37,7 @@ from .formats import (
     emit_nested,
     parse_nested,
 )
-from .paths import Name, Path
+from .paths import Path, _name
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -180,14 +180,14 @@ def cmd_get(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    entries: dict[Name, list] = {}
+    entries: dict[str, list] = {}
     for binding in args.prefix:
         name_text, sep, file_name = binding.partition("=")
         if not sep:
             print(f"error: --prefix takes NAME=FILE, got {binding!r}", file=sys.stderr)
             return EXIT_INVALID
         try:
-            name = Name(name_text)
+            name = _name(name_text)
         except BadNameError as exc:
             print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
             return EXIT_INVALID

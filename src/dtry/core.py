@@ -1,7 +1,7 @@
 """Directory tries: values bound to a prefix-free set of dotted paths.
 
 A directory is either empty or a nonempty tree whose internal nodes are
-nonempty records of child trees keyed by :class:`~dtry.paths.Name` and
+nonempty records of child trees keyed by names, plain ``str``s, and
 whose leaves carry values. Emptiness exists only at the top level: no
 subtree is ever an empty node. That single constraint is what keeps the
 set of complete paths prefix-free, makes the path-map view faithful, and
@@ -43,7 +43,7 @@ from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import BadNameError, PrefixConflictError
 from .maybe import NOTHING, Just
-from .paths import Name, Path, _are_dotted
+from .paths import Name, Path, _are_dotted, _name
 
 T = TypeVar("T")
 
@@ -62,7 +62,8 @@ class NonEmptyRecord(Generic[T]):
     """An immutable mapping from names to values with at least one entry.
 
     Entries iterate in ascending byte order of their keys, which is what
-    makes every traversal in this module deterministic.
+    makes every traversal in this module deterministic. A key, ``str`` or
+    ``Name``, is checked and kept as a plain ``str``.
     """
 
     __slots__ = ("_entries",)
@@ -74,11 +75,7 @@ class NonEmptyRecord(Generic[T]):
         raw = entries if type(entries) is dict else dict(entries)
         if not raw:
             raise ValueError("record must have at least one entry")
-        try:
-            keys = sorted(raw)
-        except TypeError:  # mixed key types: Name rejects the one that is no string
-            keys = sorted(Name(k) for k in raw)
-        self._entries = {k if type(k) is Name else Name(k): raw[k] for k in keys}
+        self._entries = {k: raw[k] for k in sorted(map(_name, raw))}
 
     def keys(self):
         return self._entries.keys()
@@ -101,7 +98,7 @@ class NonEmptyRecord(Generic[T]):
     def __contains__(self, key) -> bool:
         return key in self._entries
 
-    def __iter__(self) -> Iterator[Name]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
     def __len__(self) -> int:
@@ -119,7 +116,7 @@ class NonEmptyRecord(Generic[T]):
 
 
 class _Sorted(dict):
-    """Entries that a record keeps as they are: ``Name`` keys in order, made and held here."""
+    """Entries that a record keeps as they are: name keys in order, made and held here."""
 
     __slots__ = ()
 
@@ -170,7 +167,7 @@ _set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats objec
 
 
 def _node(children: dict) -> Node:
-    """The node of ``children``, a dict of ``Name`` keys that no one else holds, sorted once."""
+    """The node of ``children``, a dict of name keys that no one else holds, sorted once."""
     return Node(NonEmptyRecord(_Sorted(sorted(children.items()))))
 
 
@@ -296,18 +293,16 @@ class _TrieBuilder:
         # rejection compares only the children added since: the flat
         # parser, which goes on after a conflict, pays O(fanout) per node
         # in all, not per rejected line.
-        self._least: dict[int, tuple[Name, int]] = {}
+        self._least: dict[int, tuple[str, int]] = {}
 
     def add(self, key, value) -> None:
         """Bind ``value`` at ``key``, walking the key once.
 
         ``key`` is a ``Path``, a dotted string (a ``Name`` among them, one
-        segment) or a sequence of names. ``Name`` validates a segment only
-        where it makes a new edge, since one that follows an edge equals
-        that edge's name; it returns a ``Path``'s names, which are
-        ``Name``s already, as they are. A rejected key leaves the builder
-        unchanged: the new nodes are attached only once all of them are
-        made.
+        segment) or a sequence of names. A segment is checked, and kept as a
+        plain ``str``, only where it makes a new edge: one that follows an
+        edge equals that edge's name. A rejected key leaves the builder
+        unchanged: the new nodes are attached only once all are made.
 
         Raises:
             PrefixConflictError: against the bound path that ``key``
@@ -320,7 +315,7 @@ class _TrieBuilder:
         try:
             node = self._root
             if node is None:
-                self._root = _chain([Name(s) for s in segments], value)
+                self._root = _chain(list(map(_name, segments)), value)
                 return
             rest = iter(segments)
             for segment in rest:
@@ -328,8 +323,8 @@ class _TrieBuilder:
                     break
                 child = node.get(segment)
                 if child is None:
-                    name = Name(segment)  # before the rest: the first bad segment is reported
-                    node[name] = _chain([Name(s) for s in rest], value)
+                    name = _name(segment)  # before the rest: the first bad segment is reported
+                    node[name] = _chain(list(map(_name, rest)), value)
                     return
                 node = child
         except BadNameError:
@@ -394,20 +389,19 @@ def _from_sorted(items) -> Leaf | Node | None:
     not share, opens the ones it starts, and binds its last name; a key of
     the innermost open node, as most are, is bound at once. A node's
     entries come in name order, and its record is built once, when the
-    node closes, so children before parents. A name is made only where an
-    edge starts, without a second check, since the whole text matched.
+    node closes, so children before parents. A name is a slice of its text,
+    not checked again, since the whole text matched.
     """
     if not items:
         return None
     if not items[0][0]:  # the root path: clean, so the only key
         return Leaf(items[0][1])
-    new = str.__new__
-    names: list[Name] = []  # the open nodes below the root, outermost first
+    names: list[str] = []  # the open nodes below the root, outermost first
     records = [_Sorted()]  # the entries of the root and of each open node
     prefix = ""  # the innermost open node's text and a '.'; '' at the root
     for text, value in items:
         if text.startswith(prefix) and text.find(".", len(prefix)) < 0:  # in that node
-            records[-1][new(Name, text[len(prefix) :])] = Leaf(value)
+            records[-1][text[len(prefix) :]] = Leaf(value)
             continue
         segments = text.split(".")
         last = len(segments) - 1
@@ -419,9 +413,9 @@ def _from_sorted(items) -> Leaf | Node | None:
             entries = records.pop()
             records[-1][names.pop()] = Node(NonEmptyRecord(entries))
         for segment in segments[shared:last]:
-            names.append(new(Name, segment))
+            names.append(segment)
             records.append(_Sorted())
-        records[-1][new(Name, segments[last])] = Leaf(value)
+        records[-1][segments[last]] = Leaf(value)
         prefix = text[: len(text) - len(segments[last])]
     while names:
         entries = records.pop()
@@ -593,7 +587,7 @@ class Dtry(Generic[T]):
         out: dict[Path, T] = {}
         # Depth first without recursion: one iterator per open node, and
         # ``names`` is the path to the innermost one.
-        names: list[Name] = []
+        names: list[str] = []
         pending = [iter(root.children.items())]
         while pending:
             for name, child in pending[-1]:

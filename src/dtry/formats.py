@@ -309,7 +309,7 @@ def parse_nested(text: str) -> Dtry:
     try:
         data = json.loads(text, object_pairs_hook=_object)
         if isinstance(data, dict):
-            root = _node_from_json(data, (), {}, diagnostics, top=True)
+            root = _node_from_json(data, (), set(), diagnostics, top=True)
         else:  # checked as the one item of an array
             _check_array([data], (), diagnostics)
             root = Leaf(data)
@@ -382,11 +382,11 @@ def _too_deep() -> ParseError:
     return ParseError([Diagnostic("E_TOO_DEEP", 1, message)])
 
 
-def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: bool):
+def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bool):
     """The node of a JSON object at path ``at``, or None when it keeps no entry.
 
     Recurses once per level of objects; a leaf is wrapped in place.
-    ``names`` maps each key text to its ``Name``, so a document validates
+    ``names`` holds the key texts found to be names, so a document checks
     each new key once, in one call per object, and sorts each object once.
     """
     for key in getattr(obj, "repeated", ()):
@@ -396,30 +396,29 @@ def _node_from_json(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
         if not top:
             diagnostics.append(Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(at)}"))
         return None
-    if new := [key for key in obj if key not in names]:
-        names.update(zip(new, _names(new) or ()))  # or none: the loop reports each bad one
+    if (new := [key for key in obj if key not in names]) and _names(new):
+        names.update(new)  # else the loop checks each new key alone
     children = {}
     for key, value in obj.items():
-        name = names.get(key)
-        if name is None:
+        if key not in names:
             try:
-                name = names[key] = Name(key)
+                Name(key)
             except BadNameError as exc:
-                diagnostics.append(
-                    Diagnostic(exc.code, 1, f"invalid key {key!r} under {_show(at)}: {exc.reason}")
-                )
+                message = f"invalid key {key!r} under {_show(at)}: {exc.reason}"
+                diagnostics.append(Diagnostic(exc.code, 1, message))
                 continue
+            names.add(key)
         if isinstance(value, dict):
-            subtree = _node_from_json(value, (*at, name), names, diagnostics, False)
+            subtree = _node_from_json(value, (*at, key), names, diagnostics, False)
             if subtree is not None:
-                children[name] = subtree
+                children[key] = subtree
             continue
         kind = type(value)
         if kind is list:
-            _check_array(value, (*at, name), diagnostics)
+            _check_array(value, (*at, key), diagnostics)
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
-        children[name] = Leaf(value)
+        children[key] = Leaf(value)
     return _node(children) if children else None
 
 

@@ -10,6 +10,16 @@ Paths compare lexicographically: segment by segment in byte order, with
 a proper prefix sorting before its extensions. Because ``Path`` is a
 tuple of names and names are ASCII strings, the built-in tuple ordering
 is exactly that order.
+
+A name is checked text, not a type: every name dtry stores (record key,
+``Path`` segment) is a plain ``str``; a ``Name`` is accepted as one.
+
+>>> Name("mass") == "mass", [type(s) for s in Path([Name("a"), "b"])]
+(True, [<class 'str'>, <class 'str'>])
+>>> Path.parse("oscillator..mass")
+Traceback (most recent call last):
+    ...
+dtry.errors.BadPathError: bad path 'oscillator..mass' at segment 1: name is empty
 """
 
 from __future__ import annotations
@@ -55,13 +65,11 @@ def _text_prefix(a: str, b: str) -> bool:
 
 
 class Name(str):
-    """A single path segment; :func:`_names` makes many at once, for less."""
+    """A checked path segment; what dtry stores of it is a plain ``str`` (see :func:`_name`)."""
 
     __slots__ = ()
 
     def __new__(cls, text):
-        if type(text) is str and _is_name(text) is not None:
-            return str.__new__(cls, text)
         if type(text) is Name:
             return text
         if not isinstance(text, str):
@@ -74,11 +82,14 @@ class Name(str):
         return super().__new__(cls, text)
 
 
-def _names(texts: list[str]) -> list[Name] | None:
-    """A ``Name`` per text, all validated by one ``fullmatch``; None when one is no name."""
-    if not all(texts) or _is_name("".join(texts)) is None:  # none empty, no character bad
-        return None
-    return [str.__new__(Name, text) for text in texts]
+def _name(text) -> str:
+    """``text`` as a name is stored: a plain ``str``; ``Name`` raises for a text that is none."""
+    return text if type(text) is str and _is_name(text) else str.__str__(Name(text))
+
+
+def _names(texts: list[str]) -> bool:
+    """Whether every text is a name, by one ``fullmatch``: none is empty, no character is bad."""
+    return all(texts) and _is_name("".join(texts)) is not None
 
 
 class Path(tuple):
@@ -91,35 +102,31 @@ class Path(tuple):
             return segments
         if isinstance(segments, str):
             return cls.parse(segments)
-        return super().__new__(cls, (Name(s) for s in segments))
+        return super().__new__(cls, map(_name, segments))
 
     @classmethod
     def parse(cls, text: str) -> "Path":
         """Parse dotted-path syntax; the empty string is the root path.
 
-        The one routine that names the bad segment of a dotted key; the
-        trie builder and ``dtry check`` call it only for a key they found bad.
+        One match of the whole text. Only a text that fails is walked, to
+        name its bad segment; no other routine names it.
         """
-        if text == "":
-            return tuple.__new__(cls, ())
-        segments = text.split(".")
-        for i, part in enumerate(segments):
-            try:
-                segments[i] = Name(part)
-            except BadNameError as exc:
-                raise BadPathError(text, i, exc.reason) from exc
-        return tuple.__new__(cls, segments)
+        if _is_dotted(text) is None:
+            for i, part in enumerate(text.split(".")):
+                try:
+                    Name(part)
+                except BadNameError as exc:
+                    raise BadPathError(text, i, exc.reason) from exc
+        return tuple.__new__(cls, text.split(".") if text else ())
 
     def concat(self, other) -> "Path":
         return tuple.__new__(Path, tuple.__add__(self, Path(other)))
 
-    def __add__(self, other) -> "Path":
-        return self.concat(other)
+    __add__ = concat
 
     def is_prefix_of(self, other) -> bool:
         """True when self is an initial segment of other (reflexively)."""
-        if type(other) is not Path:
-            other = Path(other)
+        other = Path(other)
         return len(self) <= len(other) and tuple.__eq__(self, other[: len(self)])
 
     def __str__(self) -> str:

@@ -14,7 +14,7 @@ import random
 import sys
 from typing import Mapping
 
-from dtry import cli, formats
+from dtry import cli, formats, paths
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
@@ -358,7 +358,7 @@ def _check_tree(tree) -> None:
     keys = list(record.keys())
     assert keys == sorted(keys)
     for key, child in record.items():
-        assert isinstance(key, Name)
+        assert type(key) is str and paths._is_name(key)
         _check_tree(child)
 
 

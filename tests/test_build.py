@@ -33,7 +33,7 @@ from dtry.errors import PrefixConflictError
 from dtry.fincat import DtryObj, FinSetSkeleton
 from dtry.formats import ParseError, emit_flat, emit_nested, parse_flat, parse_nested, scan_flat
 from dtry.maybe import NOTHING, Just
-from dtry.paths import Name, Path
+from dtry.paths import Name, Path, _is_name
 
 from helpers import nodes, oracle_check, oracle_conflicts, reference_parse_nested
 
@@ -166,7 +166,7 @@ class TestDifferential:
         assert tree == builder.freeze()
         for node in nodes(tree):  # == compares key sets: the order is checked here
             keys = list(node.children)
-            assert keys == sorted(keys) and all(type(key) is Name for key in keys)
+            assert keys == sorted(keys) and all(type(key) is str and _is_name(key) for key in keys)
 
 
 # ------------------------------------------------------------ work counts

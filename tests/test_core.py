@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtry import paths
 from dtry.core import (
     Dtry,
     Leaf,
@@ -21,12 +22,14 @@ from dtry.core import (
     merge_disjoint,
 )
 from dtry.errors import BadNameError, BadPathError, PrefixConflictError
+from dtry.formats import emit_flat, emit_nested, parse_flat, parse_nested
 from dtry.maybe import NOTHING, Just, join_maybe
 from dtry.paths import Name, Path
 
 from helpers import (
     check_representation,
     example_directory,
+    nodes,
     oracle_prefix_free,
     random_dtry,
     random_maybe_maybe_record,
@@ -119,7 +122,7 @@ class TestConstruction:
     def test_record_coerces_str_keys_to_names(self):
         record = NonEmptyRecord({"b": 1, Name("a"): 2})
         assert list(record.items()) == [("a", 2), ("b", 1)]
-        assert all(type(key) is Name for key in record)
+        assert all(type(key) is str and paths._is_name(key) for key in record)
 
     @pytest.mark.parametrize(
         "entries", [{"a b": 1}, {"a": 1, "": 2}, {1: 1}, {"a": 1, 2: 2}], ids=str
@@ -619,3 +622,119 @@ class TestFilter:
     @given(dtries())
     def test_no_empty_husks_left_behind(self, d):
         check_representation(d.filter(lambda v: v == 0))
+
+
+# Names given as ``str`` or as ``Name``; either is stored as a plain ``str``.
+mixed_names_st = st.one_of(names_st, names_st.map(Name))
+mixed_dtries_st = st.one_of(
+    st.just(Dtry.empty()),
+    st.recursive(
+        values_st.map(Leaf),
+        lambda child: st.dictionaries(mixed_names_st, child, min_size=1, max_size=3).map(
+            lambda d: Node(NonEmptyRecord(d))
+        ),
+        max_leaves=8,
+    ).map(Dtry),
+)
+# The forms from_path_map and insert take a path in, each applied to a ``Path``.
+KEY_FORMS = {
+    "dotted": str,
+    "tuple": tuple,
+    "Path": lambda p: p,
+    "Names": lambda p: tuple(map(Name, p)),
+    "Name": lambda p: Name(p[0]) if len(p) == 1 else p,  # a Name is one segment
+}
+
+
+def plain_names(tree) -> bool:
+    """Whether each record key under ``tree``, and each segment of its paths, is a plain ``str`` name."""
+    keys = [key for node in nodes(tree) for key in node.children]
+    segments = [segment for path in Dtry(tree).path_map() for segment in path]
+    return all(type(name) is str and paths._is_name(name) for name in keys + segments)
+
+
+class TestNamesArePlainStr:
+    """However a trie is made or rewritten, every name it stores is a plain ``str`` and a name."""
+
+    @given(mixed_dtries_st)
+    def test_the_readers(self, d):
+        assert plain_names(d.root)
+        assert plain_names(parse_nested(emit_nested(d)).root)
+        assert plain_names(parse_flat(emit_flat(d.map_values(str))).root)
+
+    @given(mixed_dtries_st, st.lists(st.sampled_from(sorted(KEY_FORMS)), min_size=8, max_size=8))
+    def test_from_path_map_of_every_key_form(self, d, forms):
+        entries = {
+            KEY_FORMS[forms[i % len(forms)]](path): value
+            for i, (path, value) in enumerate(d.path_map().items())
+        }
+        built = Dtry.from_path_map(entries)
+        assert built == d and plain_names(built.root)
+
+    @given(path_maps_st)
+    def test_the_builder_past_rejected_keys(self, entries):
+        built = outcome(Dtry.from_path_map, entries)
+        if isinstance(built, Dtry):
+            assert plain_names(built.root)
+        builder = _TrieBuilder()
+        for key, value in entries.items():
+            try:
+                builder.add(key, value)
+            except (PrefixConflictError, BadPathError, BadNameError, TypeError):
+                continue
+        assert plain_names(builder.freeze())
+
+    @given(mixed_dtries_st, good_keys_st)
+    def test_insert(self, d, key):
+        try:
+            inserted = d.insert(key, 0)
+        except PrefixConflictError:
+            return
+        assert plain_names(inserted.root)
+
+    @given(mixed_dtries_st)
+    def test_the_rewrites(self, d):
+        inner = lambda v: Dtry.from_path_map({(Name("n"),): v, "m": v}) if v % 3 else Dtry.empty()
+        maybes = d.map_values(lambda v: Just(v) if v % 2 else NOTHING)
+        rewritten = [
+            d.map_values(lambda v: v + 1),
+            d.filter(lambda v: v % 2 == 0),
+            d.map_values(inner).flatten(),
+            Dtry(distrib(maybes.root)),
+            merge_disjoint({Name("m"): d, "k": d}),
+            copy.copy(d),
+            copy.deepcopy(d),
+            pickle.loads(pickle.dumps(d)),
+        ]
+        for result in rewritten:
+            assert plain_names(result.root)
+
+    @given(st.dictionaries(mixed_names_st, values_st, min_size=1, max_size=4))
+    def test_a_record_given_name_keys(self, entries):
+        record = NonEmptyRecord(entries)
+        assert all(type(key) is str and paths._is_name(key) for key in record)
+        assert all(type(key) is str for key in filter_nothings(record.map_values(Just)))
+
+
+class TestNameInterop:
+    """A ``Name`` is accepted wherever a name is, and equals the ``str`` stored for it."""
+
+    def test_lookup_with_a_tuple_of_names(self):
+        d = Dtry.from_path_map({"a.x": 1, "a.y": 2})
+        assert d.lookup((Name("a"), Name("x"))) == Dtry.leaf(1)
+        assert d.lookup((Name("a"),)) == d.lookup("a")
+
+    def test_from_path_map_with_a_name_key(self):
+        assert Dtry.from_path_map({Name("b"): 3}).path_map() == {Path("b"): 3}
+
+    def test_merge_disjoint_under_a_name(self):
+        d = Dtry.from_path_map({"x": 1})
+        assert merge_disjoint({Name("m"): d}) == Dtry.from_path_map({"m.x": 1})
+
+    def test_path_map_keys_equal_and_hash_as_paths(self):
+        (key,) = Dtry.from_path_map({(Name("a"), Name("b")): 1}).path_map()
+        assert key == Path("a.b") and hash(key) == hash(Path("a.b"))
+        assert key == Path((Name("a"), Name("b"))) and all(type(s) is str for s in key)
+
+    def test_records_given_names_or_str_are_equal(self):
+        assert NonEmptyRecord({Name("a"): 1}) == NonEmptyRecord({"a": 1})

@@ -21,6 +21,6 @@ def test_module_examples(name):
     assert doctest.testmod(importlib.import_module(name)).failed == 0
 
 
-@pytest.mark.parametrize("name", ["dtry.core", "dtry.fincat", "dtry.formats"])
+@pytest.mark.parametrize("name", ["dtry.core", "dtry.fincat", "dtry.formats", "dtry.paths"])
 def test_examples_are_found(name):
     assert doctest.testmod(importlib.import_module(name)).attempted > 0
