@@ -13,19 +13,19 @@ of a record is dropped, and a record that loses all its entries becomes
 absent itself. The operations share one non-recursive rewrite that
 replaces each leaf by a tree or deletes it, and deletes each node it
 empties: ``map_values``, ``filter``, ``flatten`` (which grafts the inner
-directories in place, so inner empties vanish), ``distrib`` and the
-builder's freeze are each one call of it. A record is sorted once: the
-rewrite sorts a builder node's entries, the nested reader a JSON object's,
-and the record keeps the dict they fill; a caller's it copies and sorts.
+directories in place, so inner empties vanish) and ``distrib`` are each
+one call of it. A record is sorted once: the sorted build fills it in
+order, the nested reader sorts a JSON object's entries, and the record
+keeps the dict they fill; a caller's it copies and sorts.
 
 A trie that is not derived from another is built from its keys as
 dotted texts, sorted once: since ``.`` sorts below every character of a
 name, text order is path order, so one pass fills each record in order,
-children before parents. ``Dtry.from_path_map`` and the flat parser build
-so whatever they are given that is clean: paths, none repeated and none
-a prefix of another. What fails, and ``Dtry.insert``, goes through one
-mutable builder, whose one routine binds a key, whatever its form, and
-decides every conflict that is reported.
+children before parents. ``Dtry.from_path_map``, ``Dtry.insert`` and the
+flat parser build so whatever they are given that is clean: paths, none
+repeated and none a prefix of another. For what fails no trie is built:
+one routine binds its dotted texts in the order that decides the error,
+as numbered nodes, and names each conflict.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
@@ -37,11 +37,10 @@ decides every conflict that is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import BadNameError, PrefixConflictError
+from .errors import PrefixConflictError
 from .maybe import NOTHING, Just
 from .paths import Name, Path, _are_dotted, _name
 
@@ -211,14 +210,13 @@ def _rebuild(tree, leaf):
 
     ``leaf`` returns the tree to put in its place, or None to delete the
     entry; a node left without entries is deleted too, so the result is
-    None when nothing remains. ``tree`` is made of ``Node``s or of the
-    builder's ``_Dir``s, each sorted once as the walk enters it, so leaves
+    None when nothing remains. Records keep their names sorted, so leaves
     come in path order and each changed node's record is built from the
     dict the walk filled, children before parents; nothing recurses.
 
-    A ``Node`` for which ``leaf`` returned each of its leaves as it was,
-    and none of whose child nodes changed, is kept as it is, with its
-    whole subtree. A ``_Dir`` always counts as changed.
+    A node for which ``leaf`` returned each of its leaves as it was, and
+    none of whose child nodes changed, is kept as it is, with its whole
+    subtree.
     """
     if tree is None:
         return None
@@ -243,7 +241,7 @@ def _rebuild(tree, leaf):
                 break
         else:
             name, source, _, kept, changed = stack.pop()
-            if not changed and type(source) is not _Dir:
+            if not changed:
                 node = source
             else:
                 node = Node(NonEmptyRecord(kept)) if kept else None
@@ -254,106 +252,6 @@ def _rebuild(tree, leaf):
                 parent[3][name] = node
             if node is not source:
                 parent[4] = True
-
-
-class _Dir(dict):
-    """A mutable directory node of :class:`_TrieBuilder`: names to ``_Dir`` or ``Leaf``."""
-
-    __slots__ = ()
-
-    @property
-    def children(self) -> dict:
-        """Its entries in path order, so that :func:`_rebuild` walks it as it walks a ``Node``."""
-        return dict(sorted(self.items()))
-
-
-def _chain(names: list, value) -> "_Dir | Leaf":
-    tree = Leaf(value)
-    for name in reversed(names):
-        node = _Dir()
-        node[name] = tree
-        tree = node
-    return tree
-
-
-class _TrieBuilder:
-    """Collects prefix-free bindings in mutable nodes; ``freeze`` builds the trie once.
-
-    ``add`` is the one routine that binds a key, and so the one place
-    where a conflict between a new path and the bound ones is decided.
-    """
-
-    __slots__ = ("_root", "_least")
-
-    def __init__(self):
-        self._root: _Dir | Leaf | None = None
-        # id of a ``_Dir`` -> (its least name, its child count then), kept
-        # by rejected keys only. A node lives as long as the builder and
-        # never loses a child, and a dict keeps insertion order, so a later
-        # rejection compares only the children added since: the flat
-        # parser, which goes on after a conflict, pays O(fanout) per node
-        # in all, not per rejected line.
-        self._least: dict[int, tuple[str, int]] = {}
-
-    def add(self, key, value) -> None:
-        """Bind ``value`` at ``key``, walking the key once.
-
-        ``key`` is a ``Path``, a dotted string (a ``Name`` among them, one
-        segment) or a sequence of names. A segment is checked, and kept as a
-        plain ``str``, only where it makes a new edge: one that follows an
-        edge equals that edge's name. A rejected key leaves the builder
-        unchanged: the new nodes are attached only once all are made.
-
-        Raises:
-            PrefixConflictError: against the bound path that ``key``
-                equals or extends, or else against the least bound path
-                that extends ``key``.
-            BadPathError: for a dotted key with a bad segment, naming it.
-            BadNameError, TypeError: for a sequence key that is no path.
-        """
-        segments = (key.split(".") if key else ()) if isinstance(key, str) else key
-        try:
-            node = self._root
-            if node is None:
-                self._root = _chain(list(map(_name, segments)), value)
-                return
-            rest = iter(segments)
-            for segment in rest:
-                if type(node) is Leaf:
-                    break
-                child = node.get(segment)
-                if child is None:
-                    name = _name(segment)  # before the rest: the first bad segment is reported
-                    node[name] = _chain(list(map(_name, rest)), value)
-                    return
-                node = child
-        except BadNameError:
-            if isinstance(key, str):
-                Path.parse(key)  # raises the error that names the bad segment
-            raise
-        # ``key`` is bound already, extends a bound path or is a prefix of
-        # bound paths. Only a rejected key walks again: down its names while
-        # they last, then down the least name. The leaf it ends at is the
-        # bound path to name.
-        incoming = Path(key)
-        names = []
-        node = self._root
-        while type(node) is _Dir:
-            if len(names) < len(incoming):
-                name = incoming[len(names)]
-            else:
-                name, seen = self._least.get(id(node), (None, 0))
-                for added in islice(reversed(node), len(node) - seen):
-                    if name is None or added < name:
-                        name = added
-                self._least[id(node)] = (name, len(node))
-            names.append(name)
-            node = node[name]
-        raise PrefixConflictError(existing=Path(names), incoming=incoming)
-
-    def freeze(self) -> Leaf | Node | None:
-        """The immutable tree, or None when empty: one record per node, children before parents."""
-        return _rebuild(self._root, lambda leaf: leaf)
 
 
 _text = itemgetter(0)
@@ -423,6 +321,46 @@ def _from_sorted(items) -> Leaf | Node | None:
     return Node(NonEmptyRecord(records[0]))
 
 
+def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Bind dotted ``texts`` in order; ``(index, bound text)`` for each text that clashes.
+
+    A text clashes with the bound text it equals or extends, or else with
+    the least bound text that extends it, and a text that clashes is not
+    bound. The paths are numbered nodes, the root 0: ``child`` maps a node
+    and a name to a node, ``bound`` a node to its text, and ``least`` a
+    node to the least text bound below it. A text costs one lookup per
+    segment and a node per segment it adds, and a rejected one no more.
+    """
+    child: dict[tuple[int, str], int] = {}
+    bound: dict[int, str] = {}
+    least: dict[int, str] = {}
+    for index, text in enumerate(texts):
+        names = text.split(".") if text else []
+        node, walked = 0, [0]  # the nodes of the text's prefixes that exist, the root first
+        for name in names:  # a bound node has no child, so the walk stops there
+            node = child.get((node, name))
+            if node is None:
+                break
+            walked.append(node)
+        node = walked[-1]
+        clash = bound.get(node)
+        if clash is None and len(walked) > len(names):
+            clash = least.get(node)  # None only at a root with nothing bound
+        if clash is not None:
+            yield index, clash
+            continue
+        for name in names[len(walked) - 1 :]:
+            child[node, name] = len(child) + 1
+            node = child[node, name]
+            walked.append(node)
+        bound[node] = text
+        # Bottom up, to the first node whose least text is less: so is its parent's.
+        for node in reversed(walked[:-1]):
+            if least.get(node, text) < text:
+                break
+            least[node] = text
+
+
 class Dtry(Generic[T]):
     """An immutable directory of values indexed by prefix-free paths."""
 
@@ -461,8 +399,9 @@ class Dtry(Generic[T]):
         the mapping's order, and the paths were then bound in lexicographic
         order: a bad key is raised before any conflict, the first bad key
         in the mapping's order, and the reported conflict pair is the
-        lexicographically first one. An input that is not clean is built in
-        that order, which decides the error.
+        lexicographically first one. An input that is not clean builds no
+        trie: its keys are made ``Path``s and sorted, and their texts bound
+        only to name the conflict.
 
         >>> Dtry.from_path_map({("a", "y"): 1, "a.x": 2, Name("b"): 3}).path_map()
         {Path('a.x'): 2, Path('a.y'): 1, Path('b'): 3}
@@ -493,11 +432,10 @@ class Dtry(Generic[T]):
             if ordered is not None:
                 return cls(_from_sorted(ordered))
         # The reference order decides which error is reported: coerce every
-        # key, sort, bind.
-        builder = _TrieBuilder()
-        for path, value in sorted(((Path(p), v) for p, v in entries.items()), key=_text):
-            builder.add(path, value)
-        return cls(builder.freeze())
+        # key, sort, bind. An input that gets here is not clean, so it fails.
+        paths = sorted(map(Path, entries))
+        index, existing = next(_conflicts(map(str, paths)))
+        raise PrefixConflictError(Path.parse(existing), paths[index])
 
     @property
     def is_empty(self) -> bool:
@@ -545,15 +483,18 @@ class Dtry(Generic[T]):
                 would silently change the shape, so conflicts are hard
                 errors; build a fresh directory instead.
 
-        Each call rebuilds the whole trie, so it costs O(n) in the number
-        of entries; build a directory of many bindings with
-        :meth:`from_path_map` instead.
+        Each call rebuilds the whole trie from its dotted texts, so it
+        costs O(n) in the number of entries; build a directory of many
+        bindings with :meth:`from_path_map` instead.
         """
-        builder = _TrieBuilder()
-        for bound, old in self.path_map().items():
-            builder.add(bound, old)
-        builder.add(Path(path), value)
-        return Dtry(builder.freeze())
+        path = Path(path)
+        items = [(str(bound), old) for bound, old in self.path_map().items()]
+        items.append((str(path), value))
+        ordered = _sorted_clean(items)
+        if ordered is None:  # only the new path can clash, and it comes last
+            _, existing = next(_conflicts(map(_text, items)))
+            raise PrefixConflictError(Path.parse(existing), path)
+        return Dtry(_from_sorted(ordered))
 
     def flatten(self) -> "Dtry":
         """Graft a directory of directories into one directory.

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _from_sorted, _node, _sorted_clean, _TrieBuilder
+from .core import Dtry, Leaf, Node, _conflicts, _from_sorted, _node, _sorted_clean
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
 from .paths import Name, Path, _are_dotted, _is_dotted, _names, _text_prefix
 
@@ -144,9 +144,9 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
     The lines are read once. When every key is a path (one match for all
     the keys) and none repeats or is a prefix of another (each sorted text
     against the one before it), no ``Path`` and no trie is made. Otherwise
-    the lines read are bound in file order into the trie builder, which
-    decides every conflict; a line it rejects for a bad segment is parsed
-    as a ``Path`` once, for the error that names the segment.
+    no trie is made either: a key that is no path is parsed once, for the
+    error that names its segment, and the other keys are bound in file
+    order by :func:`core._conflicts`, which names every conflict.
 
     Raises:
         ParseError: with one diagnostic per failing line, in line order.
@@ -159,22 +159,41 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
     ordered = None if diagnostics else _sorted_clean(items)
     if ordered is not None:
         return ordered
-    builder = _TrieBuilder()
-    # A dotted text names one path, so equal texts are equal paths.
-    first_line: dict[str, int] = {}
-    for lineno, (key, value) in zip(linenos, items):
-        try:
-            builder.add(key, value)
-        except (PrefixConflictError, BadPathError) as exc:
-            if isinstance(exc, PrefixConflictError) and exc.existing == exc.incoming:
-                message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
-                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
-            else:
-                diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
-            continue
-        first_line[key] = lineno
+    entries = _paths_only([(key, lineno) for lineno, (key, _) in zip(linenos, items)], diagnostics)
+    # A dotted text names one path, so equal texts are equal paths; and a
+    # text's first line binds it if any does, since a binding stays.
+    first_line = dict(reversed(entries))
+    for index, existing in _conflicts([key for key, _ in entries]):
+        key, lineno = entries[index]
+        if existing == key:
+            message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
+            diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
+        else:
+            exc = PrefixConflictError(Path.parse(existing), Path.parse(key))
+            diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
     diagnostics.sort(key=attrgetter("line"))  # the syntax errors came first; one per line
     raise ParseError(diagnostics)
+
+
+def _paths_only(entries: list, diagnostics: list[Diagnostic]) -> list:
+    """The ``(key, line)`` entries whose key is a path, and a diagnostic for each other one.
+
+    The keys are matched in one call; only when that fails is each key
+    matched alone, and only a key that fails is parsed, for the error that
+    names its segment.
+    """
+    if _are_dotted([key for key, _ in entries]):
+        return entries
+    dotted = []
+    for key, lineno in entries:
+        if _is_dotted(key) is None:
+            try:
+                Path.parse(key)
+            except BadPathError as exc:
+                diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
+                continue
+        dotted.append((key, lineno))
+    return dotted
 
 
 def _key_conflicts(text: str) -> list[Diagnostic]:
@@ -183,10 +202,8 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     The lexical diagnostics of :func:`scan_flat`, and for each two lines
     whose paths are equal or one a prefix of the other, one diagnostic at
     the later line; ordered by that line, then by the earlier one. Works
-    on the dotted texts, without a ``Path`` per line and without the trie.
-    The keys are matched in one call; only when that fails is each key
-    matched alone, and only a key that fails is parsed, for the error that
-    names its segment.
+    on the dotted texts, without a ``Path`` per line and without the trie;
+    a key that is no path is named as :func:`_paths_only` names it.
 
     Sorted by text, the copies and extensions of a path follow it
     contiguously, since ``.`` sorts below every character of a name and
@@ -195,17 +212,7 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     """
     diagnostics: list[Diagnostic] = []
     entries = [(key, lineno) for lineno, key, _ in _entry_lines(text, diagnostics)]
-    if not _are_dotted([key for key, _ in entries]):
-        dotted = []
-        for key, lineno in entries:
-            if _is_dotted(key) is None:
-                try:
-                    Path.parse(key)
-                except BadPathError as exc:
-                    diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
-                    continue
-            dotted.append((key, lineno))
-        entries = dotted
+    entries = _paths_only(entries, diagnostics)
     problems = [(d.line, 0, d) for d in diagnostics]
     entries.sort()
     for i, (key, _) in enumerate(entries):

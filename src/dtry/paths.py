@@ -75,11 +75,14 @@ class Name(str):
         if not isinstance(text, str):
             raise BadNameError(repr(text), 0, "not a string")
         if _is_name(text) is None:
-            if not text:
-                raise BadNameError(text, 0, "name is empty")
-            bad = _bad_char(text)
-            raise BadNameError(text, bad.start(), f"invalid character {bad.group()!r}")
+            raise BadNameError(text, *_fault(text))
         return super().__new__(cls, text)
+
+
+def _fault(text: str) -> tuple[int, str]:
+    """Where and why a ``str`` that is no name fails: its first bad character, or being empty."""
+    bad = _bad_char(text)
+    return (bad.start(), f"invalid character {bad.group()!r}") if bad else (0, "name is empty")
 
 
 def _name(text) -> str:
@@ -113,10 +116,8 @@ class Path(tuple):
         """
         if _is_dotted(text) is None:
             for i, part in enumerate(text.split(".")):
-                try:
-                    Name(part)
-                except BadNameError as exc:
-                    raise BadPathError(text, i, exc.reason) from exc
+                if _is_name(part) is None:
+                    raise BadPathError(text, i, _fault(part)[1])
         return tuple.__new__(cls, text.split(".") if text else ())
 
     def concat(self, other) -> "Path":

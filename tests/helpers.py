@@ -15,7 +15,7 @@ import sys
 from typing import Mapping
 
 from dtry import cli, formats, paths
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _TrieBuilder, merge_disjoint
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
@@ -90,27 +90,27 @@ def oracle_check(text: str) -> list[str]:
 def reference_parse_flat(text: str) -> Dtry:
     """The flat parser as it was when every line went through a ``Path``.
 
-    ``scan_flat`` makes one ``Path`` per line, and each is then bound in
-    the builder; a line's diagnostic is sorted into place by its line.
+    ``scan_flat`` makes one ``Path`` per line, and ``oracle_conflicts``
+    binds them in line order; a line's diagnostic is sorted into place by
+    its line.
     """
     entries, diagnostics = scan_flat(text)
-    builder = _TrieBuilder()
+    bound: dict[Path, str] = {}
     first_line: dict[Path, int] = {}
-    for entry in entries:
-        try:
-            builder.add(entry.path, entry.value)
-        except PrefixConflictError as exc:
-            if exc.existing == exc.incoming:
-                first = first_line[entry.path]
-                message = f"duplicate path {_show(entry.path)}; first bound at line {first}"
-                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", entry.line, message))
-            else:
-                diagnostics.append(Diagnostic(exc.code, entry.line, str(exc)))
-            continue
-        first_line[entry.path] = entry.line
+    for entry, hit in zip(entries, oracle_conflicts([entry.path for entry in entries])):
+        if hit is None:
+            bound[entry.path] = entry.value
+            first_line[entry.path] = entry.line
+        elif hit == entry.path:
+            first = first_line[entry.path]
+            message = f"duplicate path {_show(entry.path)}; first bound at line {first}"
+            diagnostics.append(Diagnostic("E_DUPLICATE_PATH", entry.line, message))
+        else:
+            error = PrefixConflictError(Path(hit), entry.path)
+            diagnostics.append(Diagnostic(error.code, entry.line, str(error)))
     if diagnostics:
         raise ParseError(sorted(diagnostics, key=lambda d: d.line))
-    return Dtry(builder.freeze())
+    return Dtry.from_path_map(bound)
 
 
 def reference_load(source: str, fmt: str) -> Dtry:

@@ -25,7 +25,6 @@ from dtry.core import (
     NonEmptyRecord,
     _from_sorted,
     _sorted_clean,
-    _TrieBuilder,
     distrib,
     merge_disjoint,
 )
@@ -150,21 +149,15 @@ class TestDifferential:
     @example([("s",) * 3000, ("s", "t"), ("a",)])
     @example([("a", "b"), ("a_",), ("a0",), ("ab", "c"), ("A", "x")])
     def test_sorted_build_matches_the_builder(self, paths):
-        # The clean test accepts exactly the key sets the builder binds whole.
+        # The builder here is the file-order reference, ``oracle_conflicts``:
+        # the clean test accepts exactly the key sets it binds whole.
         items = [(".".join(p), i) for i, p in enumerate(paths)]
-        builder = _TrieBuilder()
-        kept = []
-        for path, (text, value) in zip(paths, items):
-            try:
-                builder.add(path, value)
-            except PrefixConflictError:
-                continue
-            kept.append((text, value))
+        kept = [item for item, hit in zip(items, oracle_conflicts(paths)) if hit is None]
         assert (_sorted_clean(items) is not None) == (len(kept) == len(items))
-        # The sorted build of the bound keys is the builder's trie.
+        # The sorted build of the bound keys binds exactly them.
         tree = _from_sorted(_sorted_clean(kept))
-        assert tree == builder.freeze()
-        for node in nodes(tree):  # == compares key sets: the order is checked here
+        assert Dtry(tree).path_map() == {Path(paths[value]): value for _, value in kept}
+        for node in nodes(tree):
             keys = list(node.children)
             assert keys == sorted(keys) and all(type(key) is str and _is_name(key) for key in keys)
 
@@ -332,23 +325,27 @@ class TestWork:
 
     def test_clean_input_binds_no_key_in_the_builder(self, monkeypatch):
         calls = Counter()
-        add = _TrieBuilder.add
+        conflicts = core._conflicts
 
-        def counting_add(self, key, value):
-            calls["add"] += 1
-            return add(self, key, value)
+        def counting_conflicts(texts):
+            calls["scans"] += 1
+            return conflicts(texts)
 
-        monkeypatch.setattr(_TrieBuilder, "add", counting_add)
+        # Only the keys of an input that fails are bound, by one scan that
+        # names the conflicts (``_conflicts``); a clean input is built sorted.
+        monkeypatch.setattr(core, "_conflicts", counting_conflicts)
+        monkeypatch.setattr(formats, "_conflicts", counting_conflicts)
         lines = realistic_lines(1000)
         text = "\n".join(lines) + "\n"
         assert len(parse_flat(text)) == 1000
         assert run_cli(["validate", "-"], text) == (0, "", "")
         assert len(Dtry.from_path_map({line.partition(" = ")[0]: 1 for line in lines})) == 1000
-        assert calls["add"] == 0
-        # A failing input goes through the builder, which names the conflict.
+        assert len(parse_flat(text).insert("z", "v")) == 1001
+        assert calls["scans"] == 0
+        # A failing input is scanned once, which names the conflict.
         with pytest.raises(ParseError):
             parse_flat(text + lines[0] + "\n")
-        assert calls["add"] == len(lines) + 1
+        assert calls["scans"] == 1
 
     def test_a_repeated_last_line_reads_in_a_few_times_the_clean_time(self):
         lines = realistic_lines(10_000)

@@ -141,9 +141,27 @@ class TestFlatDiagnostics:
 
         assert best_of_three(mixed) < 10 * best_of_three(bound)
 
+    def test_a_failing_deep_file_is_checked_in_memory_linear_in_its_size(self):
+        # 60 keys of 2,000 segments, then a prefix of the first: a node per
+        # segment holds O(depth) per key, a text per prefix O(depth²), which
+        # here peaks near 250 MB.
+        keys = [f"k{i}" + ".s" * 1999 for i in range(60)]
+        text = "".join(f"{key} = v\n" for key in keys) + "k0 = x\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_flat(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"61:E_PREFIX_CONFLICT:path 'k0' is a prefix of the bound path '{keys[0]}'"
+        ]
+        assert peak < 64_000_000
+
     def test_many_lines_with_a_bad_segment_past_a_bound_leaf_stay_linear(self):
-        # Each `a.nNNNNN.b-c` passes its bound leaf `a.nNNNNN`: the builder
-        # rejects it, and only then is it parsed as a path, once.
+        # Each `a.nNNNNN.b-c` passes its bound leaf `a.nNNNNN`: only its
+        # bad segment is reported, and it is parsed as a path once.
         k = 10_000
         bound = "".join(f"a.n{i:05d} = v\n" for i in range(k, 0, -1))
         mixed = "".join(f"a.n{i:05d} = v\na.n{i:05d}.b-c = v\n" for i in range(k, 0, -1))
