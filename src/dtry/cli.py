@@ -24,7 +24,7 @@ import json
 import sys
 from bisect import bisect_left
 
-from .core import Dtry, Leaf, _rebuild, _text
+from .core import Dtry, _text
 from .errors import BadNameError, BadPathError, _show
 from .formats import (
     Diagnostic,
@@ -64,9 +64,9 @@ def _report(diagnostics) -> None:
         print(diag, file=sys.stderr)
 
 
-def _flat_leaf(leaf: Leaf) -> Leaf:
-    # Nested leaves may be any JSON scalar or array; flat lines hold text.
-    return leaf if isinstance(leaf.value, str) else Leaf(json.dumps(leaf.value))
+def _flat_value(value):
+    # Nested values may be any JSON scalar or array; flat lines hold text.
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _flat_text(directory: Dtry) -> tuple[str, Dtry]:
@@ -76,7 +76,7 @@ def _flat_text(directory: Dtry) -> tuple[str, Dtry]:
     not rebuilt. A value no flat line can hold is invalid input, reported
     like a parse failure.
     """
-    written = Dtry(_rebuild(directory.root, _flat_leaf))
+    written = directory.map_values(_flat_value)
     try:
         return emit_flat(written), written
     except ValueError as exc:

@@ -1,22 +1,28 @@
 """Directory tries: values bound to a prefix-free set of dotted paths.
 
-A directory is either empty or a nonempty tree whose internal nodes are
-nonempty records of child trees keyed by names, plain ``str``s, and
-whose leaves carry values. Emptiness exists only at the top level: no
-subtree is ever an empty node. That single constraint is what keeps the
-set of complete paths prefix-free, makes the path-map view faithful, and
-forces :meth:`Dtry.filter` to delete subdirectories it empties out.
+A directory is either empty or a nonempty tree: a single value at the
+root, held in a ``Leaf``, or a ``Node`` whose record maps names, plain
+``str``s, to entries. An entry is a subdirectory, itself a ``Node``, or
+the value bound there, held bare, as a named tuple holds it; only a
+value that is itself a ``Leaf`` or a ``Node`` is held in a ``Leaf``, so
+that no value is read as a subtree. Records built around ``Leaf``
+entries for every value mean the same and compare equal. Emptiness
+exists only at the top level: no subtree is ever an empty node. That
+single constraint is what keeps the set of complete paths prefix-free,
+makes the path-map view faithful, and forces :meth:`Dtry.filter` to
+delete subdirectories it empties out.
 
 ``filter_nothings`` and ``distrib`` are the paper's distributive law of
 absence over directories, exposed and tested as such: an absent entry
 of a record is dropped, and a record that loses all its entries becomes
 absent itself. The operations share one non-recursive rewrite that
-replaces each leaf by a tree or deletes it, and deletes each node it
-empties: ``map_values``, ``filter``, ``flatten`` (which grafts the inner
-directories in place, so inner empties vanish) and ``distrib`` are each
-one call of it. A record is sorted once: the sorted build fills it in
-order, the nested reader sorts a JSON object's entries, and the record
-keeps the dict they fill; a caller's it copies and sorts.
+replaces each value by another, grafts a tree in its place, or deletes
+it, and deletes each node it empties: ``map_values``, ``filter``,
+``flatten`` (which grafts the inner directories in place, so inner
+empties vanish) and ``distrib`` are each one call of it. A record is
+sorted once: the sorted build fills it in order, the nested reader sorts
+a JSON object's entries, and the record keeps the dict they fill; a
+caller's it copies and sorts.
 
 A trie that is not derived from another is built from its keys as
 dotted texts, sorted once: since ``.`` sorts below every character of a
@@ -122,7 +128,8 @@ class _Sorted(dict):
 
 @dataclass(frozen=True)
 class Leaf(Generic[T]):
-    """A terminal tree node holding one value."""
+    """A tree that is one value: the root of a single-value directory, or a record
+    entry holding a value that is itself a ``Leaf`` or a ``Node``."""
 
     __slots__ = ("value",)
     value: T
@@ -136,7 +143,18 @@ class Leaf(Generic[T]):
 
 @dataclass(frozen=True)
 class Node:
-    """An internal tree node; children are themselves nonempty trees."""
+    """An internal tree node; each child is a ``Node`` or the value bound there.
+
+    A value is held bare, unless it is itself a ``Leaf`` or a ``Node``:
+    then a ``Leaf`` holds it, so that it is not read as a subtree. A
+    ``Leaf`` child always holds a value, so ``Leaf(1)`` as a child means
+    what ``1`` does, and the two trees compare equal.
+
+    >>> Dtry.from_path_map({"a.x": 1, "b": Leaf(2)}).root.children
+    NonEmptyRecord({'a': Node(children=NonEmptyRecord({'x': 1})), 'b': Leaf(value=Leaf(value=2))})
+    >>> Node(NonEmptyRecord({"x": Leaf(1)})) == Node(NonEmptyRecord({"x": 1}))
+    True
+    """
 
     __slots__ = ("children",)
     children: NonEmptyRecord
@@ -149,20 +167,30 @@ class Node:
             return NotImplemented
         # Without recursion: a stack of node pairs still to compare. Records
         # keep their keys sorted, so equal key sets pair the children in order.
+        # A value equals the same object, so one NaN object equals itself.
         pending = [(self, other)]
         while pending:
             left, right = pending.pop()
             if left.children.keys() != right.children.keys():
                 return False
             for a, b in zip(left.children.values(), right.children.values()):
-                if type(a) is Node and type(b) is Node:
+                if type(a) is Node or type(b) is Node:
+                    if type(a) is not type(b):
+                        return False
                     pending.append((a, b))
-                elif a != b:
+                    continue
+                if type(a) is Leaf:
+                    a = a.value
+                if type(b) is Leaf:
+                    b = b.value
+                if not (a is b or a == b):
                     return False
         return True
 
 
 _set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats object.__setattr__
+_TREES = (Leaf, Node)  # the types of value a record entry holds in a Leaf
+_ABSENT = object()  # no entry: one deleted by a _rebuild, or missing in a lookup
 
 
 def _node(children: dict) -> Node:
@@ -189,39 +217,48 @@ def filter_nothings(record: NonEmptyRecord) -> NonEmptyRecord | None:
 def distrib(tree: Leaf | Node) -> Leaf | Node | None:
     """Push leaf-level absence outward through a tree.
 
-    Leaves hold ``Just(value)`` or ``NOTHING``; the result is the tree of
-    the present values, with subtrees that lost every leaf deleted, or
+    Values are ``Just(value)`` or ``NOTHING``; the result is the tree of
+    the present values, with subtrees that lost every value deleted, or
     None when nothing remains at all.
     """
     return _rebuild(tree, _present)
 
 
-def _present(leaf):
-    entry = leaf.value
+def _present(entry):
     if entry is NOTHING:
-        return None
+        return _ABSENT
     if not isinstance(entry, Just):
         raise TypeError(f"leaf value is not Just(...) or NOTHING: {entry!r}")
-    return Leaf(entry.value)
+    return entry.value
 
 
-def _rebuild(tree, leaf):
-    """``tree`` with each ``Leaf`` replaced by ``leaf(that_leaf)``.
+def _rebuild(tree, f, graft=False):
+    """``tree`` with each value ``v`` replaced by ``f(v)``, in path order.
 
-    ``leaf`` returns the tree to put in its place, or None to delete the
-    entry; a node left without entries is deleted too, so the result is
-    None when nothing remains. Records keep their names sorted, so leaves
-    come in path order and each changed node's record is built from the
-    dict the walk filled, children before parents; nothing recurses.
+    ``f`` returns the value to bind in ``v``'s place, or ``_ABSENT`` to
+    delete the entry; a returned ``Leaf`` or ``Node`` is a value, and a
+    record entry holds it in a ``Leaf``. With ``graft``, ``f`` returns a
+    tree to put in ``v``'s place instead, None deleting the entry. A node
+    left without entries is deleted too, so the result is None when
+    nothing remains. Records keep their names sorted, so values come in
+    path order and each changed node's record is built from the dict the
+    walk filled, children before parents; nothing recurses.
 
-    A node for which ``leaf`` returned each of its leaves as it was, and
-    none of whose child nodes changed, is kept as it is, with its whole
-    subtree.
+    A node for which ``f`` returned each of its values as the same
+    object, and none of whose child nodes changed, is kept as it is, with
+    its whole subtree.
     """
     if tree is None:
         return None
     if type(tree) is Leaf:
-        return leaf(tree)
+        value = tree.value
+        new = f(value)
+        if new is value:
+            return tree
+        if graft:
+            return new
+        return None if new is _ABSENT else Leaf(new)
+    absent, trees = _ABSENT, _TREES
     # A frame per open node: its name, the node, its unvisited children,
     # the rebuilt ones, and whether any entry changed.
     stack = [[None, tree, iter(tree.children.items()), _Sorted(), False]]
@@ -229,16 +266,26 @@ def _rebuild(tree, leaf):
         frame = stack[-1]
         kept = frame[3]
         for name, child in frame[2]:
-            if type(child) is Leaf:
-                new = leaf(child)
-                if new is not child:
-                    frame[4] = True
-                    if new is None:
-                        continue
-                kept[name] = new
-            else:
+            kind = type(child)
+            if kind is Node:
                 stack.append([name, child, iter(child.children.items()), _Sorted(), False])
                 break
+            value = child.value if kind is Leaf else child
+            new = f(value)
+            if new is value:
+                kept[name] = child
+                continue
+            frame[4] = True
+            if graft:
+                if new is None:
+                    continue
+                if type(new) is Leaf and type(new.value) not in trees:
+                    new = new.value
+            elif new is absent:
+                continue
+            elif type(new) in trees:
+                new = Leaf(new)
+            kept[name] = new
         else:
             name, source, _, kept, changed = stack.pop()
             if not changed:
@@ -288,18 +335,22 @@ def _from_sorted(items) -> Leaf | Node | None:
     the innermost open node, as most are, is bound at once. A node's
     entries come in name order, and its record is built once, when the
     node closes, so children before parents. A name is a slice of its text,
-    not checked again, since the whole text matched.
+    not checked again, since the whole text matched. A value is bound bare,
+    or in a ``Leaf`` when it is itself a ``Leaf`` or a ``Node``.
     """
     if not items:
         return None
     if not items[0][0]:  # the root path: clean, so the only key
         return Leaf(items[0][1])
+    trees = _TREES
     names: list[str] = []  # the open nodes below the root, outermost first
     records = [_Sorted()]  # the entries of the root and of each open node
     prefix = ""  # the innermost open node's text and a '.'; '' at the root
     for text, value in items:
+        if type(value) in trees:
+            value = Leaf(value)
         if text.startswith(prefix) and text.find(".", len(prefix)) < 0:  # in that node
-            records[-1][text[len(prefix) :]] = Leaf(value)
+            records[-1][text[len(prefix) :]] = value
             continue
         segments = text.split(".")
         last = len(segments) - 1
@@ -313,7 +364,7 @@ def _from_sorted(items) -> Leaf | Node | None:
         for segment in segments[shared:last]:
             names.append(segment)
             records.append(_Sorted())
-        records[-1][segments[last]] = Leaf(value)
+        records[-1][segments[last]] = value
         prefix = text[: len(text) - len(segments[last])]
     while names:
         entries = records.pop()
@@ -326,19 +377,19 @@ def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
 
     A text clashes with the bound text it equals or extends, or else with
     the least bound text that extends it, and a text that clashes is not
-    bound. The paths are numbered nodes, the root 0: ``child`` maps a node
-    and a name to a node, ``bound`` a node to its text, and ``least`` a
-    node to the least text bound below it. A text costs one lookup per
-    segment and a node per segment it adds, and a rejected one no more.
+    bound. The paths are numbered nodes, the root 0: ``child[node]`` maps
+    a name to a node, ``bound`` a node to its text, and ``least`` a node
+    to the least text bound below it. A text costs one lookup per segment
+    and a node per segment it adds, and a rejected one no more.
     """
-    child: dict[tuple[int, str], int] = {}
+    child: list[dict[str, int]] = [{}]
     bound: dict[int, str] = {}
     least: dict[int, str] = {}
     for index, text in enumerate(texts):
         names = text.split(".") if text else []
         node, walked = 0, [0]  # the nodes of the text's prefixes that exist, the root first
         for name in names:  # a bound node has no child, so the walk stops there
-            node = child.get((node, name))
+            node = child[node].get(name)
             if node is None:
                 break
             walked.append(node)
@@ -350,14 +401,20 @@ def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield index, clash
             continue
         for name in names[len(walked) - 1 :]:
-            child[node, name] = len(child) + 1
-            node = child[node, name]
+            child[node][name] = node = len(child)
+            child.append({})
             walked.append(node)
         bound[node] = text
-        # Bottom up, to the first node whose least text is less: so is its parent's.
+        # Bottom up, to the first node whose least text is less: so is its
+        # parent's. Up a chain of single children the least text is one
+        # object, compared once.
+        passed = None  # the least text last found not less
         for node in reversed(walked[:-1]):
-            if least.get(node, text) < text:
-                break
+            old = least.get(node)
+            if old is not passed:
+                if old is not None and old < text:
+                    break
+                passed = old
             least[node] = text
 
 
@@ -453,8 +510,12 @@ class Dtry(Generic[T]):
         return self._root.value
 
     def map_values(self, f: Callable[[T], Any]) -> "Dtry":
-        """Apply ``f`` to every value, in path order; the paths stay as they are."""
-        return Dtry(_rebuild(self._root, lambda leaf: Leaf(f(leaf.value))))
+        """Apply ``f`` to every value, in path order; the paths stay as they are.
+
+        A node all of whose values ``f`` returns as the same objects is
+        shared with this directory, with its whole subtree, not rebuilt.
+        """
+        return Dtry(_rebuild(self._root, f))
 
     def lookup(self, path) -> "Dtry[T] | None":
         """The subdirectory at ``path``, or None when absent.
@@ -463,16 +524,16 @@ class Dtry(Generic[T]):
         returns its value wrapped as a single-value directory.
         """
         path = Path(path)
+        if not path:
+            return self
         tree = self._root
-        if tree is None:
-            return self if not path else None
         for name in path:
-            if isinstance(tree, Leaf):
+            if type(tree) is not Node:
                 return None
-            tree = tree.children.get(name)
-            if tree is None:
+            tree = tree.children.get(name, _ABSENT)
+            if tree is _ABSENT:
                 return None
-        return Dtry(tree)
+        return Dtry(tree if type(tree) in _TREES else Leaf(tree))
 
     def insert(self, path, value: T) -> "Dtry[T]":
         """A new directory with ``value`` bound at ``path``.
@@ -503,7 +564,7 @@ class Dtry(Generic[T]):
         the cost is in the size of the outer tree. Inner empty
         directories vanish together with the paths that led to them.
         """
-        return Dtry(_rebuild(self._root, _inner_root))
+        return Dtry(_rebuild(self._root, _inner_root, graft=True))
 
     def bind(self, f: Callable[[T], "Dtry"]) -> "Dtry":
         """Replace every value by a directory of its own and flatten."""
@@ -516,7 +577,7 @@ class Dtry(Generic[T]):
         left behind. A subtree that keeps every entry is shared with this
         directory rather than copied.
         """
-        return Dtry(_rebuild(self._root, lambda leaf: leaf if pred(leaf.value) else None))
+        return Dtry(_rebuild(self._root, lambda value: value if pred(value) else _ABSENT))
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""
@@ -532,12 +593,12 @@ class Dtry(Generic[T]):
         pending = [iter(root.children.items())]
         while pending:
             for name, child in pending[-1]:
-                if type(child) is Leaf:
-                    out[tuple.__new__(Path, (*names, name))] = child.value
-                else:
+                kind = type(child)
+                if kind is Node:
                     names.append(name)
                     pending.append(iter(child.children.items()))
                     break
+                out[tuple.__new__(Path, (*names, name))] = child.value if kind is Leaf else child
             else:
                 pending.pop()
                 if names:
@@ -549,14 +610,15 @@ class Dtry(Generic[T]):
         return list(self.path_map())
 
     def __len__(self) -> int:
-        count = 0
-        stack = [] if self._root is None else [self._root]
+        root = self._root
+        if type(root) is not Node:
+            return 0 if root is None else 1
+        count, stack = 0, [root]
         while stack:
-            tree = stack.pop()
-            if type(tree) is Leaf:
-                count += 1
-            else:
-                stack.extend(tree.children.values())
+            entries = stack.pop().children.values()
+            nodes = [child for child in entries if type(child) is Node]
+            count += len(entries) - len(nodes)
+            stack += nodes
         return count
 
     def __eq__(self, other) -> bool:
@@ -572,8 +634,7 @@ class Dtry(Generic[T]):
         return f"Dtry({{{entries}}})"
 
 
-def _inner_root(leaf):
-    inner = leaf.value
+def _inner_root(inner):
     if not isinstance(inner, Dtry):
         raise TypeError(f"flatten needs every value to be a directory, got {inner!r}")
     return inner._root
@@ -586,5 +647,6 @@ def merge_disjoint(entries: Mapping[str, Dtry]) -> Dtry:
     directories: entries mapping to empty directories vanish, and the
     result is empty when all of them were.
     """
-    record = NonEmptyRecord({k: Leaf(d) for k, d in dict(entries).items()})
+    entries = dict(entries)
+    record = NonEmptyRecord({k: Leaf(d) if type(d) in _TREES else d for k, d in entries.items()})
     return Dtry(Node(record)).flatten()

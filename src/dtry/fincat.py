@@ -524,7 +524,7 @@ def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
         tree = dd.root
         while type(tree) is Node:
             tree = next(iter(tree.children.values()))
-        cat = tree.value.cat
+        cat = (tree.value if type(tree) is Leaf else tree).cat
     return DtryObj(cat, dd.map_values(lambda o: o.objs).flatten())
 
 
@@ -573,12 +573,13 @@ def shape_with_n_leaves(n: int) -> Dtry:
         raise ValueError("leaf count must be nonnegative")
     if n == 0:
         return Dtry.empty()
-    return Dtry(_balanced_tree(n))
+    return Dtry(Leaf(None) if n == 1 else _balanced_tree(n))
 
 
 def _balanced_tree(n: int):
+    """The entry of a balanced shape with ``n`` paths: None for one, else a node."""
     if n == 1:
-        return Leaf(None)
+        return None
     left = n // 2
     return Node(NonEmptyRecord({"l": _balanced_tree(left), "r": _balanced_tree(n - left)}))
 

@@ -257,18 +257,19 @@ def emit_flat(directory: Dtry[str]) -> str:
     pending = [iter(root.children.items())]
     while pending:
         prefix = prefixes[-1]
-        for name, child in pending[-1]:
-            if type(child) is Leaf:
-                value = child.value
-                # _flat_line's checks, inline for the common case
-                if type(value) is str and "\n" not in value and value == value.strip():
-                    parts.append(f"{prefix}{name} = {value}\n")
-                else:
-                    parts.append(_flat_line(prefix + name, value))
-            else:
+        for name, value in pending[-1]:
+            kind = type(value)
+            if kind is Node:
                 prefixes.append(f"{prefix}{name}.")
-                pending.append(iter(child.children.items()))
+                pending.append(iter(value.children.items()))
                 break
+            if kind is Leaf:
+                value = value.value
+            # _flat_line's checks, inline for the common case
+            if type(value) is str and "\n" not in value and value == value.strip():
+                parts.append(f"{prefix}{name} = {value}\n")
+            else:
+                parts.append(_flat_line(prefix + name, value))
         else:
             pending.pop()
             prefixes.pop()
@@ -392,7 +393,8 @@ def _too_deep() -> ParseError:
 def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bool):
     """The node of a JSON object at path ``at``, or None when it keeps no entry.
 
-    Recurses once per level of objects; a leaf is wrapped in place.
+    Recurses once per level of objects; a value is kept as json read it,
+    since json makes no ``Leaf`` or ``Node``.
     ``names`` holds the key texts found to be names, so a document checks
     each new key once, in one call per object, and sorts each object once.
     """
@@ -425,7 +427,7 @@ def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bo
             _check_array(value, (*at, key), diagnostics)
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
-        children[key] = Leaf(value)
+        children[key] = value
     return _node(children) if children else None
 
 
@@ -494,29 +496,30 @@ def emit_nested(directory: Dtry) -> str:
     sep = indent
     pending = [iter(root.children.items())]
     while True:
-        for name, child in pending[-1]:
-            if type(child) is Leaf:
-                value = child.value
-                text = _scalar(value)
-                if text is None:
-                    text = _scalar_array(value, indent)
-                    if text is None:
-                        text = _leaf_text(value, indent)
-                        # The value's own arrays and objects nest further;
-                        # its brackets bound how far.
-                        if len(pending) + text.count("[") + text.count("{") > readable:
-                            readable = max(readable, _readable(len(pending) + _levels(value)))
-                    elif len(pending) >= readable:  # the array is one level more
-                        readable = _readable(len(pending) + 1)
-                out.append(f'{sep}"{name}": {text}')
-                sep = comma
-            else:
+        for name, value in pending[-1]:
+            kind = type(value)
+            if kind is Node:
                 out.append(f'{sep}"{name}": {{')
                 indent += "  "
                 comma = "," + indent
                 sep = indent
-                pending.append(iter(child.children.items()))
+                pending.append(iter(value.children.items()))
                 break
+            if kind is Leaf:
+                value = value.value
+            text = _scalar(value)
+            if text is None:
+                text = _scalar_array(value, indent)
+                if text is None:
+                    text = _leaf_text(value, indent)
+                    # The value's own arrays and objects nest further;
+                    # its brackets bound how far.
+                    if len(pending) + text.count("[") + text.count("{") > readable:
+                        readable = max(readable, _readable(len(pending) + _levels(value)))
+                elif len(pending) >= readable:  # the array is one level more
+                    readable = _readable(len(pending) + 1)
+            out.append(f'{sep}"{name}": {text}')
+            sep = comma
         else:
             pending.pop()
             indent = indent[:-2]

@@ -324,31 +324,36 @@ def oracle_emit_nested(d: Dtry) -> str:
     Recursive, and json's indenting encoder takes two frames per level, so
     it serves shallow directories only.
     """
-    tree = _tree_to_json(d.root)
+    tree = {} if d.root is None else _tree_to_json(d.root)
     return json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _tree_to_json(tree):
-    if tree is None:
-        return {}
-    if isinstance(tree, Leaf):
-        if isinstance(tree.value, Mapping):
-            raise ValueError(
-                f"object-valued leaf is not representable in the nested format: {tree.value!r}"
-            )
-        return tree.value
-    return {str(name): _tree_to_json(child) for name, child in tree.children.items()}
+    """The JSON of a root or a record entry: a ``Node``'s object, else the value it holds."""
+    if isinstance(tree, Node):
+        return {str(name): _tree_to_json(child) for name, child in tree.children.items()}
+    value = tree.value if isinstance(tree, Leaf) else tree
+    if isinstance(value, Mapping):
+        raise ValueError(
+            f"object-valued leaf is not representable in the nested format: {value!r}"
+        )
+    return value
 
 
-def check_representation(d: Dtry) -> None:
-    """Assert the structural invariants of the trie representation."""
+def check_representation(d: Dtry, *, built: bool = False) -> None:
+    """Assert the structural invariants of the trie representation.
+
+    With ``built``, ``d`` was built from its paths rather than derived from
+    a tree made by hand, so its entries also keep the rule that a ``Leaf``
+    entry holds a value that is itself a ``Leaf`` or a ``Node``.
+    """
     assert d.root is None or isinstance(d.root, (Leaf, Node))
     if d.root is not None:
-        _check_tree(d.root)
+        _check_tree(d.root, built)
     assert oracle_prefix_free(d.path_map())
 
 
-def _check_tree(tree) -> None:
+def _check_tree(tree, built: bool) -> None:
     if isinstance(tree, Leaf):
         return
     assert isinstance(tree, Node)
@@ -359,24 +364,32 @@ def _check_tree(tree) -> None:
     assert keys == sorted(keys)
     for key, child in record.items():
         assert type(key) is str and paths._is_name(key)
-        _check_tree(child)
+        if isinstance(child, Node):
+            _check_tree(child, built)
+        elif built and isinstance(child, Leaf):
+            assert isinstance(child.value, (Leaf, Node)), f"entry {key!r} holds {child!r}"
 
 
 def nodes(tree):
-    """The ``Node``s of ``tree``, without recursion."""
-    stack = [tree]
+    """The ``Node``s of ``tree``, without recursion; a ``Leaf`` entry's value is not one."""
+    stack = [tree] if type(tree) is Node else []
     while stack:
         tree = stack.pop()
-        if type(tree) is Node:
-            yield tree
-            stack.extend(tree.children.values())
+        yield tree
+        stack.extend(child for child in tree.children.values() if type(child) is Node)
 
 
 # ------------------------------------------------------------- generators
 
 def random_tree(rng: random.Random, depth: int, branching: int, names, values, leaf_prob: float):
+    """A random entry: a ``Node``, or a value held either bare or in a ``Leaf``, half each.
+
+    A value that is itself a ``Leaf`` or a ``Node`` is always held in a ``Leaf``.
+    """
     if depth == 0 or rng.random() < leaf_prob:
-        return Leaf(rng.choice(values))
+        value = rng.choice(values)
+        bare = rng.random() < 0.5 and not isinstance(value, (Leaf, Node))
+        return value if bare else Leaf(value)
     width = rng.randint(1, min(branching, len(names)))
     chosen = rng.sample(list(names), width)
     return Node(
@@ -398,7 +411,8 @@ def random_dtry(
 ) -> Dtry:
     if rng.random() < empty_prob:
         return Dtry.empty()
-    return Dtry(random_tree(rng, depth, branching, names, values, leaf_prob))
+    tree = random_tree(rng, depth, branching, names, values, leaf_prob)
+    return Dtry(tree if isinstance(tree, (Leaf, Node)) else Leaf(tree))
 
 
 def random_nested_dtry(rng: random.Random, layers: int, **kwargs) -> Dtry:

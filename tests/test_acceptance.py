@@ -157,7 +157,7 @@ def test_path_map_isomorphism():
         assert built.path_map() == mapping
         assert list(built.path_map()) == sorted(mapping)
         assert oracle_prefix_free(built.path_map().keys())
-        check_representation(built)
+        check_representation(built, built=True)
 
         # plant exactly one conflicting key and demand the exact pair back
         victim = rng.choice(paths)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtry import core, formats
+from dtry import cli, core, formats
 from dtry.cli import main
 from dtry.core import (
     Dtry,
@@ -394,6 +394,23 @@ class TestWork:
         work.clear()
         assert directory.filter(lambda v: True).root is directory.root
         assert work["record entries"] == 0
+
+    def test_map_values_shares_the_nodes_whose_values_come_back(self, work):
+        directory = parse_nested(json.dumps(balanced_document(1000)))
+        work.clear()
+        assert directory.map_values(lambda v: v).root is directory.root
+        assert work["record entries"] == 0
+
+    def test_map_values_to_text_rebuilds_only_the_nodes_with_a_value_not_text(self, work):
+        # The flat writer's map: a text value comes back as the same object.
+        text = json.dumps({"s": {"x": {"a": "1", "b": "2"}, "y": "3"}, "n": {"x": {"a": 1}, "y": "4"}})
+        directory = parse_nested(text)
+        work.clear()
+        written = directory.map_values(cli._flat_value)
+        assert written.path_map() == {p: str(v) for p, v in directory.path_map().items()}
+        assert written.root.children["s"] is directory.root.children["s"]
+        # the root, n and n.x are new: their entries and nothing else
+        assert work["record entries"] == 2 + 2 + 1
 
     def test_filter_rebuilds_only_the_path_to_a_dropped_leaf(self, work, monkeypatch):
         directory = parse_nested(json.dumps(balanced_document(1000)))

@@ -42,11 +42,12 @@ values_st = st.integers(0, 9)
 
 
 def trees(leaf_values):
+    """Trees of ``leaf_values``; each entry of a node holds its value bare or in a ``Leaf``."""
     return st.recursive(
         leaf_values.map(Leaf),
-        lambda child: st.dictionaries(names_st, child, min_size=1, max_size=3).map(
-            lambda d: Node(NonEmptyRecord(d))
-        ),
+        lambda child: st.dictionaries(
+            names_st, st.one_of(child, leaf_values), min_size=1, max_size=3
+        ).map(lambda d: Node(NonEmptyRecord(d))),
         max_leaves=8,
     )
 
@@ -279,7 +280,7 @@ class TestInsert:
                 inserted = d.insert(p, "new")
                 assert inserted.path_map()[p] == "new"
                 assert len(inserted) == len(d) + 1
-                check_representation(inserted)
+                check_representation(inserted, built=True)
             else:
                 with pytest.raises(PrefixConflictError):
                     d.insert(p, "new")
@@ -368,7 +369,7 @@ class TestPathMapIsomorphism:
         for _ in range(400):
             entries = {random_path(rng, max_len=3): 0 for _ in range(rng.randint(0, 6))}
             if oracle_prefix_free(entries):
-                check_representation(Dtry.from_path_map(entries))
+                check_representation(Dtry.from_path_map(entries), built=True)
             else:
                 with pytest.raises(PrefixConflictError):
                     Dtry.from_path_map(entries)
@@ -615,6 +616,96 @@ class TestFilter:
     @given(dtries())
     def test_no_empty_husks_left_behind(self, d):
         check_representation(d.filter(lambda v: v == 0))
+
+
+# Values a record could misread as a subtree, or that equal nothing but
+# themselves: trees, directories, None, one NaN object, and plain values.
+NAN = float("nan")
+tree_like_values_st = st.one_of(
+    trees(values_st), dtries(), st.none(), st.just(NAN), values_st
+)
+
+
+@st.composite
+def tree_like_path_maps(draw):
+    """A prefix-free path map whose values are drawn from ``tree_like_values_st``."""
+    shape = draw(dtries())
+    return {path: draw(tree_like_values_st) for path in shape.paths()}
+
+
+def same_values(got: dict, expected: dict) -> bool:
+    """Whether ``got`` binds the same paths as ``expected`` to the very same objects."""
+    return list(got) == list(expected) and all(got[p] is v for p, v in expected.items())
+
+
+def old_form(entries: dict) -> Dtry:
+    """The directory of a path map built by hand, with every value in a ``Leaf``."""
+    if () in entries or Path() in entries:
+        return Dtry(Leaf(entries[Path()]))
+    if not entries:
+        return Dtry.empty()
+    groups: dict = {}
+    for path, value in entries.items():
+        groups.setdefault(path[0], {})[Path(path[1:])] = value
+    return Dtry(
+        Node(
+            NonEmptyRecord({name: old_form(inner).root for name, inner in groups.items()})
+        )
+    )
+
+
+class TestValuesThatLookLikeTrees:
+    """A value that is a ``Leaf``, a ``Node``, a ``Dtry``, None or NaN comes back as it went in."""
+
+    @given(tree_like_path_maps())
+    @example({Path("a"): Leaf(1), Path("b.c"): Node(NonEmptyRecord({"x": 1}))})
+    @example({Path(): Node(NonEmptyRecord({"x": Leaf(2)}))})
+    @example({Path("a"): None, Path("b"): NAN})
+    @settings(deadline=None)
+    def test_every_operation_gives_them_back(self, entries):
+        d = Dtry.from_path_map(entries)
+        check_representation(d, built=True)
+        assert same_values(d.path_map(), entries)
+        assert len(d) == len(entries)
+        for path, value in entries.items():
+            assert d.lookup(path).value is value
+        index = list(entries.values())
+        numbered = Dtry.from_path_map({p: i for i, p in enumerate(entries)})
+        assert same_values(numbered.map_values(index.__getitem__).path_map(), entries)
+        assert same_values(d.map_values(lambda v: v).path_map(), entries)
+        assert same_values(d.filter(lambda v: True).path_map(), entries)
+        kept = {p: v for p, v in entries.items() if not isinstance(v, (Leaf, Node))}
+        assert same_values(d.filter(lambda v: not isinstance(v, (Leaf, Node))).path_map(), kept)
+        assert same_values(d.map_values(Dtry.leaf).flatten().path_map(), entries)
+        assert same_values(
+            d.bind(lambda v: Dtry.from_path_map({"x": v})).path_map(),
+            {Path((*p, "x")): v for p, v in entries.items()},
+        )
+        assert same_values(
+            merge_disjoint({"m": d}).path_map(), {Path(("m", *p)): v for p, v in entries.items()}
+        )
+        for path, value in entries.items():
+            rest = Dtry.from_path_map({p: v for p, v in entries.items() if p != path})
+            inserted = rest.insert(path, value)
+            check_representation(inserted, built=True)
+            assert same_values(inserted.path_map(), entries)
+
+    @given(tree_like_path_maps(), tree_like_path_maps())
+    @example({Path("a"): NAN}, {Path("a"): NAN})
+    @example({Path("a"): NAN}, {Path("a"): float("nan")})
+    @example({Path("a"): Leaf(1)}, {Path("a"): 1})
+    @example({Path("a"): Node(NonEmptyRecord({"x": 1}))}, {Path("a.x"): 1})
+    @settings(deadline=None)
+    def test_equality_agrees_with_the_path_maps(self, first, second):
+        built, by_hand = Dtry.from_path_map(first), old_form(first)
+        assert built == by_hand and by_hand == built
+        other = Dtry.from_path_map(second)
+        assert (built == other) == (first == second) == (by_hand == old_form(second))
+
+    def test_a_nan_object_equals_itself_only(self):
+        assert Dtry.from_path_map({"a.b": NAN}) == Dtry.from_path_map({"a.b": NAN})
+        assert Dtry.from_path_map({"a.b": NAN}) != Dtry.from_path_map({"a.b": float("nan")})
+        assert Dtry.leaf(NAN) == Dtry.leaf(NAN) != Dtry.leaf(float("nan"))
 
 
 # Names given as ``str`` or as ``Name``; either is stored as a plain ``str``.
