@@ -1,16 +1,17 @@
 """Directory tries: values bound to a prefix-free set of dotted paths.
 
 A directory is either empty or a nonempty tree: a single value at the
-root, held in a ``Leaf``, or a ``Node`` whose record maps names, plain
-``str``s, to entries. An entry is a subdirectory, itself a ``Node``, or
-the value bound there, held bare, as a named tuple holds it; only a
-value that is itself a ``Leaf`` or a ``Node`` is held in a ``Leaf``, so
-that no value is read as a subtree. Records built around ``Leaf``
-entries for every value mean the same and compare equal. Emptiness
-exists only at the top level: no subtree is ever an empty node. That
-single constraint is what keeps the set of complete paths prefix-free,
-makes the path-map view faithful, and forces :meth:`Dtry.filter` to
-delete subdirectories it empties out.
+root, held in a ``Leaf``, or a ``Node``. A node is its own record: a
+read-only ``dict`` from names, plain ``str``s, to entries, read with
+dict's own methods (``Node.children`` is the node itself). An entry is
+a subdirectory, itself a ``Node``, or the value bound there, held bare,
+as a named tuple holds it; only a value that is itself a ``Leaf`` or a
+``Node`` is held in a ``Leaf``, so that no value is read as a subtree.
+Records built around ``Leaf`` entries for every value mean the same and
+compare equal. Emptiness exists only at the top level: no subtree is
+ever an empty node. That single constraint is what keeps the set of
+complete paths prefix-free, makes the path-map view faithful, and forces
+:meth:`Dtry.filter` to delete subdirectories it empties out.
 
 ``filter_nothings`` and ``distrib`` are the paper's distributive law of
 absence over directories, exposed and tested as such: an absent entry
@@ -21,8 +22,8 @@ it, and deletes each node it empties: ``map_values``, ``filter``,
 ``flatten`` (which grafts the inner directories in place, so inner
 empties vanish) and ``distrib`` are each one call of it. A record is
 sorted once: the sorted build fills it in order, the nested reader sorts
-a JSON object's entries, and the record keeps the dict they fill; a
-caller's it copies and sorts.
+a JSON object's entries, and the record copies the dict they fill as it
+is; a caller's it copies and sorts.
 
 A trie that is not derived from another is built from its keys as
 dotted texts, sorted once: since ``.`` sorts below every character of a
@@ -42,7 +43,7 @@ as numbered nodes, and names each conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
@@ -63,65 +64,48 @@ __all__ = [
 ]
 
 
-class NonEmptyRecord(Generic[T]):
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is read-only")
+
+
+class NonEmptyRecord(dict):
     """An immutable mapping from names to values with at least one entry.
 
+    A ``dict`` whose every read is dict's own and whose every mutator
+    raises ``TypeError``; it equals a plain dict with the same entries.
     Entries iterate in ascending byte order of their keys, which is what
     makes every traversal in this module deterministic. A key, ``str`` or
     ``Name``, is checked and kept as a plain ``str``.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, entries: Mapping[str, T] | Iterable[tuple[str, T]]):
-        if type(entries) is _Sorted and entries:  # made in this module: kept as it is
-            self._entries = entries
-            return
-        raw = entries if type(entries) is dict else dict(entries)
-        if not raw:
-            raise ValueError("record must have at least one entry")
-        self._entries = {k: raw[k] for k in sorted(map(_name, raw))}
+        if type(entries) is not _Sorted or not entries:  # a _Sorted, made here, is taken unchecked
+            raw = entries if type(entries) is dict else dict(entries)
+            if not raw:
+                raise ValueError("record must have at least one entry")
+            entries = {k: raw[k] for k in sorted(map(_name, raw))}
+        dict.update(self, entries)
 
-    def keys(self):
-        return self._entries.keys()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
-    def values(self):
-        return self._entries.values()
-
-    def items(self):
-        return self._entries.items()
-
-    def get(self, key, default=None):
-        return self._entries.get(key, default)
+    # The bench's tracer counts a record's entries as ``len(record._entries)``.
+    _entries = property(lambda self: self)
 
     def map_values(self, f: Callable[[T], Any]) -> "NonEmptyRecord":
-        return NonEmptyRecord(_Sorted((k, f(v)) for k, v in self._entries.items()))
+        return NonEmptyRecord(_Sorted((k, f(v)) for k, v in self.items()))
 
-    def __getitem__(self, key) -> T:
-        return self._entries[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NonEmptyRecord):
-            return NotImplemented
-        return self._entries == other._entries
-
-    __hash__ = None
+    def __reduce__(self):  # copies and pickles go through __init__: the dict is read-only
+        return type(self), (dict(self),)
 
     def __repr__(self) -> str:
-        return f"NonEmptyRecord({self._entries!r})"
+        return f"NonEmptyRecord({dict.__repr__(self)})"
 
 
 class _Sorted(dict):
-    """Entries that a record keeps as they are: name keys in order, made and held here."""
+    """Entries that a record copies as they are: name keys in order, made here."""
 
     __slots__ = ()
 
@@ -141,39 +125,49 @@ class Leaf(Generic[T]):
         return Leaf, (self.value,)
 
 
-@dataclass(frozen=True)
-class Node:
-    """An internal tree node; each child is a ``Node`` or the value bound there.
+class Node(NonEmptyRecord):
+    """An internal tree node: the record of its entries, each a ``Node`` or the value bound there.
 
     A value is held bare, unless it is itself a ``Leaf`` or a ``Node``:
     then a ``Leaf`` holds it, so that it is not read as a subtree. A
     ``Leaf`` child always holds a value, so ``Leaf(1)`` as a child means
-    what ``1`` does, and the two trees compare equal.
+    what ``1`` does, and the two trees compare equal. A node is never
+    equal to anything but a node.
 
-    >>> Dtry.from_path_map({"a.x": 1, "b": Leaf(2)}).root.children
-    NonEmptyRecord({'a': Node(children=NonEmptyRecord({'x': 1})), 'b': Leaf(value=Leaf(value=2))})
-    >>> Node(NonEmptyRecord({"x": Leaf(1)})) == Node(NonEmptyRecord({"x": 1}))
+    >>> root = Dtry.from_path_map({"a.x": 1, "b": Leaf(2)}).root
+    >>> root
+    Node(children=NonEmptyRecord({'a': Node(children=NonEmptyRecord({'x': 1})), 'b': Leaf(value=Leaf(value=2))}))
+    >>> root.children is root, list(root["a"].items())
+    (True, [('x', 1)])
+    >>> Node({"x": Leaf(1)}) == Node({"x": 1})
     True
     """
 
-    __slots__ = ("children",)
-    children: NonEmptyRecord
+    __slots__ = ()
 
-    def __reduce__(self):
-        return Node, (self.children,)
+    @property
+    def children(self) -> "Node":
+        """The node itself, read as the record of its entries."""
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+        if not isinstance(other, Node):
+            return False
         # Without recursion: a stack of node pairs still to compare. Records
         # keep their keys sorted, so equal key sets pair the children in order.
         # A value equals the same object, so one NaN object equals itself.
         pending = [(self, other)]
         while pending:
             left, right = pending.pop()
-            if left.children.keys() != right.children.keys():
+            if left.keys() != right.keys():
                 return False
-            for a, b in zip(left.children.values(), right.children.values()):
+            for a, b in zip(left.values(), right.values()):
                 if type(a) is Node or type(b) is Node:
                     if type(a) is not type(b):
                         return False
@@ -187,6 +181,12 @@ class Node:
                     return False
         return True
 
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Node(children={NonEmptyRecord.__repr__(self)})"
+
 
 _set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats object.__setattr__
 _TREES = (Leaf, Node)  # the types of value a record entry holds in a Leaf
@@ -195,7 +195,7 @@ _ABSENT = object()  # no entry: one deleted by a _rebuild, or missing in a looku
 
 def _node(children: dict) -> Node:
     """The node of ``children``, a dict of name keys that no one else holds, sorted once."""
-    return Node(NonEmptyRecord(_Sorted(sorted(children.items()))))
+    return Node(_Sorted(sorted(children.items())))
 
 
 def filter_nothings(record: NonEmptyRecord) -> NonEmptyRecord | None:
@@ -261,14 +261,14 @@ def _rebuild(tree, f, graft=False):
     absent, trees = _ABSENT, _TREES
     # A frame per open node: its name, the node, its unvisited children,
     # the rebuilt ones, and whether any entry changed.
-    stack = [[None, tree, iter(tree.children.items()), _Sorted(), False]]
+    stack = [[None, tree, iter(tree.items()), _Sorted(), False]]
     while True:
         frame = stack[-1]
         kept = frame[3]
         for name, child in frame[2]:
             kind = type(child)
             if kind is Node:
-                stack.append([name, child, iter(child.children.items()), _Sorted(), False])
+                stack.append([name, child, iter(child.items()), _Sorted(), False])
                 break
             value = child.value if kind is Leaf else child
             new = f(value)
@@ -291,7 +291,7 @@ def _rebuild(tree, f, graft=False):
             if not changed:
                 node = source
             else:
-                node = Node(NonEmptyRecord(kept)) if kept else None
+                node = Node(kept) if kept else None
             if not stack:
                 return node
             parent = stack[-1]
@@ -360,7 +360,7 @@ def _from_sorted(items) -> Leaf | Node | None:
             shared += 1
         while len(names) > shared:
             entries = records.pop()
-            records[-1][names.pop()] = Node(NonEmptyRecord(entries))
+            records[-1][names.pop()] = Node(entries)
         for segment in segments[shared:last]:
             names.append(segment)
             records.append(_Sorted())
@@ -368,8 +368,8 @@ def _from_sorted(items) -> Leaf | Node | None:
         prefix = text[: len(text) - len(segments[last])]
     while names:
         entries = records.pop()
-        records[-1][names.pop()] = Node(NonEmptyRecord(entries))
-    return Node(NonEmptyRecord(records[0]))
+        records[-1][names.pop()] = Node(entries)
+    return Node(records[0])
 
 
 def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -530,7 +530,7 @@ class Dtry(Generic[T]):
         for name in path:
             if type(tree) is not Node:
                 return None
-            tree = tree.children.get(name, _ABSENT)
+            tree = tree.get(name, _ABSENT)
             if tree is _ABSENT:
                 return None
         return Dtry(tree if type(tree) in _TREES else Leaf(tree))
@@ -590,13 +590,13 @@ class Dtry(Generic[T]):
         # Depth first without recursion: one iterator per open node, and
         # ``names`` is the path to the innermost one.
         names: list[str] = []
-        pending = [iter(root.children.items())]
+        pending = [iter(root.items())]
         while pending:
             for name, child in pending[-1]:
                 kind = type(child)
                 if kind is Node:
                     names.append(name)
-                    pending.append(iter(child.children.items()))
+                    pending.append(iter(child.items()))
                     break
                 out[tuple.__new__(Path, (*names, name))] = child.value if kind is Leaf else child
             else:
@@ -615,7 +615,7 @@ class Dtry(Generic[T]):
             return 0 if root is None else 1
         count, stack = 0, [root]
         while stack:
-            entries = stack.pop().children.values()
+            entries = stack.pop().values()
             nodes = [child for child in entries if type(child) is Node]
             count += len(entries) - len(nodes)
             stack += nodes
@@ -648,5 +648,5 @@ def merge_disjoint(entries: Mapping[str, Dtry]) -> Dtry:
     result is empty when all of them were.
     """
     entries = dict(entries)
-    record = NonEmptyRecord({k: Leaf(d) if type(d) in _TREES else d for k, d in entries.items()})
-    return Dtry(Node(record)).flatten()
+    node = Node({k: Leaf(d) if type(d) in _TREES else d for k, d in entries.items()})
+    return Dtry(node).flatten()

@@ -35,7 +35,7 @@ from enum import Enum
 from itertools import product as _cartesian
 from typing import Any, Callable, Mapping, Sequence
 
-from .core import Dtry, Leaf, Node, NonEmptyRecord
+from .core import Dtry, Leaf, Node
 from .errors import NotACategoryError, NotComposableError
 from .paths import Path
 
@@ -523,7 +523,7 @@ def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
             raise ValueError("cannot infer the category of an empty directory; pass cat=")
         tree = dd.root
         while type(tree) is Node:
-            tree = next(iter(tree.children.values()))
+            tree = next(iter(tree.values()))
         cat = (tree.value if type(tree) is Leaf else tree).cat
     return DtryObj(cat, dd.map_values(lambda o: o.objs).flatten())
 
@@ -581,7 +581,7 @@ def _balanced_tree(n: int):
     if n == 1:
         return None
     left = n // 2
-    return Node(NonEmptyRecord({"l": _balanced_tree(left), "r": _balanced_tree(n - left)}))
+    return Node({"l": _balanced_tree(left), "r": _balanced_tree(n - left)})
 
 
 @dataclass(frozen=True)

@@ -254,14 +254,14 @@ def emit_flat(directory: Dtry[str]) -> str:
     # per open node, and ``prefixes[-1]`` is the innermost one's dotted
     # path followed by a dot.
     prefixes = [""]
-    pending = [iter(root.children.items())]
+    pending = [iter(root.items())]
     while pending:
         prefix = prefixes[-1]
         for name, value in pending[-1]:
             kind = type(value)
             if kind is Node:
                 prefixes.append(f"{prefix}{name}.")
-                pending.append(iter(value.children.items()))
+                pending.append(iter(value.items()))
                 break
             if kind is Leaf:
                 value = value.value
@@ -494,7 +494,7 @@ def emit_nested(directory: Dtry) -> str:
     indent = "\n  "
     comma = "," + indent
     sep = indent
-    pending = [iter(root.children.items())]
+    pending = [iter(root.items())]
     while True:
         for name, value in pending[-1]:
             kind = type(value)
@@ -503,7 +503,7 @@ def emit_nested(directory: Dtry) -> str:
                 indent += "  "
                 comma = "," + indent
                 sep = indent
-                pending.append(iter(value.children.items()))
+                pending.append(iter(value.items()))
                 break
             if kind is Leaf:
                 value = value.value
@@ -665,7 +665,7 @@ def _height(tree: Node) -> int:
     level, height = [tree], 0
     while level:
         height += 1
-        level = [c for node in level for c in node.children.values() if type(c) is Node]
+        level = [c for node in level for c in node.values() if type(c) is Node]
     return height
 
 

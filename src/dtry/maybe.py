@@ -14,7 +14,7 @@ from typing import Generic, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["Just", "NOTHING", "join_maybe"]
+__all__ = ["Just", "NOTHING"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,3 @@ class _NothingType:
 
 
 NOTHING = _NothingType()
-
-
-def join_maybe(m):
-    """Collapse one level: NOTHING and Just(NOTHING) both become NOTHING."""
-    return NOTHING if m is NOTHING else m.value

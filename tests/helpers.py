@@ -379,6 +379,11 @@ def nodes(tree):
         stack.extend(child for child in tree.children.values() if type(child) is Node)
 
 
+def join_maybe(m):
+    """Collapse one level: NOTHING and Just(NOTHING) both become NOTHING."""
+    return NOTHING if m is NOTHING else m.value
+
+
 # ------------------------------------------------------------- generators
 
 def random_tree(rng: random.Random, depth: int, branching: int, names, values, leaf_prob: float):

@@ -33,12 +33,13 @@ from dtry.fincat import (
     shape_with_n_leaves,
 )
 from dtry.formats import emit_flat, emit_nested, parse_flat, parse_nested
-from dtry.maybe import NOTHING, Just, join_maybe
+from dtry.maybe import NOTHING, Just
 from dtry.paths import Path
 
 from helpers import (
     EXAMPLE_FLAT,
     check_representation,
+    join_maybe,
     naive_flatten,
     oracle_position_set,
     oracle_prefix_free,

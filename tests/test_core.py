@@ -1,6 +1,7 @@
 """Directory structure, the unit/flatten laws, and the absence machinery."""
 
 import copy
+import json
 import pickle
 import random
 from collections import OrderedDict
@@ -22,12 +23,13 @@ from dtry.core import (
 )
 from dtry.errors import BadNameError, BadPathError, PrefixConflictError
 from dtry.formats import emit_flat, emit_nested, parse_flat, parse_nested
-from dtry.maybe import NOTHING, Just, join_maybe
+from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
 from helpers import (
     check_representation,
     example_directory,
+    join_maybe,
     nodes,
     oracle_conflicts,
     oracle_prefix_free,
@@ -185,6 +187,10 @@ class TestNodeContract:
         assert node(2) == node(2) and node(2) != node(3) and node(2) != Leaf(2)
         with pytest.raises(TypeError):
             hash(node(2))
+        # != is the negation of ==, and a node equals nothing but a node
+        assert not Node(NonEmptyRecord({"x": Leaf(1)})) != Node(NonEmptyRecord({"x": 1}))
+        assert not Node(NonEmptyRecord({"x": 1})) == {"x": 1}
+        assert Node(NonEmptyRecord({"x": 1})) != {"x": 1}
 
     @pytest.mark.parametrize(
         "tree, field",
@@ -205,6 +211,75 @@ class TestNodeContract:
 
     def test_leaf_is_generic(self):
         assert Leaf[int](3) == Leaf(3)  # the alias's call tries to set __orig_class__
+
+
+def set_a(record):
+    record["a"] = 9
+
+
+def del_a(record):
+    del record["a"]
+
+
+def or_into(record):
+    record |= {"c": 3}
+
+
+class TestRecordIsReadOnly:
+    """A record is a read-only ``dict``, and a node is its own record."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            set_a,
+            del_a,
+            or_into,
+            lambda r: r.clear(),
+            lambda r: r.pop("a"),
+            lambda r: r.popitem(),
+            lambda r: r.setdefault("c", 3),
+            lambda r: r.update(c=3),
+        ],
+        ids=["[]=", "del", "|=", "clear", "pop", "popitem", "setdefault", "update"],
+    )
+    @pytest.mark.parametrize("kind", [NonEmptyRecord, Node])
+    def test_every_mutator_raises_and_changes_nothing(self, kind, mutate):
+        record = kind({"b": 2, "a": 1})
+        with pytest.raises(TypeError):
+            mutate(record)
+        assert type(record) is kind and list(record.items()) == [("a", 1), ("b", 2)]
+
+    @pytest.mark.parametrize(
+        "record",
+        [NonEmptyRecord({"b": [1], "a": 2}), Node({"b": [1], "a": Node({"x": Leaf(3)})})],
+        ids=("NonEmptyRecord", "Node"),
+    )
+    def test_copies_and_pickles_keep_the_type_and_the_entries(self, record):
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(other) is type(record) and other == record
+            assert list(other) == ["a", "b"] and type(other["a"]) is type(record["a"])
+
+    def test_a_node_checks_its_names(self):
+        with pytest.raises(BadNameError):
+            Node({"a b": 1})
+
+    def test_a_record_equals_a_dict_and_a_node_only_a_node(self):
+        assert NonEmptyRecord({"b": 2, "a": 1}) == {"a": 1, "b": 2}
+        assert Node({"a": 1}) != NonEmptyRecord({"a": 1}) and NonEmptyRecord({"a": 1}) != Node({"a": 1})
+
+    def test_every_node_is_its_own_record(self):
+        document = {"a": {"x": 1, "y": {"z": [2]}}, "b": "v", "c": {"d": {"e": None}}}
+        built = list(nodes(parse_nested(json.dumps(document)).root))
+        assert len(built) == 5
+        assert all(type(node) is Node and node.children is node for node in built)
+
+    @pytest.mark.parametrize(
+        "value", [Node({"x": 1}), NonEmptyRecord({"x": 1})], ids=("Node", "NonEmptyRecord")
+    )
+    def test_emit_nested_refuses_a_record_valued_leaf(self, value):
+        for directory in (Dtry.from_path_map({"a": value}), Dtry.leaf(value)):
+            with pytest.raises(ValueError, match="object-valued leaf"):
+                emit_nested(directory)
 
 
 class TestLookup:
