@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as _cartesian
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from .core import Dtry, Leaf, Node
@@ -75,8 +76,10 @@ class FinCat:
 
     The morphism ids are interned once, while the structure is checked:
     each is hashed once per table entry, and morphism ``i`` of the table
-    is the integer ``i`` from then on. The law check is integer lookups in
-    one row of composites per morphism; only its messages name the ids.
+    is the integer ``i`` from then on. Each morphism keeps a row: its
+    composites with the morphisms out of its codomain, as a tuple. The
+    associativity check compares whole rows, one comparison per
+    composite; only its messages name the ids.
     """
 
     def __init__(
@@ -94,7 +97,7 @@ class FinCat:
         self._identity = dict(identity)
         compose = dict(compose)
         self._intern(list(morphisms), ends)
-        index, dom, cod = self._index, self._dom, self._cod
+        index, dom, cod, pos = self._index, self._dom, self._cod, self._pos
         ident = {}
         for x in self._objects:
             i = self._identity.get(x)
@@ -104,6 +107,7 @@ class FinCat:
             if (dom[k], cod[k]) != (x, x):
                 raise NotACategoryError(f"identity of {x!r} is not an endomorphism", x)
             ident[x] = k
+        rows = [[None] * len(self._by_dom[c]) for c in cod]
         entries = []
         for (f, g), h in compose.items():
             fi = index.get(f)
@@ -116,7 +120,8 @@ class FinCat:
             if (dom[hi], cod[hi]) != (dom[fi], cod[gi]):
                 raise NotACategoryError(f"composite of ({f!r}, {g!r}) has wrong endpoints", (f, g))
             entries.append((fi, gi, hi))
-        self._link(ident, entries, check_laws)
+            rows[fi][pos[gi]] = hi
+        self._link(ident, rows, entries, check_laws)
 
     @classmethod
     def _of_rows(cls, objects, ids: list, ends: list, ident: dict, rows: list, *, check_laws: bool):
@@ -126,44 +131,42 @@ class FinCat:
         self._intern(ids, ends)
         by_dom, cod = self._by_dom, self._cod
         entries = [(f, g, h) for f, row in enumerate(rows) for g, h in zip(by_dom[cod[f]], row)]
-        self._link(ident, entries, check_laws)
+        self._link(ident, rows, entries, check_laws)
         return self
 
     def _intern(self, ids: list, ends: list):
         """Number the morphisms, checking that their endpoints are objects.
 
         ``_ids[i]`` is morphism ``i`` and ``_index`` its inverse, ``_dom[i]``/``_cod[i]``
-        its endpoints, and ``_by_dom`` maps each object to the morphisms out of it.
+        its endpoints, ``_by_dom`` maps each object to the morphisms out of it, and
+        ``_pos[i]`` is ``i``'s place in its domain's list.
         """
         objects = self._objects
         self._ids, self._index = ids, {m: i for i, m in enumerate(ids)}
-        dom = self._dom = []
-        cod = self._cod = []
+        dom, cod, pos = self._dom, self._cod, self._pos = [], [], []
         by_dom = self._by_dom = {}
         for i, (d, c) in enumerate(ends):
             if d not in objects or c not in objects:
                 raise NotACategoryError(f"morphism {ids[i]!r} has unknown endpoint", ids[i])
             dom.append(d)
             cod.append(c)
-            by_dom.setdefault(d, []).append(i)
+            out = by_dom.setdefault(d, [])
+            pos.append(len(out))
+            out.append(i)
 
-    def _link(self, ident: dict, entries: list, check_laws: bool):
+    def _link(self, ident: dict, rows: list, entries: list, check_laws: bool):
         """Set the composites, check that each morphism has all of its own, then the laws if asked.
 
         ``_ident`` maps each object to its identity, ``_entries`` lists the composites
-        ``(i, j, i;j)`` in their given order, and ``_after[i]`` maps each ``j`` to ``i;j``.
+        ``(i, j, i;j)`` in their given order, and ``_rows[i]`` holds ``i;j`` at ``_pos[j]``
+        for each ``j`` out of ``cod i``; a ``None`` there is a missing composite.
         """
         self._ident, self._entries = ident, entries
-        after = self._after = [{} for _ in self._ids]
-        for f, g, h in entries:
-            after[f][g] = h
-        # Each row holds only composable partners, so a row is complete
-        # exactly when it is as long as the list of morphisms it composes with.
+        self._rows = [tuple(row) for row in rows]
         ids, cod, by_dom = self._ids, self._cod, self._by_dom
-        for f, row in enumerate(after):
-            partners = by_dom.get(cod[f], ())
-            if len(row) != len(partners):
-                f, g = ids[f], ids[next(g for g in partners if g not in row)]
+        for f, row in enumerate(self._rows):
+            if None in row:
+                f, g = ids[f], ids[by_dom[cod[f]][row.index(None)]]
                 raise NotACategoryError(f"missing composite for ({f!r}, {g!r})", (f, g))
         if check_laws:
             self.validate()
@@ -174,21 +177,27 @@ class FinCat:
         Raises:
             NotACategoryError: naming an offending morphism or triple.
         """
-        ids, dom, cod, after, ident = self._ids, self._dom, self._cod, self._after, self._ident
-        for f, row in enumerate(after):
-            if after[ident[dom[f]]][f] != f:
+        ids, dom, cod, rows, pos, ident = (
+            self._ids, self._dom, self._cod, self._rows, self._pos, self._ident
+        )
+        for f, row in enumerate(rows):
+            if rows[ident[dom[f]]][pos[f]] != f:
                 raise NotACategoryError(f"left identity fails at {ids[f]!r}", ids[f])
-            if row[ident[cod[f]]] != f:
+            if row[pos[ident[cod[f]]]] != f:
                 raise NotACategoryError(f"right identity fails at {ids[f]!r}", ids[f])
-        by_dom = self._by_dom
+        # (f;g);h = f;(g;h) for every h at once: row f read at the places of
+        # row g's entries is row f;g. Every row holds at least an identity's
+        # composite, and itemgetter reads a one-entry row as its entry.
+        read = [itemgetter(*[pos[gh] for gh in row]) for row in rows]
+        want = [row if len(row) > 1 else row[0] for row in rows]
         for f, g, fg in self._entries:
-            after_f, after_g, after_fg = after[f], after[g], after[fg]
-            for h in by_dom[cod[g]]:
-                if after_fg[h] != after_f[after_g[h]]:
-                    raise NotACategoryError(
-                        f"associativity fails at ({ids[f]!r}, {ids[g]!r}, {ids[h]!r})",
-                        (ids[f], ids[g], ids[h]),
-                    )
+            if read[g](rows[f]) != want[fg]:
+                for h, gh, fg_h in zip(self._by_dom[cod[g]], rows[g], rows[fg]):
+                    if rows[f][pos[gh]] != fg_h:
+                        raise NotACategoryError(
+                            f"associativity fails at ({ids[f]!r}, {ids[g]!r}, {ids[h]!r})",
+                            (ids[f], ids[g], ids[h]),
+                        )
 
     @classmethod
     def from_json(cls, text: str, *, check_laws: bool = True) -> "FinCat":
@@ -244,10 +253,9 @@ class FinCat:
 
     def compose(self, f, g) -> MorId:
         i, j = self._index.get(f), self._index.get(g)
-        composite = None if i is None or j is None else self._after[i].get(j)
-        if composite is None:
+        if i is None or j is None or self._cod[i] != self._dom[j]:
             raise NotComposableError(f"no composite for ({f!r}, {g!r})")
-        return self._ids[composite]
+        return self._ids[self._rows[i][self._pos[j]]]
 
     def hom(self, x, y) -> list[MorId]:
         return [m for m, d, c in zip(self._ids, self._dom, self._cod) if d == x and c == y]

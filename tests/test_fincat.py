@@ -3,7 +3,9 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
+from functools import partial
 from itertools import product as cartesian
 
 import pytest
@@ -251,6 +253,41 @@ def outcome(check, tables):
     return None
 
 
+def one_entry_rows_tables():
+    """A category whose object ``y`` has only its identity out of it: rows into ``y`` hold one entry.
+
+    ``e`` is idempotent on ``x`` and sends both ``a`` and ``b``, arrows into ``y``, to ``a``.
+    """
+    morphisms = {"id_x": ("x", "x"), "e": ("x", "x"), "a": ("x", "y"), "b": ("x", "y"), "id_y": ("y", "y")}
+    compose = {("id_x", m): m for m in ("id_x", "e", "a", "b")}
+    compose.update({("e", "id_x"): "e", ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "a"})
+    compose.update({(m, "id_y"): m for m in ("a", "b", "id_y")})
+    return ["x", "y"], morphisms, {"x": "id_x", "y": "id_y"}, compose
+
+
+def repointed_composites(objects, morphisms, identity, compose):
+    """Every way to repoint one composite at another morphism of its type.
+
+    The tables stay well typed, so that only the laws can notice.
+    """
+    for pair, h in compose.items():
+        for m, ends in morphisms.items():
+            if m != h and ends == morphisms[h]:
+                yield objects, morphisms, identity, {**compose, pair: m}
+
+
+def row_tables(objects, morphisms, identity, compose):
+    """The arguments of ``FinCat._of_rows`` for these tables, and the tables with ``compose`` in row order."""
+    ids = list(morphisms)
+    index = {m: i for i, m in enumerate(ids)}
+    out_of = {x: [m for m in ids if morphisms[m][0] == x] for x in objects}
+    listed = {(f, g): compose[(f, g)] for f in ids for g in out_of[morphisms[f][1]]}
+    rows = [[index[compose[(f, g)]] for g in out_of[morphisms[f][1]]] for f in ids]
+    ident = {x: index[identity[x]] for x in objects}
+    ends = list(morphisms.values())
+    return (objects, ids, ends, ident, rows), (objects, morphisms, identity, listed)
+
+
 class TestTableChecks:
     def test_every_single_defect_is_caught_as_by_the_loops(self):
         reached = set()
@@ -266,6 +303,27 @@ class TestTableChecks:
     @given(reordered_defective_tables())
     def test_reordered_tables_fail_as_the_loops_do(self, tables):
         assert outcome(FinCat, tables) == outcome(oracle_fincat, tables)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_truncated_rows_are_a_category(self, k):
+        # truncate(0) has one morphism and truncate(1) an object with only its
+        # identity out of it: both are made of rows of one entry.
+        args, tables = row_tables(*skeleton_tables(k))
+        assert (min(map(len, args[-1])) == 1) == (k < 2)
+        assert outcome(partial(FinCat._of_rows, check_laws=True), args) is None
+        assert outcome(oracle_fincat, tables) is None
+
+    @pytest.mark.parametrize(
+        "tables", [skeleton_tables(2), one_entry_rows_tables()], ids=["truncate_2", "one_entry_rows"]
+    )
+    def test_rows_with_a_repointed_composite_fail_as_the_loops_do(self, tables):
+        reached = set()
+        for bad in repointed_composites(*tables):
+            args, listed = row_tables(*bad)
+            got = outcome(partial(FinCat._of_rows, check_laws=True), args)
+            assert got == outcome(oracle_fincat, listed)
+            reached.update(check for check in CHECKS if got and check in got[0])
+        assert reached == {"left identity fails", "right identity fails", "associativity fails"}
 
 
 class TestTableWork:
@@ -290,6 +348,26 @@ class TestTableWork:
         assert len(morphisms) == 60
         composites = sum(len(cat.hom(cat.cod(f), n)) for f in morphisms for n in cat.objects())
         assert composites == 1678
+
+    def test_validate_runs_a_line_per_composite_not_per_triple(self):
+        cat = SKEL.truncate(3, check_laws=False)
+        lines = Counter()
+
+        def count_lines(frame, event, arg):
+            lines[event] += 1
+            return count_lines
+
+        def trace_fincat(frame, event, arg):
+            return count_lines if frame.f_code.co_filename == FinCat.validate.__code__.co_filename else None
+
+        sys.settrace(trace_fincat)
+        try:
+            cat.validate()
+        finally:
+            sys.settrace(None)
+        # 60 morphisms and 1,678 composites; a loop over the 50,018
+        # associativity triples runs over 100,000 lines.
+        assert 0 < lines["line"] <= 4 * (60 + 1678)
 
     def test_construction_hashes_each_id_once_per_table_entry(self, fn_hashes):
         sizes = range(4)
@@ -327,6 +405,24 @@ def truncate_by_ids(k):
 
 
 class TestTruncateTables:
+    def test_compose_checks_the_middle_object_before_reading_a_row(self):
+        cat = SKEL.truncate(2)
+        for f, g in [
+            (FinFn(1, (1,)), FinFn(2, (1, 2))),
+            (FinFn(3, (1,)), FinFn(3, (1, 2, 3))),
+            (FinFn(1, (1,)), "unknown"),
+            ("unknown", FinFn(1, (1,))),
+        ]:
+            with pytest.raises(NotComposableError, match="^no composite for"):
+                cat.compose(f, g)
+        morphisms = cat.morphisms()
+        for f, g in cartesian(morphisms, repeat=2):
+            if f.cod == g.dom:
+                assert cat.compose(f, g) == SKEL.compose(f, g)
+            else:
+                with pytest.raises(NotComposableError):
+                    cat.compose(f, g)
+
     @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
     def test_truncate_is_the_category_of_its_id_tables(self, k):
         cat, want = SKEL.truncate(k), truncate_by_ids(k)
