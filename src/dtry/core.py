@@ -372,6 +372,36 @@ def _from_sorted(items) -> Leaf | Node | None:
     return Node(records[0])
 
 
+def _clean_pairs(entries: Mapping) -> list:
+    """The keys of a path map made dotted texts, with their values, sorted and clean.
+
+    What :meth:`Dtry.from_path_map` builds its trie from, and raises for
+    exactly as it does (see there).
+    """
+    entries = dict(entries)
+    items = []
+    for key, value in entries.items():
+        if not isinstance(key, str):
+            try:
+                text = ".".join(key)
+                # () is the root; ("",) is not, and no name holds a '.'
+                if key and (not text or text.count(".") != len(key) - 1):
+                    break
+            except TypeError:
+                break
+            key = text
+        items.append((key, value))
+    else:
+        ordered = _sorted_clean(items)
+        if ordered is not None:
+            return ordered
+    # The reference order decides which error is reported: coerce every
+    # key, sort, bind. An input that gets here is not clean, so it fails.
+    paths = sorted(map(Path, entries))
+    index, existing = next(_conflicts(map(str, paths)))
+    raise PrefixConflictError(Path.parse(existing), paths[index])
+
+
 def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Bind dotted ``texts`` in order; ``(index, bound text)`` for each text that clashes.
 
@@ -471,28 +501,7 @@ class Dtry(Generic[T]):
             PrefixConflictError: when one key is a prefix of another.
             BadPathError, BadNameError, TypeError: for a key that is no path.
         """
-        entries = dict(entries)
-        items = []
-        for key, value in entries.items():
-            if not isinstance(key, str):
-                try:
-                    text = ".".join(key)
-                    # () is the root; ("",) is not, and no name holds a '.'
-                    if key and (not text or text.count(".") != len(key) - 1):
-                        break
-                except TypeError:
-                    break
-                key = text
-            items.append((key, value))
-        else:
-            ordered = _sorted_clean(items)
-            if ordered is not None:
-                return cls(_from_sorted(ordered))
-        # The reference order decides which error is reported: coerce every
-        # key, sort, bind. An input that gets here is not clean, so it fails.
-        paths = sorted(map(Path, entries))
-        index, existing = next(_conflicts(map(str, paths)))
-        raise PrefixConflictError(Path.parse(existing), paths[index])
+        return cls(_from_sorted(_clean_pairs(entries)))
 
     @property
     def is_empty(self) -> bool:

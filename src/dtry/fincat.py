@@ -9,10 +9,13 @@ computed function tables over the objects 0, 1, 2, ... read as the sets
 objects, block summation on functions.
 
 On top of either sits the directory-indexed layer: a :class:`DtryObj`
-is one directory whose values are objects of the category, and a
-:class:`DtryMor` maps paths to paths and carries one component morphism
-per path. Morphisms come in three variants that differ only in which
-side indexes the data and what the index map must satisfy:
+is one directory whose values are objects of the category, read as its
+path family (``assign``), and a :class:`DtryMor` maps paths to paths and
+carries one component morphism per path. ``DtryObj.of`` makes the path
+family from a mapping and builds the trie only when ``objs`` is read:
+composing and evaluating read the path family alone. Morphisms come in
+three variants that differ only in which side indexes the data and what
+the index map must satisfy:
 
 * GENERAL: index map from source paths to destination paths;
 * ISO: the same, but the index map must be a bijection;
@@ -32,11 +35,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
-from .core import Dtry, Leaf, Node
+from .core import Dtry, Leaf, Node, _clean_pairs, _from_sorted
 from .errors import NotACategoryError, NotComposableError
 from .paths import Path
 
@@ -129,9 +133,7 @@ class FinCat:
         self = cls.__new__(cls)
         self._objects, self._identity = frozenset(objects), {x: ids[i] for x, i in ident.items()}
         self._intern(ids, ends)
-        by_dom, cod = self._by_dom, self._cod
-        entries = [(f, g, h) for f, row in enumerate(rows) for g, h in zip(by_dom[cod[f]], row)]
-        self._link(ident, rows, entries, check_laws)
+        self._link(ident, rows, None, check_laws)
         return self
 
     def _intern(self, ids: list, ends: list):
@@ -154,12 +156,13 @@ class FinCat:
             pos.append(len(out))
             out.append(i)
 
-    def _link(self, ident: dict, rows: list, entries: list, check_laws: bool):
+    def _link(self, ident: dict, rows: list, entries: list | None, check_laws: bool):
         """Set the composites, check that each morphism has all of its own, then the laws if asked.
 
         ``_ident`` maps each object to its identity, ``_entries`` lists the composites
-        ``(i, j, i;j)`` in their given order, and ``_rows[i]`` holds ``i;j`` at ``_pos[j]``
-        for each ``j`` out of ``cod i``; a ``None`` there is a missing composite.
+        ``(i, j, i;j)`` in their given order, or is None when that is the rows' own order,
+        and ``_rows[i]`` holds ``i;j`` at ``_pos[j]`` for each ``j`` out of ``cod i``; a
+        ``None`` there is a missing composite.
         """
         self._ident, self._entries = ident, entries
         self._rows = [tuple(row) for row in rows]
@@ -177,8 +180,8 @@ class FinCat:
         Raises:
             NotACategoryError: naming an offending morphism or triple.
         """
-        ids, dom, cod, rows, pos, ident = (
-            self._ids, self._dom, self._cod, self._rows, self._pos, self._ident
+        ids, dom, cod, rows, pos, ident, by_dom = (
+            self._ids, self._dom, self._cod, self._rows, self._pos, self._ident, self._by_dom
         )
         for f, row in enumerate(rows):
             if rows[ident[dom[f]]][pos[f]] != f:
@@ -190,9 +193,14 @@ class FinCat:
         # composite, and itemgetter reads a one-entry row as its entry.
         read = [itemgetter(*[pos[gh] for gh in row]) for row in rows]
         want = [row if len(row) > 1 else row[0] for row in rows]
-        for f, g, fg in self._entries:
+        entries = self._entries
+        if entries is None:  # the rows' own order
+            entries = chain.from_iterable(
+                zip(repeat(f), by_dom[cod[f]], row) for f, row in enumerate(rows)
+            )
+        for f, g, fg in entries:
             if read[g](rows[f]) != want[fg]:
-                for h, gh, fg_h in zip(self._by_dom[cod[g]], rows[g], rows[fg]):
+                for h, gh, fg_h in zip(by_dom[cod[g]], rows[g], rows[fg]):
                     if rows[f][pos[gh]] != fg_h:
                         raise NotACategoryError(
                             f"associativity fails at ({ids[f]!r}, {ids[g]!r}, {ids[h]!r})",
@@ -266,7 +274,8 @@ class FinFn:
     """A function {1..m} -> {1..cod} as an explicit image table.
 
     The domain size is the length of ``images``; entry ``i`` (1-based)
-    maps to ``images[i-1]``.
+    maps to ``images[i-1]``. Its hash is that of ``(cod, images)``,
+    computed once, on construction.
     """
 
     cod: int
@@ -282,6 +291,10 @@ class FinFn:
                 raise ValueError(f"image {i!r} is not an int")
             if not 1 <= i <= cod:
                 raise ValueError(f"image {i} outside 1..{cod}")
+        object.__setattr__(self, "_hash", hash((cod, self.images)))
+
+    def __hash__(self) -> int:  # once, on construction: a table lookup hashes its ids
+        return self._hash
 
     @property
     def dom(self) -> int:
@@ -401,24 +414,60 @@ class DtryObj:
     """A directory whose values are objects of ``cat``.
 
     ``assign`` is the read view of ``objs``: its complete paths and their
-    objects in lexicographic order, computed once on construction.
+    objects in lexicographic order. ``DtryObj(cat, objs)`` reads it off
+    the trie. :meth:`of` makes it from the mapping's sorted keys and builds
+    the trie only when ``objs`` is first read, since composing and
+    evaluating read ``assign`` alone. Two directory-objects are equal when
+    their categories and path maps are, so comparing builds no trie.
+
+    >>> x = DtryObj.of(FinSetSkeleton(), {"b.z": 1, "a": 2})
+    >>> x.assign
+    {Path('a'): 2, Path('b.z'): 1}
+    >>> x.objs
+    Dtry({'a': 2, 'b.z': 1})
+    >>> x == DtryObj(FinSetSkeleton(), Dtry.from_path_map({("b", "z"): 1, "a": 2}))
+    True
     """
 
     cat: Any
-    objs: Dtry
-    assign: Mapping[Path, ObjId] = field(init=False, compare=False)
+    objs: Dtry = field(compare=False)
+    assign: Mapping[Path, ObjId] = field(init=False)
 
     def __post_init__(self):
-        assign = self.objs.path_map()
-        for p, v in assign.items():
+        if "assign" not in vars(self):  # given a trie: read its path map
+            object.__setattr__(self, "assign", self.objs.path_map())
+        for p, v in self.assign.items():
             if not self.cat.has_object(v):
                 raise ValueError(f"{v!r} assigned at {p!r} is not an object of the category")
-        object.__setattr__(self, "assign", assign)
 
     @classmethod
     def of(cls, cat, assign: Mapping) -> "DtryObj":
-        """Build the directory from a path-to-object mapping."""
-        return cls(cat, Dtry.from_path_map(assign))
+        """The directory-object of a path-to-object mapping, keyed as :meth:`Dtry.from_path_map` is.
+
+        Raises as that does, then as the constructor does for a value that
+        is no object. The trie is built when ``objs`` is first read.
+        """
+        pairs = _clean_pairs(assign)
+        if pairs and not pairs[0][0]:  # the root: clean, so the only key
+            paths = {Path(): pairs[0][1]}
+        else:  # text order is path order
+            paths = {tuple.__new__(Path, text.split(".")): v for text, v in pairs}
+        self = cls.__new__(cls)
+        vars(self).update(cat=cat, assign=paths, _pairs=pairs)
+        self.__post_init__()
+        return self
+
+    def __getattr__(self, name):
+        """``objs`` of a result of :meth:`of`, on its first read: the trie of its pairs, kept."""
+        state = vars(self)
+        pairs = state.get("_pairs") if name == "objs" else None
+        if pairs is not None:
+            # Another thread may read it at once: both return the first trie kept.
+            state.setdefault("objs", Dtry(_from_sorted(pairs)))
+            state.pop("_pairs", None)
+        if name == "objs" and "objs" in state:
+            return state["objs"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def paths(self) -> list[Path]:
         return list(self.assign)

@@ -1,17 +1,23 @@
 """Finite categories, directory-indexed objects and morphisms, tensor evaluation."""
 
+import copy
 import json
+import pickle
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtry import fincat
 from dtry.core import Dtry, Leaf, NonEmptyRecord, distrib, filter_nothings
 from dtry.errors import NotACategoryError, NotComposableError
 from dtry.fincat import (
@@ -31,7 +37,7 @@ from dtry.fincat import (
     path_family,
     shape_with_n_leaves,
 )
-from dtry.paths import Path
+from dtry.paths import Name, Path
 
 from helpers import oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
 
@@ -393,6 +399,17 @@ class TestTableWork:
         assert fn_hashes["hash"] <= len(morphisms)
         assert fn_hashes["init"] <= len(morphisms)
 
+    def test_truncated_tables_keep_no_composite_list(self):
+        tracemalloc.start()
+        try:
+            cat = SKEL.truncate(4, check_laws=False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cat.morphisms()) == 499
+        # 133,799 composites: a (f, g, f;g) tuple each would hold 9.7 MB more.
+        assert held < 4_000_000
+
 
 def truncate_by_ids(k):
     """``truncate(k)`` as the tables of ``FinFn`` ids, checked and interned by ``FinCat``."""
@@ -467,6 +484,26 @@ class TestFinSetSkeleton:
     def test_compose_requires_matching_middle(self):
         with pytest.raises(NotComposableError):
             SKEL.compose(FinFn(2, (1,)), FinFn(3, (1, 1, 1)))
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n)) if n else st.just([]))
+        )
+    )
+    def test_hash_is_that_of_cod_and_images(self, table):
+        cod, images = table
+        f = FinFn(cod, images)
+        assert hash(f) == hash((cod, tuple(images)))
+
+    def test_equal_functions_hash_alike(self):
+        f, g = FinFn(3, (2, 3)), FinFn(3, [2, 3])
+        assert f == g and hash(f) == hash(g)
+        for same in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert same == f and hash(same) == hash(f)
+        assert {f: "x"}[g] == "x"
+        assert FinFn(3, (2, 3)) != FinFn(2, (2,)) and FinFn(3, (2, 3)) != FinFn(3, (3, 2))
+        with pytest.raises(FrozenInstanceError):
+            f.cod = 4
 
     def test_images_validated(self):
         with pytest.raises(ValueError):
@@ -570,6 +607,168 @@ class TestDtryObj:
     def test_empty_object(self):
         x = DtryObj(SKEL, Dtry.empty())
         assert path_family(x) == []
+
+
+def record_builds(monkeypatch):
+    """A list that grows by one for each trie record built from now on."""
+    built = []
+    init = NonEmptyRecord.__init__
+
+    def counting_init(self, entries):
+        built.append(self)
+        init(self, entries)
+
+    monkeypatch.setattr(NonEmptyRecord, "__init__", counting_init)
+    return built
+
+
+KEY_NAMES = st.sampled_from(["a", "b", "b_1", "z", "0"])
+
+
+@st.composite
+def path_maps(draw):
+    """A mapping of paths to sizes, keyed by dotted texts, tuples, ``Path``s and ``Name``s.
+
+    Two keys may name one path, or one path and its prefix; a size of -1 is no object.
+    """
+    paths = draw(st.lists(st.lists(KEY_NAMES, max_size=3).map(tuple), max_size=8))
+    out = {}
+    for p in paths:
+        form = draw(st.sampled_from([".".join, tuple, Path, lambda p: Name(p[0]) if p else ""]))
+        out[form(p)] = draw(st.integers(-1, 3) if draw(st.booleans()) else st.integers(0, 3))
+    return out
+
+
+def result_or_error(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # any error: the two routes must raise alike
+        return type(exc), str(exc)
+
+
+class TestLazyOf:
+    """``DtryObj.of`` builds its trie only when ``objs`` is first read."""
+
+    def test_no_record_is_built_until_objs_is_read(self, monkeypatch):
+        want = Dtry.from_path_map({"b.z": 1, "a": 2, "b.y": 2})
+        built = record_builds(monkeypatch)
+        x = DtryObj.of(SKEL, {"b.z": 1, "a": 2, "b.y": 2})
+        y = DtryObj.of(SKEL, {"c": 2, "d.x": 2, "d.y": 1})
+        f0 = dict(zip(x.assign, y.assign))
+        iso = DtryMor(Variant.ISO, x, y, f0, {p: SKEL.identity(v) for p, v in x.assign.items()})
+        back = {q: p for p, q in f0.items()}
+        back = DtryMor(Variant.ISO, y, x, back, {q: SKEL.identity(v) for q, v in y.assign.items()})
+        compose_mor(iso, back)
+        algebra_eval_mor(ALG, iso)
+        assert (x.paths(), repr(x), path_family(x)) == (
+            [Path("a"), Path("b.y"), Path("b.z")],
+            "DtryObj({'a': 2, 'b.y': 2, 'b.z': 1})",
+            [(Path("a"), 2), (Path("b.y"), 2), (Path("b.z"), 1)],
+        )
+        assert x == DtryObj.of(SKEL, {("a",): 2, "b.y": 2, Path("b.z"): 1}) and x != y
+        assert built == []
+        trie = x.objs
+        assert len(built) == 2  # the root and b
+        assert x.objs is trie and trie == want and len(built) == 2
+
+    def test_objs_builds_one_trie(self, monkeypatch):
+        calls = []
+        build = fincat._from_sorted
+        monkeypatch.setattr(fincat, "_from_sorted", lambda pairs: calls.append(1) or build(pairs))
+        x = DtryObj.of(SKEL, {"a.b": 1, "a.c": 2})
+        assert calls == []
+        assert x.objs is x.objs is x.objs
+        assert calls == [1]
+
+    @given(path_maps())
+    @example({})
+    @example({"": 2})
+    @example({(): 2})
+    @example({Path(): 2})
+    @example({"": 2, "a": 1})
+    @example({"a.b": 1, ("a", "b"): 2})
+    @example({"a": -1, "a.b": 1})
+    @example({Name("a"): 1, "b.z": 2, ("b", "y"): 0, Path("0"): 3})
+    def test_of_is_the_constructor_on_the_path_map(self, mapping):
+        got = result_or_error(lambda: DtryObj.of(SKEL, mapping))
+        want = result_or_error(lambda: DtryObj(SKEL, Dtry.from_path_map(mapping)))
+        if type(want) is tuple:
+            assert got == want
+            return
+        assert got == want and want == got
+        keys = [(k, type(k), [type(s) for s in k]) for k in got.assign]
+        assert keys == [(k, type(k), [type(s) for s in k]) for k in want.assign]
+        assert list(got.assign.items()) == list(want.assign.items())
+        assert repr(got) == repr(want)
+        assert got.objs == want.objs
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"a..b": 1},
+            {("a", "b-c"): 1},
+            {"a": 1, 3: 2},
+            {("a", "b.c"): 1},
+            {"a": 1, "a.b": 2},
+            {"a.b": 1, ("a", "b"): 2},
+            {"": 1, "a": 2},
+            {"a": 1, "b": -1},
+            {"a": "2"},
+        ],
+        ids=[
+            "bad_path", "bad_name", "no_key", "dotted_name", "prefix",
+            "bound_twice", "root_and_more", "negative", "text",
+        ],
+    )
+    def test_bad_input_raises_at_of_as_before(self, mapping):
+        with pytest.raises(Exception) as got:
+            DtryObj.of(SKEL, mapping)
+        with pytest.raises(Exception) as want:
+            DtryObj(SKEL, Dtry.from_path_map(mapping))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_of_an_unread_result(self, duplicate, monkeypatch):
+        mapping = {"b.z": 1, "a": 2, "b.y": 0}
+        x, trie = DtryObj.of(SKEL, mapping), Dtry.from_path_map(mapping)
+        built = record_builds(monkeypatch)
+        y = duplicate(x)
+        assert built == [] and y == x and repr(y) == repr(x)
+        assert y.objs == trie and len(built) == 2
+        assert x.objs == y.objs and len(built) == 4
+
+    def test_threads_reading_objs_at_once_get_one_trie(self):
+        mapping = {f"s{i % 5}.k{i}": i % 4 for i in range(200)}
+        want = Dtry.from_path_map(mapping)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                x = DtryObj.of(SKEL, mapping)
+                with ThreadPoolExecutor(8) as pool:
+                    read = list(pool.map(lambda _: x.objs, range(8), timeout=60))
+                assert all(t is x.objs for t in read) and x.objs == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_frozen_and_unhashable(self):
+        x = DtryObj.of(SKEL, {"a": 1})
+        for name, value in [("objs", Dtry.empty()), ("assign", {}), ("cat", TINY), ("other", 1)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del x.assign
+        with pytest.raises(TypeError):
+            hash(x)
+        with pytest.raises(AttributeError, match="^'DtryObj' object has no attribute 'other'$"):
+            x.other
+        assert x.assign == {Path("a"): 1} and x.objs == Dtry.from_path_map({"a": 1})
 
 
 class TestDtryMorValidation:
