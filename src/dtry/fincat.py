@@ -9,21 +9,21 @@ computed function tables over the objects 0, 1, 2, ... read as the sets
 objects, block summation on functions.
 
 On top of either sits the directory-indexed layer: a :class:`DtryObj`
-is one directory whose values are objects of the category, read as its
-path family (``assign``), and a :class:`DtryMor` maps paths to paths and
-carries one component morphism per path. ``DtryObj.of`` makes the path
-family from a mapping and builds the trie only when ``objs`` is read:
-composing and evaluating read the path family alone. Morphisms come in
-three variants that differ only in which side indexes the data and what
-the index map must satisfy:
+is a family of objects of the category indexed by a clean set of paths
+(``assign``; its trie ``objs`` is built on first read unless given),
+and a :class:`DtryMor` maps paths to paths and carries one component
+morphism per path. Morphisms come in three variants that differ only in
+which side indexes the data and what the index map must satisfy:
 
 * GENERAL: index map from source paths to destination paths;
 * ISO: the same, but the index map must be a bijection;
 * PRODUCT: index map from destination paths back to source paths, the
   shape appropriate for projection-style morphisms.
 
-``mu_obj`` is the directory flatten of a directory of directory-objects,
-concatenating paths; ``mu_mor`` flattens morphisms the same way.
+``mu_obj`` flattens a directory of directory-objects into one family,
+each outer path followed by the inner paths at it, and builds no trie;
+``mu_mor`` flattens morphisms the same way. Composing, flattening and
+evaluating read path families alone.
 ``algebra_eval_obj``/``algebra_eval_mor`` evaluate a directory-object in
 a strictly associative tensor (its path family in lexicographic order),
 sending an ISO morphism to the tensor of its components followed by the
@@ -411,14 +411,14 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class DtryObj:
-    """A directory whose values are objects of ``cat``.
+    """A family of objects of ``cat`` indexed by a clean set of paths.
 
-    ``assign`` is the read view of ``objs``: its complete paths and their
-    objects in lexicographic order. ``DtryObj(cat, objs)`` reads it off
-    the trie. :meth:`of` makes it from the mapping's sorted keys and builds
-    the trie only when ``objs`` is first read, since composing and
-    evaluating read ``assign`` alone. Two directory-objects are equal when
-    their categories and path maps are, so comparing builds no trie.
+    ``assign`` is the family: its paths and their objects in path order.
+    ``objs`` is the same family as a trie. ``DtryObj(cat, objs)`` reads
+    ``assign`` off a trie; :meth:`of` and :func:`mu_obj` make ``assign``
+    alone, and build ``objs`` from it when it is first read. Two
+    directory-objects are equal when their categories and families are,
+    so comparing builds no trie.
 
     >>> x = DtryObj.of(FinSetSkeleton(), {"b.z": 1, "a": 2})
     >>> x.assign
@@ -447,27 +447,25 @@ class DtryObj:
         Raises as that does, then as the constructor does for a value that
         is no object. The trie is built when ``objs`` is first read.
         """
-        pairs = _clean_pairs(assign)
-        if pairs and not pairs[0][0]:  # the root: clean, so the only key
-            paths = {Path(): pairs[0][1]}
-        else:  # text order is path order
-            paths = {tuple.__new__(Path, text.split(".")): v for text, v in pairs}
+        pairs = _clean_pairs(assign)  # text order is path order, and '' is the root
+        return cls._checked(cat, {tuple.__new__(Path, t.split(".") if t else ()): v for t, v in pairs})
+
+    @classmethod
+    def _checked(cls, cat, assign: dict) -> "DtryObj":
+        """The object of ``assign``, clean and keyed by ``Path``s in path order, kept as given."""
         self = cls.__new__(cls)
-        vars(self).update(cat=cat, assign=paths, _pairs=pairs)
+        vars(self).update(cat=cat, assign=assign)
         self.__post_init__()
         return self
 
     def __getattr__(self, name):
-        """``objs`` of a result of :meth:`of`, on its first read: the trie of its pairs, kept."""
-        state = vars(self)
-        pairs = state.get("_pairs") if name == "objs" else None
-        if pairs is not None:
-            # Another thread may read it at once: both return the first trie kept.
-            state.setdefault("objs", Dtry(_from_sorted(pairs)))
-            state.pop("_pairs", None)
-        if name == "objs" and "objs" in state:
-            return state["objs"]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        """``objs`` not yet read: the trie of ``assign``, built once and kept."""
+        assign = vars(self).get("assign") if name == "objs" else None
+        if assign is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        trie = Dtry(_from_sorted([(".".join(p), v) for p, v in assign.items()]))
+        # Another thread may read it at once: both return the first trie kept.
+        return vars(self).setdefault("objs", trie)
 
     def paths(self) -> list[Path]:
         return list(self.assign)
@@ -571,18 +569,28 @@ def compose_mor(f: DtryMor, g: DtryMor) -> DtryMor:
 def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
     """Flatten a directory of directory-objects, concatenating paths.
 
-    Entries holding empty objects vanish with their outer paths. For an
-    empty outer directory the category cannot be inferred, so pass
-    ``cat=`` explicitly there.
+    Each outer path is followed by each path of the object there, so the
+    result is its path family and no trie is built. Entries holding empty
+    objects vanish with their outer paths. The category is the first
+    entry's; for an empty outer directory pass ``cat=`` explicitly.
+
+    Raises:
+        TypeError: when a value is not a :class:`DtryObj`, naming its path.
+        NotComposableError: when the entries, or ``cat=``, mix categories.
     """
+    flat = {}  # outer paths and each family are clean and in order: so is this, unsorted
+    for p, x in dd.path_map().items():
+        if not isinstance(x, DtryObj):
+            raise TypeError(f"mu_obj needs every value to be a DtryObj, got {x!r} at {p!r}")
+        if cat is None:
+            cat = x.cat
+        elif x.cat != cat:
+            raise NotComposableError("mixed categories in one directory")
+        for q, v in x.assign.items():
+            flat[p + q] = v
     if cat is None:
-        if dd.is_empty:
-            raise ValueError("cannot infer the category of an empty directory; pass cat=")
-        tree = dd.root
-        while type(tree) is Node:
-            tree = next(iter(tree.values()))
-        cat = (tree.value if type(tree) is Leaf else tree).cat
-    return DtryObj(cat, dd.map_values(lambda o: o.objs).flatten())
+        raise ValueError("cannot infer the category of an empty directory; pass cat=")
+    return DtryObj._checked(cat, flat)
 
 
 def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
@@ -594,15 +602,16 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
     components carried across unchanged.
 
     Raises:
+        TypeError: when a value is not a :class:`DtryMor`, naming its path.
         NotComposableError: when the entries mix variants or categories.
     """
     inner = dm.path_map()
+    for p, m in inner.items():
+        if not isinstance(m, DtryMor):
+            raise TypeError(f"mu_mor needs every value to be a DtryMor, got {m!r} at {p!r}")
     variants = {m.variant for m in inner.values()}
     if len(variants) > 1:
         raise NotComposableError(f"mixed variants in one directory: {variants}")
-    mors = list(inner.values())
-    if any(m.src.cat != mors[0].src.cat for m in mors[1:]):
-        raise NotComposableError("mixed categories in one directory")
     if variant is None:
         variant = variants.pop() if variants else Variant.GENERAL
     src = mu_obj(dm.map_values(lambda m: m.src), cat=cat)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from dtry import fincat
 from dtry.core import Dtry, Leaf, NonEmptyRecord, distrib, filter_nothings
-from dtry.errors import NotACategoryError, NotComposableError
+from dtry.errors import NotACategoryError, NotComposableError, PrefixConflictError
 from dtry.fincat import (
     DtryMor,
     DtryObj,
@@ -39,7 +39,7 @@ from dtry.fincat import (
 )
 from dtry.paths import Name, Path
 
-from helpers import oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
+from helpers import nodes, oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
 
 SKEL = FinSetSkeleton()
 ALG = finset_coproduct_algebra(SKEL)
@@ -672,6 +672,13 @@ class TestLazyOf:
         assert len(built) == 2  # the root and b
         assert x.objs is trie and trie == want and len(built) == 2
 
+    def test_an_unread_result_holds_its_category_and_path_family_alone(self):
+        for mapping in ({"b.z": 1, "a": 2}, {"": 3}, {}):
+            x = DtryObj.of(SKEL, mapping)
+            assert set(vars(x)) == {"cat", "assign"}
+            x.objs
+            assert set(vars(x)) == {"cat", "assign", "objs"}
+
     def test_objs_builds_one_trie(self, monkeypatch):
         calls = []
         build = fincat._from_sorted
@@ -970,6 +977,51 @@ class TestFlattening:
                 )
                 assert mu_mor(pointwise) == compose_mor(mu_mor(firsts), mu_mor(seconds))
 
+    def test_mu_obj_and_mu_mor_build_no_inner_trie(self, monkeypatch):
+        objs = {p: DtryObj.of(SKEL, {"x.y": 1, "z": 2}) for p in ("s.a", "s.b", "t")}
+        dd = Dtry.from_path_map(objs)
+        isos = {p: identity_mor(x, Variant.ISO) for p, x in objs.items()}
+        dm = Dtry.from_path_map(isos)
+        built = record_builds(monkeypatch)
+        flat = mu_obj(dd)
+        assert built == [] and set(vars(flat)) == {"cat", "assign"}
+        m = mu_mor(dm)
+        # the two outer directories of sources and destinations that mu_obj reads, no more
+        assert len(built) == 2 * len(list(nodes(dm.root)))
+        assert set(vars(m.src)) == set(vars(m.dst)) == {"cat", "assign"}
+        assert all("objs" not in vars(x) for x in objs.values())
+        assert m.src == m.dst == flat
+
+    @given(
+        st.dictionaries(
+            st.lists(KEY_NAMES, max_size=2).map(".".join),
+            path_maps().filter(lambda a: type(result_or_error(lambda: DtryObj.of(SKEL, a))) is DtryObj),
+            max_size=4,
+        )
+    )
+    @example({"a": {"": 2}, "b": {}, "c.d": {"x": 1, "y.z": 0}})
+    @example({"a": {}})
+    @example({"a": {"": 1}, "b": {"": 3}})
+    def test_mu_obj_over_results_of_of_is_flatten(self, outer):
+        try:
+            dd = Dtry.from_path_map({p: DtryObj.of(SKEL, a) for p, a in outer.items()})
+        except PrefixConflictError:
+            return
+        flat = mu_obj(dd, cat=SKEL)
+        assert flat.objs == dd.map_values(lambda o: o.objs).flatten()
+        assert list(flat.assign.items()) == list(flat.objs.path_map().items())
+        assert flat == DtryObj(SKEL, flat.objs)
+
+    def test_mu_obj_rejects_mixed_categories(self):
+        # two categories with the same object names, so each accepts the other's objects
+        other = FinCat.from_json(tiny_cat_json())
+        dd = Dtry.from_path_map({"a": DtryObj.of(TINY, {"k": "x"}), "b": DtryObj.of(other, {"k": "y"})})
+        with pytest.raises(NotComposableError, match="mixed categories"):
+            mu_obj(dd)
+        with pytest.raises(NotComposableError, match="mixed categories"):
+            mu_obj(Dtry.leaf(DtryObj.of(other, {"k": "y"})), cat=TINY)
+        assert mu_obj(dd.filter(lambda x: x.cat is other)).cat is other
+
     def test_mu_mor_rejects_mixed_variants(self):
         x = DtryObj.of(SKEL, {"a": 1})
         dm = Dtry.from_path_map(
@@ -1150,6 +1202,16 @@ def two_category_mors():
             "different categories",
         ),
         (lambda: mu_mor(two_category_mors()), NotComposableError, "mixed categories"),
+        (
+            lambda: mu_obj(Dtry.from_path_map({"a": DtryObj.of(SKEL, {}), "b.c": 1})),
+            TypeError,
+            r"^mu_obj needs every value to be a DtryObj, got 1 at Path\('b\.c'\)$",
+        ),
+        (
+            lambda: mu_mor(Dtry.from_path_map({"a": DtryObj.of(SKEL, {})})),
+            TypeError,
+            r"^mu_mor needs every value to be a DtryMor, got DtryObj\(\{\}\) at Path\('a'\)$",
+        ),
         (lambda: shape_with_n_leaves(-1), ValueError, "nonnegative"),
         (
             lambda: algebra_eval_mor(ALG, identity_mor(DtryObj.of(SKEL, {"a": 1}))),
@@ -1166,6 +1228,8 @@ def two_category_mors():
         "block_perm_of_no_permutation",
         "mor_between_two_categories",
         "mu_mor_over_two_categories",
+        "mu_obj_over_a_value_that_is_no_object",
+        "mu_mor_over_a_value_that_is_no_morphism",
         "negative_leaf_count",
         "algebra_eval_of_a_general_mor",
     ],
