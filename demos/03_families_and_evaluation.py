@@ -22,7 +22,6 @@ from dtry import (
     finset_coproduct_algebra,
     identity_mor,
     mu_obj,
-    path_family,
 )
 
 skel = FinSetSkeleton()
@@ -30,7 +29,7 @@ skel = FinSetSkeleton()
 # An object: one directory whose values are sizes (objects of the category).
 state = DtryObj.of(skel, {"oscillator.mass": 1, "oscillator.spring": 1, "tank": 2})
 print("object, as a path family:")
-for path, size in path_family(state):
+for path, size in state.assign.items():
     print("  ", path, "->", size)
 
 # Nested directories of objects flatten just like directories of values:
@@ -43,7 +42,7 @@ grouped = Dtry.from_path_map(
 )
 flat = mu_obj(grouped)
 assert flat.objs == grouped.map_values(lambda o: o.objs).flatten()
-print("\nflattened family:", {str(p): n for p, n in path_family(flat)})
+print("\nflattened family:", {str(p): n for p, n in flat.assign.items()})
 
 # A morphism: an index map between path sets and a component for each
 # indexed pair. The ISO variant demands a bijective index map.

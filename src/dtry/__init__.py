@@ -31,7 +31,6 @@ from .fincat import (
     identity_mor,
     mu_mor,
     mu_obj,
-    path_family,
     shape_with_n_leaves,
 )
 from .formats import (
@@ -77,7 +76,6 @@ __all__ = [
     "compose_mor",
     "mu_obj",
     "mu_mor",
-    "path_family",
     "shape_with_n_leaves",
     "StrictAlgebra",
     "finset_coproduct_algebra",

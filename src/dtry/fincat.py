@@ -10,7 +10,7 @@ objects, block summation on functions.
 
 On top of either sits the directory-indexed layer: a :class:`DtryObj`
 is a family of objects of the category indexed by a clean set of paths
-(``assign``; its trie ``objs`` is built on first read unless given),
+(``assign``; its trie ``objs`` is built from it on each read),
 and a :class:`DtryMor` maps paths to paths and carries one component
 morphism per path. Morphisms come in three variants that differ only in
 which side indexes the data and what the index map must satisfy:
@@ -33,7 +33,7 @@ permutation its index map induces between the two path orders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from itertools import product as _cartesian
@@ -58,7 +58,6 @@ __all__ = [
     "compose_mor",
     "mu_obj",
     "mu_mor",
-    "path_family",
     "shape_with_n_leaves",
     "StrictAlgebra",
     "finset_coproduct_algebra",
@@ -409,16 +408,16 @@ class Variant(Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DtryObj:
     """A family of objects of ``cat`` indexed by a clean set of paths.
 
-    ``assign`` is the family: its paths and their objects in path order.
-    ``objs`` is the same family as a trie. ``DtryObj(cat, objs)`` reads
+    ``assign`` is the family: its paths and their objects in path order,
+    and the only data kept beside ``cat``. ``DtryObj(cat, objs)`` reads
     ``assign`` off a trie; :meth:`of` and :func:`mu_obj` make ``assign``
-    alone, and build ``objs`` from it when it is first read. Two
-    directory-objects are equal when their categories and families are,
-    so comparing builds no trie.
+    straight. ``objs`` is the family as a trie, built from ``assign`` on
+    each read and kept nowhere. Two directory-objects are equal when
+    their categories and families are, so comparing builds no trie.
 
     >>> x = DtryObj.of(FinSetSkeleton(), {"b.z": 1, "a": 2})
     >>> x.assign
@@ -430,12 +429,13 @@ class DtryObj:
     """
 
     cat: Any
-    objs: Dtry = field(compare=False)
-    assign: Mapping[Path, ObjId] = field(init=False)
+    assign: Mapping[Path, ObjId]
+
+    def __init__(self, cat, objs: Dtry):
+        vars(self).update(cat=cat, assign=objs.path_map())
+        self.__post_init__()
 
     def __post_init__(self):
-        if "assign" not in vars(self):  # given a trie: read its path map
-            object.__setattr__(self, "assign", self.objs.path_map())
         for p, v in self.assign.items():
             if not self.cat.has_object(v):
                 raise ValueError(f"{v!r} assigned at {p!r} is not an object of the category")
@@ -445,7 +445,7 @@ class DtryObj:
         """The directory-object of a path-to-object mapping, keyed as :meth:`Dtry.from_path_map` is.
 
         Raises as that does, then as the constructor does for a value that
-        is no object. The trie is built when ``objs`` is first read.
+        is no object. No trie is built.
         """
         pairs = _clean_pairs(assign)  # text order is path order, and '' is the root
         return cls._checked(cat, {tuple.__new__(Path, t.split(".") if t else ()): v for t, v in pairs})
@@ -458,14 +458,10 @@ class DtryObj:
         self.__post_init__()
         return self
 
-    def __getattr__(self, name):
-        """``objs`` not yet read: the trie of ``assign``, built once and kept."""
-        assign = vars(self).get("assign") if name == "objs" else None
-        if assign is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        trie = Dtry(_from_sorted([(".".join(p), v) for p, v in assign.items()]))
-        # Another thread may read it at once: both return the first trie kept.
-        return vars(self).setdefault("objs", trie)
+    @property
+    def objs(self) -> Dtry:
+        """The family as a trie, built from ``assign`` on every read."""
+        return Dtry(_from_sorted([(".".join(p), v) for p, v in self.assign.items()]))
 
     def paths(self) -> list[Path]:
         return list(self.assign)
@@ -578,8 +574,13 @@ def mu_obj(dd: Dtry, *, cat=None) -> DtryObj:
         TypeError: when a value is not a :class:`DtryObj`, naming its path.
         NotComposableError: when the entries, or ``cat=``, mix categories.
     """
+    return _flatten(dd.path_map().items(), cat)
+
+
+def _flatten(entries, cat) -> DtryObj:
+    """The family of ``(outer path, DtryObj)`` pairs given in path order: see :func:`mu_obj`."""
     flat = {}  # outer paths and each family are clean and in order: so is this, unsorted
-    for p, x in dd.path_map().items():
+    for p, x in entries:
         if not isinstance(x, DtryObj):
             raise TypeError(f"mu_obj needs every value to be a DtryObj, got {x!r} at {p!r}")
         if cat is None:
@@ -599,34 +600,32 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
     The outer directory indexes both sides at once: the result goes from
     the flattening of the sources to the flattening of the destinations,
     with index map ``p*q -> p*(inner f0 at p)(q)`` and the inner
-    components carried across unchanged.
+    components carried across unchanged. ``variant=`` must be the
+    entries' own; it names the variant of an empty directory.
 
     Raises:
         TypeError: when a value is not a :class:`DtryMor`, naming its path.
-        NotComposableError: when the entries mix variants or categories.
+        NotComposableError: when the entries mix variants or categories, or
+            differ from ``variant=`` or ``cat=``.
     """
     inner = dm.path_map()
     for p, m in inner.items():
         if not isinstance(m, DtryMor):
             raise TypeError(f"mu_mor needs every value to be a DtryMor, got {m!r} at {p!r}")
     variants = {m.variant for m in inner.values()}
+    if variant is not None:
+        variants.add(variant)
     if len(variants) > 1:
         raise NotComposableError(f"mixed variants in one directory: {variants}")
-    if variant is None:
-        variant = variants.pop() if variants else Variant.GENERAL
-    src = mu_obj(dm.map_values(lambda m: m.src), cat=cat)
-    dst = mu_obj(dm.map_values(lambda m: m.dst), cat=cat)
+    variant = variants.pop() if variants else Variant.GENERAL
+    src = _flatten(((p, m.src) for p, m in inner.items()), cat)
+    dst = _flatten(((p, m.dst) for p, m in inner.items()), cat)
     f0, f1 = {}, {}
     for p, m in inner.items():
         for q, target in m.f0.items():
             pq = p.concat(q)
             f0[pq], f1[pq] = p.concat(target), m.f1[q]
     return DtryMor(variant, src, dst, f0, f1)
-
-
-def path_family(x: DtryObj) -> list[tuple[Path, ObjId]]:
-    """The assigned objects in lexicographic path order."""
-    return list(x.assign.items())
 
 
 def shape_with_n_leaves(n: int) -> Dtry:
@@ -683,10 +682,9 @@ def finset_coproduct_algebra(skel: FinSetSkeleton | None = None) -> StrictAlgebr
 
 def algebra_eval_obj(alg: StrictAlgebra, x: DtryObj) -> ObjId:
     """Tensor the path family of ``x`` in lexicographic order."""
-    family = path_family(x)
-    if not family:
+    if not x.assign:
         return alg.unit_obj
-    return alg.tensor_obj([v for _, v in family])
+    return alg.tensor_obj(list(x.assign.values()))
 
 
 def algebra_eval_mor(alg: StrictAlgebra, m: DtryMor) -> MorId:

@@ -8,7 +8,6 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import product as cartesian
@@ -34,12 +33,11 @@ from dtry.fincat import (
     identity_mor,
     mu_mor,
     mu_obj,
-    path_family,
     shape_with_n_leaves,
 )
 from dtry.paths import Name, Path
 
-from helpers import nodes, oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
+from helpers import oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
 
 SKEL = FinSetSkeleton()
 ALG = finset_coproduct_algebra(SKEL)
@@ -602,11 +600,11 @@ class TestDtryObj:
 
     def test_path_family_is_lex_ordered(self):
         x = DtryObj.of(SKEL, {"b.z": 1, "a": 2, "b.a": 3})
-        assert path_family(x) == [(Path("a"), 2), (Path("b.a"), 3), (Path("b.z"), 1)]
+        assert list(x.assign.items()) == [(Path("a"), 2), (Path("b.a"), 3), (Path("b.z"), 1)]
 
     def test_empty_object(self):
         x = DtryObj(SKEL, Dtry.empty())
-        assert path_family(x) == []
+        assert list(x.assign.items()) == []
 
 
 def record_builds(monkeypatch):
@@ -639,6 +637,15 @@ def path_maps(draw):
     return out
 
 
+def outer_families():
+    """Mappings of dotted outer paths to mappings that ``DtryObj.of`` accepts."""
+    return st.dictionaries(
+        st.lists(KEY_NAMES, max_size=2).map(".".join),
+        path_maps().filter(lambda a: type(result_or_error(lambda: DtryObj.of(SKEL, a))) is DtryObj),
+        max_size=4,
+    )
+
+
 def result_or_error(build):
     """What ``build()`` returns, or the type and text of what it raises."""
     try:
@@ -648,7 +655,7 @@ def result_or_error(build):
 
 
 class TestLazyOf:
-    """``DtryObj.of`` builds its trie only when ``objs`` is first read."""
+    """``DtryObj.of`` builds no trie: ``objs`` builds one from ``assign`` on each read."""
 
     def test_no_record_is_built_until_objs_is_read(self, monkeypatch):
         want = Dtry.from_path_map({"b.z": 1, "a": 2, "b.y": 2})
@@ -661,7 +668,7 @@ class TestLazyOf:
         back = DtryMor(Variant.ISO, y, x, back, {q: SKEL.identity(v) for q, v in y.assign.items()})
         compose_mor(iso, back)
         algebra_eval_mor(ALG, iso)
-        assert (x.paths(), repr(x), path_family(x)) == (
+        assert (x.paths(), repr(x), list(x.assign.items())) == (
             [Path("a"), Path("b.y"), Path("b.z")],
             "DtryObj({'a': 2, 'b.y': 2, 'b.z': 1})",
             [(Path("a"), 2), (Path("b.y"), 2), (Path("b.z"), 1)],
@@ -670,14 +677,16 @@ class TestLazyOf:
         assert built == []
         trie = x.objs
         assert len(built) == 2  # the root and b
-        assert x.objs is trie and trie == want and len(built) == 2
+        assert trie == want and len(built) == 2
+        again = x.objs  # built again, kept nowhere
+        assert again == trie and again is not trie and len(built) == 4
 
     def test_an_unread_result_holds_its_category_and_path_family_alone(self):
         for mapping in ({"b.z": 1, "a": 2}, {"": 3}, {}):
             x = DtryObj.of(SKEL, mapping)
             assert set(vars(x)) == {"cat", "assign"}
             x.objs
-            assert set(vars(x)) == {"cat", "assign", "objs"}
+            assert set(vars(x)) == {"cat", "assign"}
 
     def test_objs_builds_one_trie(self, monkeypatch):
         calls = []
@@ -685,8 +694,9 @@ class TestLazyOf:
         monkeypatch.setattr(fincat, "_from_sorted", lambda pairs: calls.append(1) or build(pairs))
         x = DtryObj.of(SKEL, {"a.b": 1, "a.c": 2})
         assert calls == []
-        assert x.objs is x.objs is x.objs
-        assert calls == [1]
+        first, second = x.objs, x.objs
+        assert first == second and first is not second
+        assert calls == [1, 1]  # one trie per read
 
     @given(path_maps())
     @example({})
@@ -748,21 +758,7 @@ class TestLazyOf:
         y = duplicate(x)
         assert built == [] and y == x and repr(y) == repr(x)
         assert y.objs == trie and len(built) == 2
-        assert x.objs == y.objs and len(built) == 4
-
-    def test_threads_reading_objs_at_once_get_one_trie(self):
-        mapping = {f"s{i % 5}.k{i}": i % 4 for i in range(200)}
-        want = Dtry.from_path_map(mapping)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                x = DtryObj.of(SKEL, mapping)
-                with ThreadPoolExecutor(8) as pool:
-                    read = list(pool.map(lambda _: x.objs, range(8), timeout=60))
-                assert all(t is x.objs for t in read) and x.objs == want
-        finally:
-            sys.setswitchinterval(interval)
+        assert x.objs == y.objs and len(built) == 6
 
     def test_frozen_and_unhashable(self):
         x = DtryObj.of(SKEL, {"a": 1})
@@ -986,19 +982,11 @@ class TestFlattening:
         flat = mu_obj(dd)
         assert built == [] and set(vars(flat)) == {"cat", "assign"}
         m = mu_mor(dm)
-        # the two outer directories of sources and destinations that mu_obj reads, no more
-        assert len(built) == 2 * len(list(nodes(dm.root)))
+        assert built == []
         assert set(vars(m.src)) == set(vars(m.dst)) == {"cat", "assign"}
-        assert all("objs" not in vars(x) for x in objs.values())
         assert m.src == m.dst == flat
 
-    @given(
-        st.dictionaries(
-            st.lists(KEY_NAMES, max_size=2).map(".".join),
-            path_maps().filter(lambda a: type(result_or_error(lambda: DtryObj.of(SKEL, a))) is DtryObj),
-            max_size=4,
-        )
-    )
+    @given(outer_families())
     @example({"a": {"": 2}, "b": {}, "c.d": {"x": 1, "y.z": 0}})
     @example({"a": {}})
     @example({"a": {"": 1}, "b": {"": 3}})
@@ -1011,6 +999,22 @@ class TestFlattening:
         assert flat.objs == dd.map_values(lambda o: o.objs).flatten()
         assert list(flat.assign.items()) == list(flat.objs.path_map().items())
         assert flat == DtryObj(SKEL, flat.objs)
+
+    @given(outer_families(), st.sampled_from(VARIANTS), st.randoms(use_true_random=False))
+    @example({"a": {"": 2}, "b": {}, "c.d": {"x": 1, "y.z": 0}}, Variant.PRODUCT, random.Random(0))
+    @example({}, Variant.ISO, random.Random(0))
+    def test_mu_mor_flattens_each_side_as_mu_obj_does(self, outer, variant, rng):
+        try:
+            dm = Dtry.from_path_map(
+                {p: random_mor_from(rng, DtryObj.of(SKEL, a), variant) for p, a in outer.items()}
+            )
+        except PrefixConflictError:
+            return
+        m = mu_mor(dm, cat=SKEL, variant=variant)
+        # the reference: each side's outer directory, flattened by mu_obj
+        assert m.src == mu_obj(dm.map_values(lambda m: m.src), cat=SKEL)
+        assert m.dst == mu_obj(dm.map_values(lambda m: m.dst), cat=SKEL)
+        assert m.variant is variant
 
     def test_mu_obj_rejects_mixed_categories(self):
         # two categories with the same object names, so each accepts the other's objects
@@ -1050,7 +1054,7 @@ class TestShapes:
             sizes = [rng.randint(0, 4) for _ in range(rng.randint(0, 10))]
             shape = shape_with_n_leaves(len(sizes))
             obj = DtryObj.of(SKEL, dict(zip(shape.paths(), sizes)))
-            assert [v for _, v in path_family(obj)] == sizes
+            assert list(obj.assign.values()) == sizes
 
 
 class TestAlgebraEvaluation:
@@ -1187,6 +1191,20 @@ def two_category_mors():
     return Dtry.from_path_map({name: identity_mor(x) for name, x in mors.items()})
 
 
+def three_cycle():
+    """A PRODUCT morphism reading ``o.a`` from ``o.b``, ``o.b`` from ``o.c`` and ``o.c`` from ``o.a``."""
+    x = DtryObj.of(SKEL, {"o.a": 1, "o.b": 1, "o.c": 1})
+    a, b, c = x.assign
+    return DtryMor(Variant.PRODUCT, x, x, {a: b, b: c, c: a}, {p: SKEL.identity(1) for p in x.assign})
+
+
+def merging_mor():
+    """A GENERAL morphism sending ``a`` and ``b`` both to ``c``."""
+    src, dst, c = DtryObj.of(SKEL, {"a": 1, "b": 1}), DtryObj.of(SKEL, {"c": 1}), Path("c")
+    f1 = {p: SKEL.identity(1) for p in src.assign}
+    return DtryMor(Variant.GENERAL, src, dst, {Path("a"): c, Path("b"): c}, f1)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -1202,6 +1220,16 @@ def two_category_mors():
             "different categories",
         ),
         (lambda: mu_mor(two_category_mors()), NotComposableError, "mixed categories"),
+        (
+            lambda: mu_mor(Dtry.leaf(three_cycle()), variant=Variant.GENERAL),
+            NotComposableError,
+            "^mixed variants in one directory",
+        ),
+        (
+            lambda: mu_mor(Dtry.from_path_map({"m": merging_mor()}), variant=Variant.PRODUCT),
+            NotComposableError,
+            "^mixed variants in one directory",
+        ),
         (
             lambda: mu_obj(Dtry.from_path_map({"a": DtryObj.of(SKEL, {}), "b.c": 1})),
             TypeError,
@@ -1228,6 +1256,8 @@ def two_category_mors():
         "block_perm_of_no_permutation",
         "mor_between_two_categories",
         "mu_mor_over_two_categories",
+        "mu_mor_of_a_product_told_general",
+        "mu_mor_of_a_general_told_product",
         "mu_obj_over_a_value_that_is_no_object",
         "mu_mor_over_a_value_that_is_no_morphism",
         "negative_leaf_count",
