@@ -66,9 +66,22 @@ undone = compose_mor(swap, unswap) == identity_mor(src, Variant.ISO)
 print("\nswap then unswap is the identity:", undone)
 
 # Evaluation with the coproduct algebra: leaves become blocks laid out
-# in path order, and the index map becomes a block permutation.
+# in path order, and the index map moves each block onto its image.
 alg = finset_coproduct_algebra(skel)
 print("\ntotal size of the state object:", algebra_eval_obj(alg, state))
 fn = algebra_eval_mor(alg, swap)
 print("the swap evaluates to the function", tuple(fn.images), "on {1..3}")
 print("which moves the single 'a' element after the two 'b' elements")
+
+# A GENERAL morphism may send two leaves to one: both blocks land on the
+# same destination block, element for element (the codiagonal).
+pair = DtryObj.of(skel, {"left": 2, "right": 2})
+merge = DtryMor(
+    Variant.GENERAL,
+    pair,
+    DtryObj.of(skel, {"both": 2}),
+    {Path("left"): Path("both"), Path("right"): Path("both")},
+    {Path("left"): skel.identity(2), Path("right"): skel.identity(2)},
+)
+fn = algebra_eval_mor(alg, merge)
+print("\nmerging 'left' and 'right' into 'both' evaluates to", tuple(fn.images), f"into {{1..{fn.cod}}}")

@@ -26,8 +26,12 @@ each outer path followed by the inner paths at it, and builds no trie;
 evaluating read path families alone.
 ``algebra_eval_obj``/``algebra_eval_mor`` evaluate a directory-object in
 a strictly associative tensor (its path family in lexicographic order),
-sending an ISO morphism to the tensor of its components followed by the
-permutation its index map induces between the two path orders.
+sending a GENERAL or ISO morphism to the tensor of its components
+followed by the reindexing its index map induces between the two path
+orders: factor ``p`` goes onto factor ``f0[p]``, so two paths sent to one
+give a codiagonal, a path reached by none an empty block, and a
+bijection a permutation. A PRODUCT morphism does not evaluate in a
+coproduct algebra.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
@@ -350,29 +354,24 @@ class FinSetSkeleton:
             offset += f.cod
         return FinFn(total_cod, tuple(images))
 
-    def block_perm(self, sizes: Sequence[int], perm: Sequence[int]) -> FinFn:
-        """The function reordering blocks: input slot i lands at output slot perm[i].
+    def block_reindex(self, sizes: Sequence[int], index: Sequence[int]) -> FinFn:
+        """Blocks moved by an index map: block ``i`` goes onto block ``index[i]`` of ``sizes``.
 
-        Within a block the order of elements is preserved; the codomain
-        lays the blocks out in their new order.
+        The domain lays out the blocks ``[sizes[j] for j in index]`` and the
+        codomain ``sizes``, in order; block ``i`` maps element for element.
+        A repeated index merges blocks (a codiagonal), a missing one leaves
+        its block empty, and a permutation permutes the blocks.
+
+        >>> FinSetSkeleton().block_reindex([2, 1], [1, 0])
+        FinFn(3, (3, 1, 2))
+        >>> FinSetSkeleton().block_reindex([2], [0, 0])
+        FinFn(2, (1, 2, 1, 2))
         """
-        sizes = list(sizes)
-        perm = list(perm)
-        if sorted(perm) != list(range(len(sizes))):
-            raise ValueError(f"not a permutation of 0..{len(sizes) - 1}: {perm}")
-        out_sizes = [0] * len(sizes)
-        for i, slot in enumerate(perm):
-            out_sizes[slot] = sizes[i]
-        out_offsets = [0] * len(sizes)
-        acc = 0
-        for j, size in enumerate(out_sizes):
-            out_offsets[j] = acc
-            acc += size
-        images = []
-        for i, size in enumerate(sizes):
-            base = out_offsets[perm[i]]
-            images.extend(base + t for t in range(1, size + 1))
-        return FinFn(sum(sizes), tuple(images))
+        if not all(0 <= j < len(sizes) for j in index):
+            raise ValueError(f"block index outside 0..{len(sizes) - 1}: {list(index)}")
+        starts = list(accumulate(sizes, initial=0))
+        images = [i for j in index for i in range(starts[j] + 1, starts[j + 1] + 1)]
+        return FinFn(starts[-1], images)
 
     def truncate(self, max_size: int, *, check_laws: bool = True) -> FinCat:
         """Explicit tables for the full subcategory on sizes 0..max_size.
@@ -616,15 +615,16 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
     if variant is not None:
         variants.add(variant)
     if len(variants) > 1:
-        raise NotComposableError(f"mixed variants in one directory: {variants}")
+        names = ", ".join(sorted(v.value for v in variants))
+        raise NotComposableError(f"mixed variants in one directory: {names}")
     variant = variants.pop() if variants else Variant.GENERAL
     src = _flatten(((p, m.src) for p, m in inner.items()), cat)
     dst = _flatten(((p, m.dst) for p, m in inner.items()), cat)
     f0, f1 = {}, {}
     for p, m in inner.items():
         for q, target in m.f0.items():
-            pq = p.concat(q)
-            f0[pq], f1[pq] = p.concat(target), m.f1[q]
+            pq = p + q
+            f0[pq], f1[pq] = p + target, m.f1[q]
     return DtryMor(variant, src, dst, f0, f1)
 
 
@@ -632,8 +632,11 @@ def shape_with_n_leaves(n: int) -> Dtry:
     """A deterministic shape with exactly ``n`` complete paths.
 
     Balanced binary splitting with children named ``l`` and ``r``; 0 is
-    the empty directory and 1 the bare leaf.
+    the empty directory and 1 the bare leaf. A count that is not an int
+    (a bool is none) is a ``TypeError``, a negative one a ``ValueError``.
     """
+    if type(n) is not int:
+        raise TypeError(f"leaf count {n!r} is not an int")
     if n < 0:
         raise ValueError("leaf count must be nonnegative")
     if n == 0:
@@ -654,54 +657,44 @@ class StrictAlgebra:
     """Strictly associative tensor data for evaluating directory-objects.
 
     ``tensor_obj``/``tensor_mor`` take the whole list at once and must
-    satisfy: the empty tensor is ``unit_obj`` (respectively its
-    identity), a singleton tensor is its only entry, and tensoring a
-    concatenation equals tensoring the tensors. ``permute(objs, perm)``
-    is the morphism from the tensor of ``objs`` to the tensor of the
-    reordered list, where entry ``i`` moves to slot ``perm[i]``.
+    satisfy: the empty tensor is the unit (respectively its identity), a
+    singleton tensor is its only entry, and tensoring a concatenation
+    equals tensoring the tensors. ``reindex(objs, index)`` is the
+    morphism from the tensor of ``[objs[j] for j in index]`` to the
+    tensor of ``objs`` that sends factor ``i`` onto factor ``index[i]``:
+    a repeated index is a codiagonal, a missing one a factor reached by
+    nothing, and a permutation the symmetry that reorders the factors.
     """
 
     cat: Any
-    unit_obj: ObjId
     tensor_obj: Callable[[Sequence[ObjId]], ObjId]
     tensor_mor: Callable[[Sequence[MorId]], MorId]
-    permute: Callable[[Sequence[ObjId], Sequence[int]], MorId]
+    reindex: Callable[[Sequence[ObjId], Sequence[int]], MorId]
 
 
 def finset_coproduct_algebra(skel: FinSetSkeleton | None = None) -> StrictAlgebra:
     """Disjoint union as a strict tensor on the skeleton of finite sets."""
     skel = skel if skel is not None else FinSetSkeleton()
-    return StrictAlgebra(
-        cat=skel,
-        unit_obj=0,
-        tensor_obj=lambda objs: sum(objs),
-        tensor_mor=skel.block_sum,
-        permute=skel.block_perm,
-    )
+    return StrictAlgebra(skel, sum, skel.block_sum, skel.block_reindex)
 
 
 def algebra_eval_obj(alg: StrictAlgebra, x: DtryObj) -> ObjId:
     """Tensor the path family of ``x`` in lexicographic order."""
-    if not x.assign:
-        return alg.unit_obj
     return alg.tensor_obj(list(x.assign.values()))
 
 
 def algebra_eval_mor(alg: StrictAlgebra, m: DtryMor) -> MorId:
-    """Evaluate an ISO morphism as a string diagram.
+    """Evaluate a GENERAL or ISO morphism as a string diagram.
 
-    Tensor the components in source path order, then permute the
-    resulting wires into destination path order: the wire at source
-    position ``i`` lands at the position of ``f0[p_i]`` among the
-    destination paths.
+    Tensor the components in source path order, then reindex the factors
+    into destination path order: the factor at ``p`` goes onto the one at
+    ``f0[p]``, so element ``i`` of block ``p`` lands at element
+    ``f1[p](i)`` of block ``f0[p]``. A PRODUCT morphism, whose index map
+    points the other way, is a ``ValueError``.
     """
-    if m.variant is not Variant.ISO:
-        raise ValueError("algebra evaluation needs the bijective variant")
-    cat = alg.cat
-    if not m.f1:
-        return cat.identity(alg.unit_obj)
+    if m.variant is Variant.PRODUCT:
+        raise ValueError("a PRODUCT morphism has no evaluation in a coproduct algebra")
+    slot = {q: j for j, q in enumerate(m.dst.assign)}
     tensored = alg.tensor_mor(list(m.f1.values()))
-    slot_of = {q: j for j, q in enumerate(m.dst.assign)}
-    perm = [slot_of[q] for q in m.f0.values()]
-    carried = [m.dst.assign[q] for q in m.f0.values()]
-    return cat.compose(tensored, alg.permute(carried, perm))
+    moved = alg.reindex(list(m.dst.assign.values()), [slot[q] for q in m.f0.values()])
+    return alg.cat.compose(tensored, moved)

@@ -121,7 +121,8 @@ class Path(tuple):
         return tuple.__new__(cls, text.split(".") if text else ())
 
     def concat(self, other) -> "Path":
-        return tuple.__new__(Path, tuple.__add__(self, Path(other)))
+        """This path followed by ``other``; a ``str`` or a sequence is parsed and checked first."""
+        return tuple.__new__(Path, tuple.__add__(self, other if type(other) is Path else Path(other)))
 
     __add__ = concat
 

@@ -2,9 +2,11 @@
 
 import copy
 import json
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -554,14 +556,14 @@ class TestFinSetSkeleton:
             split = SKEL.block_sum([SKEL.block_sum(fns[:cut]), SKEL.block_sum(fns[cut:])])
             assert split == SKEL.block_sum(fns)
 
-    def test_block_perm_swap(self):
+    def test_block_reindex_swap(self):
         # block of 1 then block of 2, swapped
-        assert SKEL.block_perm([1, 2], [1, 0]) == FinFn(3, (3, 1, 2))
+        assert SKEL.block_reindex([2, 1], [1, 0]) == FinFn(3, (3, 1, 2))
 
-    def test_block_perm_identity(self):
-        assert SKEL.block_perm([2, 3], [0, 1]) == SKEL.identity(5)
+    def test_block_reindex_identity(self):
+        assert SKEL.block_reindex([2, 3], [0, 1]) == SKEL.identity(5)
 
-    def test_block_perm_composes_like_permutations(self):
+    def test_block_reindex_composes_like_permutations(self):
         rng = random.Random(223)
         for _ in range(200):
             k = rng.randint(1, 4)
@@ -573,10 +575,30 @@ class TestFinSetSkeleton:
             sizes_after_p1 = [0] * k
             for i, slot in enumerate(p1):
                 sizes_after_p1[slot] = sizes[i]
+            sizes_after_p2 = [0] * k
+            for i, slot in enumerate(p2):
+                sizes_after_p2[slot] = sizes_after_p1[i]
             combined = [p2[p1[i]] for i in range(k)]
             assert SKEL.compose(
-                SKEL.block_perm(sizes, p1), SKEL.block_perm(sizes_after_p1, p2)
-            ) == SKEL.block_perm(sizes, combined)
+                SKEL.block_reindex(sizes_after_p1, p1), SKEL.block_reindex(sizes_after_p2, p2)
+            ) == SKEL.block_reindex(sizes_after_p2, combined)
+
+    def test_block_reindex_composes_like_index_maps(self):
+        rng = random.Random(227)
+        for _ in range(200):
+            sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+            b = [rng.randrange(len(sizes)) for _ in range(rng.randint(0, 4))]
+            a = [rng.randrange(len(b)) for _ in range(rng.randint(0, 4))] if b else []
+            first = SKEL.block_reindex([sizes[j] for j in b], a)
+            assert SKEL.compose(first, SKEL.block_reindex(sizes, b)) == SKEL.block_reindex(
+                sizes, [b[i] for i in a]
+            )
+
+    def test_block_reindex_merges_and_leaves_out_blocks(self):
+        assert SKEL.block_reindex([2], [0, 0]) == FinFn(2, (1, 2, 1, 2))
+        assert SKEL.block_reindex([1, 2, 1], [2, 2]) == FinFn(4, (4, 4))
+        assert SKEL.block_reindex([3, 1], []) == FinFn(4, ())
+        assert SKEL.block_reindex([], []) == SKEL.identity(0)
 
 
 class TestDtryObj:
@@ -1037,6 +1059,25 @@ class TestFlattening:
         with pytest.raises(NotComposableError):
             mu_mor(dm)
 
+    def test_mixed_variants_read_alike_under_every_hash_seed(self):
+        # A set of Variants iterates in an order that PYTHONHASHSEED sets (for this
+        # set on CPython 3.11: PRODUCT first under 0 and 4, GENERAL under 1).
+        script = (
+            "from dtry import Dtry, DtryObj, FinSetSkeleton, NotComposableError, Variant\n"
+            "from dtry import identity_mor, mu_mor\n"
+            "x = DtryObj.of(FinSetSkeleton(), {'a': 1})\n"
+            "dm = Dtry.from_path_map({'p': identity_mor(x), 'q': identity_mor(x, Variant.PRODUCT)})\n"
+            "try:\n    mu_mor(dm)\nexcept NotComposableError as exc:\n    print(exc)\n"
+        )
+        texts = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1", "4")
+        ]
+        assert texts == ["mixed variants in one directory: general, product\n"] * 3
+
 
 class TestShapes:
     def test_exact_leaf_counts(self):
@@ -1078,7 +1119,7 @@ class TestAlgebraEvaluation:
             {Path("a"): SKEL.identity(1), Path("b"): SKEL.identity(2)},
         )
         assert algebra_eval_mor(ALG, swap) == FinFn(3, (3, 1, 2))
-        assert algebra_eval_mor(ALG, swap) == SKEL.block_perm([1, 2], [1, 0])
+        assert algebra_eval_mor(ALG, swap) == SKEL.block_reindex([2, 1], [1, 0])
 
     def test_leaf_morphism_evaluates_to_its_component(self):
         f = FinFn(3, (2, 2))
@@ -1098,14 +1139,14 @@ class TestAlgebraEvaluation:
 
     def test_evaluation_is_functorial(self):
         rng = random.Random(269)
-        for _ in range(150):
+        for variant, _ in cartesian((Variant.ISO, Variant.GENERAL), range(150)):
             w = random_dtry_obj(rng, SKEL)
-            f = random_mor_from(rng, w, Variant.ISO)
-            g = random_mor_from(rng, f.dst, Variant.ISO)
+            f = random_mor_from(rng, w, variant)
+            g = random_mor_from(rng, f.dst, variant)
             left = algebra_eval_mor(ALG, compose_mor(f, g))
             right = SKEL.compose(algebra_eval_mor(ALG, f), algebra_eval_mor(ALG, g))
             assert left == right
-            assert algebra_eval_mor(ALG, identity_mor(w, Variant.ISO)) == SKEL.identity(
+            assert algebra_eval_mor(ALG, identity_mor(w, variant)) == SKEL.identity(
                 algebra_eval_obj(ALG, w)
             )
 
@@ -1122,23 +1163,85 @@ class TestAlgebraEvaluation:
 
     def test_square_on_morphisms(self):
         rng = random.Random(277)
-        for _ in range(100):
+        for variant, _ in cartesian((Variant.ISO, Variant.GENERAL), range(100)):
             outer = random_dtry(rng, depth=2, branching=2, values=(None,), empty_prob=0.1)
             dm = outer.map_values(
-                lambda _: random_mor_from(rng, random_dtry_obj(rng, SKEL), Variant.ISO)
+                lambda _: random_mor_from(rng, random_dtry_obj(rng, SKEL), variant)
             )
             inner_mors = dm.path_map()
             ta_src = DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.src)))
             ta_dst = DtryObj(SKEL, dm.map_values(lambda m: algebra_eval_obj(ALG, m.dst)))
             ta_mor = DtryMor(
-                Variant.ISO,
+                variant,
                 ta_src,
                 ta_dst,
                 {p: p for p in inner_mors},
                 {p: algebra_eval_mor(ALG, m) for p, m in inner_mors.items()},
             )
-            flattened = mu_mor(dm, cat=SKEL, variant=Variant.ISO)
+            flattened = mu_mor(dm, cat=SKEL, variant=variant)
             assert algebra_eval_mor(ALG, ta_mor) == algebra_eval_mor(ALG, flattened)
+
+    def test_an_iso_evaluates_as_the_general_morphism_with_its_data(self):
+        rng = random.Random(283)
+        for _ in range(150):
+            m = random_mor_from(rng, random_dtry_obj(rng, SKEL, sizes=(0, 1, 2, 3)), Variant.ISO)
+            general = DtryMor(Variant.GENERAL, m.src, m.dst, m.f0, m.f1)
+            assert algebra_eval_mor(ALG, m) == algebra_eval_mor(ALG, general)
+
+    def test_an_empty_source_evaluates_to_the_empty_function(self):
+        empty, dst = DtryObj.of(SKEL, {}), DtryObj.of(SKEL, {"a": 2, "b.c": 3})
+        assert algebra_eval_mor(ALG, DtryMor(Variant.GENERAL, empty, dst, {}, {})) == FinFn(5, ())
+
+    def test_a_merge_evaluates_to_the_codiagonal(self):
+        src, dst = DtryObj.of(SKEL, {"a": 2, "b": 2}), DtryObj.of(SKEL, {"c": 1, "d": 2})
+        d = Path("d")
+        f1 = {Path("a"): SKEL.identity(2), Path("b"): FinFn(2, (2, 2))}
+        m = DtryMor(Variant.GENERAL, src, dst, {Path("a"): d, Path("b"): d}, f1)
+        assert algebra_eval_mor(ALG, m) == FinFn(3, (2, 3, 3, 3))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_general_and_iso_match_the_element_level_oracle(self, data):
+        m = data.draw(coproduct_mors(data.draw(st.sampled_from([Variant.GENERAL, Variant.ISO]))))
+        assert algebra_eval_mor(ALG, m) == element_level_eval(m)
+
+
+# Prefix-free, so any subset is a clean path set; "b.x" sorts before "b_1".
+CLEAN_PATHS = [Path(t) for t in ("b_1", "a", "b.x", "b.y", "c.d.e", "z")]
+
+
+@st.composite
+def coproduct_mors(draw, variant):
+    """A GENERAL or ISO morphism of the skeleton, with blocks of 0 to 3 elements."""
+    src_paths = draw(st.lists(st.sampled_from(CLEAN_PATHS), unique=True, max_size=5))
+    if variant is Variant.ISO:
+        f0 = dict(zip(src_paths, draw(st.permutations(CLEAN_PATHS))))
+        dst_paths = list(f0.values())
+    else:
+        least = 1 if src_paths else 0
+        dst_paths = draw(st.lists(st.sampled_from(CLEAN_PATHS), unique=True, min_size=least))
+        f0 = {p: draw(st.sampled_from(dst_paths)) for p in src_paths}
+    dst = {q: draw(st.integers(0, 3)) for q in dst_paths}
+    src = {p: draw(st.integers(0, 3)) if dst[f0[p]] else 0 for p in src_paths}
+    f1 = {}
+    for p, n in src.items():
+        f1[p] = FinFn(dst[f0[p]], [draw(st.integers(1, dst[f0[p]])) for _ in range(n)])
+    return DtryMor(variant, DtryObj.of(SKEL, src), DtryObj.of(SKEL, dst), f0, f1)
+
+
+def element_level_eval(m):
+    """``m`` evaluated element by element in the coproduct algebra.
+
+    Blocks are laid out in path order, and element ``i`` of source block
+    ``p`` goes to element ``f1[p](i)`` of destination block ``f0[p]``.
+    """
+    offset, at = {}, 0
+    for q in sorted(m.dst.assign):
+        offset[q], at = at, at + m.dst.assign[q]
+    images = []
+    for p in sorted(m.src.assign):
+        images += [offset[m.f0[p]] + m.f1[p](i) for i in range(1, m.src.assign[p] + 1)]
+    return FinFn(at, tuple(images))
 
 
 class TestFullFaithfulness:
@@ -1213,7 +1316,8 @@ def merging_mor():
         (lambda: Dtry(root=5), TypeError, "root must be"),
         (lambda: Dtry.from_path_map({"a": 1}).value, ValueError, "does not bind"),
         (lambda: Dtry.from_path_map({"a": 1}).flatten(), TypeError, "be a directory"),
-        (lambda: SKEL.block_perm([1, 2], [0, 0]), ValueError, "not a permutation"),
+        (lambda: SKEL.block_reindex([1, 2], [0, -1]), ValueError, "outside 0..1"),
+        (lambda: SKEL.block_reindex([1, 2], [2, 0]), ValueError, "outside 0..1"),
         (
             lambda: DtryMor(Variant.GENERAL, DtryObj.of(TINY, {}), DtryObj.of(SKEL, {}), {}, {}),
             ValueError,
@@ -1241,11 +1345,9 @@ def merging_mor():
             r"^mu_mor needs every value to be a DtryMor, got DtryObj\(\{\}\) at Path\('a'\)$",
         ),
         (lambda: shape_with_n_leaves(-1), ValueError, "nonnegative"),
-        (
-            lambda: algebra_eval_mor(ALG, identity_mor(DtryObj.of(SKEL, {"a": 1}))),
-            ValueError,
-            "bijective variant",
-        ),
+        (lambda: shape_with_n_leaves(2.5), TypeError, "^leaf count 2.5 is not an int$"),
+        (lambda: shape_with_n_leaves(True), TypeError, "^leaf count True is not an int$"),
+        (lambda: algebra_eval_mor(ALG, three_cycle()), ValueError, "PRODUCT morphism"),
     ],
     ids=[
         "filter_nothings_of_a_bare_value",
@@ -1253,7 +1355,8 @@ def merging_mor():
         "root_that_is_no_tree",
         "value_of_a_node",
         "flatten_of_a_value_that_is_no_directory",
-        "block_perm_of_no_permutation",
+        "block_reindex_outside_the_blocks",
+        "block_reindex_past_the_blocks",
         "mor_between_two_categories",
         "mu_mor_over_two_categories",
         "mu_mor_of_a_product_told_general",
@@ -1261,7 +1364,9 @@ def merging_mor():
         "mu_obj_over_a_value_that_is_no_object",
         "mu_mor_over_a_value_that_is_no_morphism",
         "negative_leaf_count",
-        "algebra_eval_of_a_general_mor",
+        "leaf_count_that_is_a_float",
+        "leaf_count_that_is_a_bool",
+        "algebra_eval_of_a_product_mor",
     ],
 )
 def test_documented_input_error(call, error, message):

@@ -116,6 +116,14 @@ class TestConcat:
     def test_result_stays_a_path(self):
         assert isinstance(Path("a") + Path("b"), Path)
 
+    def test_a_str_or_sequence_is_parsed_and_checked(self):
+        assert Path("a") + "b.c" == Path("a").concat(("b", "c")) == Path("a.b.c")
+        assert type(Path("a") + ["b"]) is Path and Path("a") + "" == Path("a")
+        with pytest.raises(BadPathError):
+            Path("a") + "b..c"
+        with pytest.raises(BadNameError):
+            Path("a").concat(["b c"])
+
     @given(paths_st, paths_st, paths_st)
     def test_associative_with_root_unit(self, p, q, r):
         assert (p + q) + r == p + (q + r)
