@@ -13,7 +13,10 @@ which UTF-8 cannot encode, is an ``E_ENCODING`` diagnostic naming the
 value's path, exit 1. The nested format has one bound, set by Python's
 recursion limit (1000 by default): about 990 levels of nesting, and a
 nested input or ``--to nested`` output beyond it is one
-``1:E_TOO_DEEP:...`` diagnostic, exit 1.
+``1:E_TOO_DEEP:...`` diagnostic, exit 1. So is an array value that
+reads but is nested too deep to write as the JSON text of a flat line
+(``convert --from nested --to flat``, and ``get`` on a nested file).
+Every diagnostic is printed by :func:`main`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .formats import (
     _key_conflicts,
     _nested_from_sorted,
     _read_flat,
+    _too_deep,
     emit_flat,
     emit_nested,
     parse_nested,
@@ -59,11 +63,6 @@ def _read(source: str) -> str:
         raise ParseError([Diagnostic("E_ENCODING", line, message)]) from exc
 
 
-def _report(diagnostics) -> None:
-    for diag in diagnostics:
-        print(diag, file=sys.stderr)
-
-
 def _flat_value(value):
     # Nested values may be any JSON scalar or array; flat lines hold text.
     return value if isinstance(value, str) else json.dumps(value)
@@ -74,9 +73,13 @@ def _flat_text(directory: Dtry) -> tuple[str, Dtry]:
 
     A node whose values are all text already is kept with its whole subtree,
     not rebuilt. A value no flat line can hold is invalid input, reported
-    like a parse failure.
+    like a parse failure, and so is an array nested past what ``json.dumps``
+    can write from here: ``E_TOO_DEEP``.
     """
-    written = directory.map_values(_flat_value)
+    try:
+        written = directory.map_values(_flat_value)
+    except RecursionError:
+        raise _too_deep() from None
     try:
         return emit_flat(written), written
     except ValueError as exc:
@@ -160,8 +163,7 @@ def cmd_get(args) -> int:
     try:
         path = Path.parse(args.path)
     except BadPathError as exc:
-        print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
-        return EXIT_INVALID
+        raise ParseError([Diagnostic(exc.code, 1, str(exc))]) from exc
     text = _read(args.file)
     if args.format == "flat":
         found = _flat_get(_read_flat(text), str(path))
@@ -189,8 +191,7 @@ def cmd_merge(args) -> int:
         try:
             name = _name(name_text)
         except BadNameError as exc:
-            print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
-            return EXIT_INVALID
+            raise ParseError([Diagnostic(exc.code, 1, str(exc))]) from exc
         if name in entries:
             print(f"error: duplicate prefix {name!r}", file=sys.stderr)
             return EXIT_INVALID
@@ -209,8 +210,7 @@ def cmd_merge(args) -> int:
 def cmd_check(args) -> int:
     diagnostics = _key_conflicts(_read(args.file))
     if diagnostics:
-        _report(diagnostics)
-        return EXIT_INVALID
+        raise ParseError(diagnostics)
     return EXIT_OK
 
 
@@ -266,7 +266,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ParseError as exc:
-        _report(exc.diagnostics)
+        for diag in exc.diagnostics:
+            print(diag, file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -101,13 +101,12 @@ class FinCat:
         self._objects = frozenset(objects)
         morphisms = dict(morphisms)
         ends = [(d, c) for d, c in morphisms.values()]
-        self._identity = dict(identity)
         compose = dict(compose)
         self._intern(list(morphisms), ends)
         index, dom, cod, pos = self._index, self._dom, self._cod, self._pos
         ident = {}
         for x in self._objects:
-            i = self._identity.get(x)
+            i = identity.get(x)
             k = None if i is None else index.get(i)
             if k is None:
                 raise NotACategoryError(f"object {x!r} has no identity morphism", x)
@@ -134,7 +133,7 @@ class FinCat:
     def _of_rows(cls, objects, ids: list, ends: list, ident: dict, rows: list, *, check_laws: bool):
         """Interned tables: ``rows[i]`` holds ``i;j`` for each ``j`` out of ``cod i``, in order."""
         self = cls.__new__(cls)
-        self._objects, self._identity = frozenset(objects), {x: ids[i] for x, i in ident.items()}
+        self._objects = frozenset(objects)
         self._intern(ids, ends)
         self._link(ident, rows, None, check_laws)
         return self
@@ -260,7 +259,7 @@ class FinCat:
         return self._cod[self._index[f]]
 
     def identity(self, x) -> MorId:
-        return self._identity[x]
+        return self._ids[self._ident[x]]
 
     def compose(self, f, g) -> MorId:
         i, j = self._index.get(f), self._index.get(g)
@@ -323,7 +322,7 @@ class FinSetSkeleton:
     """
 
     def has_object(self, x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+        return type(x) is int and x >= 0
 
     def dom(self, f: FinFn) -> int:
         return f.dom

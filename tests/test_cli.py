@@ -133,7 +133,9 @@ class TestGet:
     def test_malformed_path(self, tmp_path, capsys):
         src = write(tmp_path, "in.dtry", EXAMPLE_FLAT)
         assert main(["get", "a..b", src]) == 1
-        assert "E_BAD_PATH" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "1:E_BAD_PATH:bad path 'a..b' at segment 1: name is empty\n"
+        )
 
 
 class TestMerge:
@@ -158,7 +160,9 @@ class TestMerge:
     def test_bad_prefix_name(self, tmp_path, capsys):
         one = write(tmp_path, "one.dtry", "x = 1\n")
         assert main(["merge", "--prefix", f"no.dots={one}"]) == 1
-        assert "E_BAD_NAME" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "1:E_BAD_NAME:bad name 'no.dots' at character 2: invalid character '.'\n"
+        )
 
     def test_missing_separator(self, tmp_path, capsys):
         assert main(["merge", "--prefix", "justaname"]) == 1
@@ -182,6 +186,15 @@ class TestCheck:
         assert err[0].startswith("2:E_DUPLICATE_PATH:")
         assert err[1].startswith("3:E_PREFIX_CONFLICT:")
         assert err[2].startswith("3:E_PREFIX_CONFLICT:")
+
+    def test_conflicts_are_printed_in_full(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "bad.dtry", CONFLICTED)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "2:E_DUPLICATE_PATH:duplicate path 'a.b'; first bound at line 1\n"
+            "3:E_PREFIX_CONFLICT:paths 'a.b' (line 1) and 'a' conflict\n"
+            "3:E_PREFIX_CONFLICT:paths 'a.b' (line 2) and 'a' conflict\n",
+        )
 
     def test_syntax_problems_are_included(self, tmp_path, capsys):
         text = "a = 1\nnot a binding\n"
@@ -365,6 +378,36 @@ class TestDeepNested:
         assert main(["validate", "--format", "nested", src]) == 0
         assert main(["get", ".".join(["s"] * bound), "--format", "nested", src]) == 0
         assert capsys.readouterr() == ("1\n", "")
+
+    def test_the_deepest_array_that_validates_converts_to_flat_or_is_too_deep(self, tmp_path):
+        # A flat line holds an array as its JSON text, which json.dumps
+        # writes by recursion, from deeper in the stack than json.loads read it.
+        validate = ["validate", "--format", "nested"]
+        to_flat = ["convert", "--from", "nested", "--to", "flat"]
+        get = ["get", "--format", "nested", "a"]
+
+        def document(depth):
+            return write(tmp_path, "deep.json", '{"a": ' + "[" * depth + "]" * depth + "}")
+
+        bound = deepest(lambda depth: run_on(b"", validate + [document(depth)]) == 0)
+        assert bound > 700
+        # The room left depends on the frames below, so the sweep runs all
+        # three commands from one frame, across the bound as seen from there.
+        accepted = []
+        for depth in range(bound - 4, bound + 8):
+            source = document(depth)
+            if outcome_on(b"", validate + [source])[0] != 0:
+                continue
+            accepted.append(depth)
+            value = "[" * depth + "]" * depth
+            for argv, printed in ((to_flat, f"a = {value}\n"), (get, f"{value}\n")):
+                code, out, err = outcome_on(b"", argv + [source])
+                if code == 0:
+                    assert (out, err) == (printed, "")
+                else:
+                    assert (code, out) == (1, "")
+                    assert err.startswith("1:E_TOO_DEEP:") and err.count("\n") == 1
+        assert bound - 4 in accepted and max(accepted) < bound + 7
 
 
 # Near-grammar documents: pieces of the flat and the nested grammar, good

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from enum import IntEnum
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import product as cartesian
@@ -46,6 +47,17 @@ ALG = finset_coproduct_algebra(SKEL)
 VARIANTS = (Variant.GENERAL, Variant.ISO, Variant.PRODUCT)
 
 
+class Size(IntEnum):
+    """Sizes that are ints by ``isinstance`` but not by type."""
+
+    ZERO = 0
+    TWO = 2
+
+
+class Count(int):
+    pass
+
+
 def tiny_cat_json():
     return json.dumps(
         {
@@ -76,6 +88,13 @@ class TestFinCatTables:
         assert cat.compose("id_x", "f") == "f"
         assert cat.hom("x", "y") == ["f"]
         cat.validate()
+
+    def test_identity_of_an_object_and_of_no_object(self):
+        truncated = SKEL.truncate(2)
+        assert TINY.identity("x") == "id_x" and truncated.identity(2) == SKEL.identity(2)
+        for cat, stranger in ((TINY, "z"), (truncated, 3)):
+            with pytest.raises(KeyError):
+                cat.identity(stranger)
 
     def test_missing_composite_is_structural(self):
         data = json.loads(tiny_cat_json())
@@ -480,6 +499,25 @@ class TestFinSetSkeleton:
         assert SKEL.compose(f, g) == FinFn(2, (1, 2))
         assert SKEL.compose(SKEL.identity(2), f) == f
         assert SKEL.compose(f, SKEL.identity(3)) == f
+
+    @given(
+        st.one_of(
+            st.integers(-3, 2**70),
+            st.booleans(),
+            st.sampled_from(Size),
+            st.integers(-3, 5).map(Count),
+            st.floats(-3, 5),
+        )
+    )
+    def test_objects_are_exactly_the_sizes_of_functions(self, x):
+        # has_object holds exactly when x is the codomain of some FinFn
+        try:
+            FinFn(x, ())
+        except ValueError:
+            constructs = False
+        else:
+            constructs = True
+        assert SKEL.has_object(x) is constructs
 
     def test_compose_requires_matching_middle(self):
         with pytest.raises(NotComposableError):
@@ -1344,6 +1382,11 @@ def merging_mor():
             TypeError,
             r"^mu_mor needs every value to be a DtryMor, got DtryObj\(\{\}\) at Path\('a'\)$",
         ),
+        (
+            lambda: DtryObj.of(SKEL, {"a": Size.TWO}),
+            ValueError,
+            r"^<Size\.TWO: 2> assigned at Path\('a'\) is not an object of the category$",
+        ),
         (lambda: shape_with_n_leaves(-1), ValueError, "nonnegative"),
         (lambda: shape_with_n_leaves(2.5), TypeError, "^leaf count 2.5 is not an int$"),
         (lambda: shape_with_n_leaves(True), TypeError, "^leaf count True is not an int$"),
@@ -1363,6 +1406,7 @@ def merging_mor():
         "mu_mor_of_a_general_told_product",
         "mu_obj_over_a_value_that_is_no_object",
         "mu_mor_over_a_value_that_is_no_morphism",
+        "object_that_is_an_int_enum_member",
         "negative_leaf_count",
         "leaf_count_that_is_a_float",
         "leaf_count_that_is_a_bool",
