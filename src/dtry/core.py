@@ -31,8 +31,8 @@ name, text order is path order, so one pass fills each record in order,
 children before parents. ``Dtry.from_path_map``, ``Dtry.insert`` and the
 flat parser build so whatever they are given that is clean: paths, none
 repeated and none a prefix of another. For what fails no trie is built:
-one routine binds its dotted texts in the order that decides the error,
-as numbered nodes, and names each conflict.
+a path map or ``insert`` names its first clash in path order, and the
+flat parser binds its texts in file order with :func:`_conflicts`.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
@@ -395,22 +395,23 @@ def _clean_pairs(entries: Mapping) -> list:
         ordered = _sorted_clean(items)
         if ordered is not None:
             return ordered
-    # The reference order decides which error is reported: coerce every
-    # key, sort, bind. An input that gets here is not clean, so it fails.
+    # Not clean, so it fails as the reference would: coerce every key, sort,
+    # and name the first path that equals or extends the one before it.
     paths = sorted(map(Path, entries))
-    index, existing = next(_conflicts(map(str, paths)))
-    raise PrefixConflictError(Path.parse(existing), paths[index])
+    existing, incoming = next((a, b) for a, b in zip(paths, paths[1:]) if b[: len(a)] == a)
+    raise PrefixConflictError(existing, incoming)
 
 
 def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Bind dotted ``texts`` in order; ``(index, bound text)`` for each text that clashes.
 
-    A text clashes with the bound text it equals or extends, or else with
-    the least bound text that extends it, and a text that clashes is not
-    bound. The paths are numbered nodes, the root 0: ``child[node]`` maps
-    a name to a node, ``bound`` a node to its text, and ``least`` a node
-    to the least text bound below it. A text costs one lookup per segment
-    and a node per segment it adds, and a rejected one no more.
+    The flat parser's, whose file order decides what is named. A text
+    clashes with the bound text it equals or extends, or else with the
+    least bound text that extends it, and is then not bound. The paths
+    are numbered nodes, the root 0: ``child[node]`` maps a name to a node,
+    ``bound`` a node to its text, and ``least`` a node to the least text
+    bound below it. A text costs one lookup per segment and a node per
+    segment it adds, and a rejected one no more.
     """
     child: list[dict[str, int]] = [{}]
     bound: dict[int, str] = {}
@@ -483,12 +484,10 @@ class Dtry(Generic[T]):
         prefix of another, the trie is built from them in one pass.
 
         Errors are reported as if every key were first made a ``Path``, in
-        the mapping's order, and the paths were then bound in lexicographic
-        order: a bad key is raised before any conflict, the first bad key
-        in the mapping's order, and the reported conflict pair is the
-        lexicographically first one. An input that is not clean builds no
-        trie: its keys are made ``Path``s and sorted, and their texts bound
-        only to name the conflict.
+        the mapping's order, and the paths then sorted: a bad key is raised
+        before any conflict, the first bad key in the mapping's order, and
+        the conflict named is the first path that equals or extends the one
+        before it, with that one. An input that is not clean builds no trie.
 
         >>> Dtry.from_path_map({("a", "y"): 1, "a.x": 2, Name("b"): 3}).path_map()
         {Path('a.x'): 2, Path('a.y'): 1, Path('b'): 3}
@@ -553,18 +552,16 @@ class Dtry(Generic[T]):
                 would silently change the shape, so conflicts are hard
                 errors; build a fresh directory instead.
 
-        Each call rebuilds the whole trie from its dotted texts, so it
-        costs O(n) in the number of entries; build a directory of many
-        bindings with :meth:`from_path_map` instead.
+        It names the first bound path, in path order, that equals, extends
+        or is extended by ``path``. Each call builds the whole trie again, in
+        O(n) for n entries; build many bindings with :meth:`from_path_map`.
         """
         path = Path(path)
-        items = [(str(bound), old) for bound, old in self.path_map().items()]
-        items.append((str(path), value))
-        ordered = _sorted_clean(items)
-        if ordered is None:  # only the new path can clash, and it comes last
-            _, existing = next(_conflicts(map(_text, items)))
-            raise PrefixConflictError(Path.parse(existing), path)
-        return Dtry(_from_sorted(ordered))
+        entries = self.path_map()
+        for bound in entries:
+            if bound[: len(path)] == path or path[: len(bound)] == bound:
+                raise PrefixConflictError(bound, path)
+        return Dtry.from_path_map({**entries, path: value})
 
     def flatten(self) -> "Dtry":
         """Graft a directory of directories into one directory.

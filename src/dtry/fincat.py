@@ -250,7 +250,10 @@ class FinCat:
         return list(self._ids)
 
     def has_object(self, x) -> bool:
-        return x in self._objects
+        try:
+            return x in self._objects
+        except TypeError:  # unhashable, so no object
+            return False
 
     def dom(self, f) -> ObjId:
         return self._dom[self._index[f]]
@@ -262,7 +265,10 @@ class FinCat:
         return self._ids[self._ident[x]]
 
     def compose(self, f, g) -> MorId:
-        i, j = self._index.get(f), self._index.get(g)
+        try:
+            i, j = self._index.get(f), self._index.get(g)
+        except TypeError:  # unhashable, so no morphism
+            i = j = None
         if i is None or j is None or self._cod[i] != self._dom[j]:
             raise NotComposableError(f"no composite for ({f!r}, {g!r})")
         return self._ids[self._rows[i][self._pos[j]]]
@@ -276,8 +282,7 @@ class FinFn:
     """A function {1..m} -> {1..cod} as an explicit image table.
 
     The domain size is the length of ``images``; entry ``i`` (1-based)
-    maps to ``images[i-1]``. Its hash is that of ``(cod, images)``,
-    computed once, on construction.
+    maps to ``images[i-1]``. Its hash is the dataclass's, that of ``(cod, images)``.
     """
 
     cod: int
@@ -293,10 +298,6 @@ class FinFn:
                 raise ValueError(f"image {i!r} is not an int")
             if not 1 <= i <= cod:
                 raise ValueError(f"image {i} outside 1..{cod}")
-        object.__setattr__(self, "_hash", hash((cod, self.images)))
-
-    def __hash__(self) -> int:  # once, on construction: a table lookup hashes its ids
-        return self._hash
 
     @property
     def dom(self) -> int:
@@ -345,13 +346,8 @@ class FinSetSkeleton:
 
     def block_sum(self, fns: Sequence[FinFn]) -> FinFn:
         """The disjoint union of functions, domains and codomains laid out in order."""
-        total_cod = sum(f.cod for f in fns)
-        images = []
-        offset = 0
-        for f in fns:
-            images.extend(i + offset for i in f.images)
-            offset += f.cod
-        return FinFn(total_cod, tuple(images))
+        starts = list(accumulate((f.cod for f in fns), initial=0))
+        return FinFn(starts[-1], [i + start for f, start in zip(fns, starts) for i in f.images])
 
     def block_reindex(self, sizes: Sequence[int], index: Sequence[int]) -> FinFn:
         """Blocks moved by an index map: block ``i`` goes onto block ``index[i]`` of ``sizes``.
@@ -386,6 +382,8 @@ class FinSetSkeleton:
         >>> cat.compose(swap, swap)
         FinFn(2, (1, 2))
         """
+        if type(max_size) is not int:
+            raise TypeError(f"max size {max_size!r} is not an int")
         sizes = range(max_size + 1)
         out_of = [[f for n in sizes for f in self.hom(m, n)] for m in sizes]
         ids = [f for fns in out_of for f in fns]
@@ -494,6 +492,8 @@ class DtryMor:
     f1: Mapping[Path, MorId]
 
     def __post_init__(self):
+        if type(self.variant) is not Variant:
+            raise TypeError(f"variant {self.variant!r} is not a Variant")
         cat = self.src.cat
         if self.dst.cat != cat:
             raise ValueError("source and destination live in different categories")
@@ -507,9 +507,11 @@ class DtryMor:
         for p, x in index.assign.items():
             if p not in given0 or p not in given1:
                 raise ValueError(f"index map and components must be total: nothing at {p!r}")
-            q, m = own.get(given0[p]), given1[p]
-            if q is None:
-                raise ValueError(f"index map sends {p!r} outside the other side: {given0[p]!r}")
+            m = given1[p]
+            try:
+                q = own[given0[p]]
+            except (KeyError, TypeError):  # no path there, or an unhashable value
+                raise ValueError(f"index map sends {p!r} outside the other side: {given0[p]!r}") from None
             want = (objs[q], x) if product else (x, objs[q])
             try:
                 have = (cat.dom(m), cat.cod(m))
@@ -523,16 +525,13 @@ class DtryMor:
             f0[p], f1[p] = q, m
         if self.variant is Variant.ISO and len(set(f0.values())) != len(own):
             raise ValueError("index map of an ISO morphism must be a bijection")
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "f1", f1)
+        vars(self).update(f0=f0, f1=f1)
 
 
 def identity_mor(x: DtryObj, variant: Variant = Variant.GENERAL) -> DtryMor:
     """The identity on ``x`` in any variant: identity index map, identity components."""
-    f0, f1 = {}, {}
-    for p, v in x.assign.items():
-        f0[p], f1[p] = p, x.cat.identity(v)
-    return DtryMor(variant, x, x, f0, f1)
+    f1 = {p: x.cat.identity(v) for p, v in x.assign.items()}
+    return DtryMor(variant, x, x, {p: p for p in x.assign}, f1)
 
 
 def compose_mor(f: DtryMor, g: DtryMor) -> DtryMor:
@@ -602,10 +601,12 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
     entries' own; it names the variant of an empty directory.
 
     Raises:
-        TypeError: when a value is not a :class:`DtryMor`, naming its path.
+        TypeError: for a value that is no :class:`DtryMor`, naming its path, or a bad ``variant=``.
         NotComposableError: when the entries mix variants or categories, or
             differ from ``variant=`` or ``cat=``.
     """
+    if variant is not None and type(variant) is not Variant:
+        raise TypeError(f"variant {variant!r} is not a Variant")
     inner = dm.path_map()
     for p, m in inner.items():
         if not isinstance(m, DtryMor):

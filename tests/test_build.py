@@ -347,6 +347,33 @@ class TestWork:
             parse_flat(text + lines[0] + "\n")
         assert calls["scans"] == 1
 
+    def test_only_the_flat_reader_binds_keys_to_name_a_conflict(self, monkeypatch):
+        calls = Counter()
+        conflicts = core._conflicts
+
+        def counting_conflicts(texts):
+            calls["scans"] += 1
+            return conflicts(texts)
+
+        # A path map and an insert name their conflict in path order, with
+        # no binder; only a flat file's order needs ``_conflicts``.
+        monkeypatch.setattr(core, "_conflicts", counting_conflicts)
+        monkeypatch.setattr(formats, "_conflicts", counting_conflicts)
+        keys = [line.partition(" = ")[0] for line in realistic_lines(1000)]
+        directory = Dtry.from_path_map(dict.fromkeys(keys, "v"))
+        with pytest.raises(PrefixConflictError):
+            directory.insert(keys[500], "again")
+        with pytest.raises(PrefixConflictError):
+            directory.insert(keys[500].rpartition(".")[0], "prefix")
+        with pytest.raises(PrefixConflictError):
+            Dtry.from_path_map({**dict.fromkeys(keys, "v"), keys[500] + ".x": "below"})
+        with pytest.raises(PrefixConflictError):
+            Dtry.from_path_map({**dict.fromkeys(keys, "v"), tuple(keys[500].split(".")): "again"})
+        assert calls["scans"] == 0
+        with pytest.raises(ParseError):
+            parse_flat("".join(f"{key} = v\n" for key in keys) + f"{keys[500]}.x = below\n")
+        assert calls["scans"] == 1
+
     def test_a_repeated_last_line_reads_in_a_few_times_the_clean_time(self):
         lines = realistic_lines(10_000)
         random.Random(1).shuffle(lines)

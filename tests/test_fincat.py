@@ -533,6 +533,9 @@ class TestFinSetSkeleton:
         f = FinFn(cod, images)
         assert hash(f) == hash((cod, tuple(images)))
 
+    def test_holds_only_its_fields(self):
+        assert vars(FinFn(2, (2, 1))) == {"cod": 2, "images": (2, 1)}
+
     def test_equal_functions_hash_alike(self):
         f, g = FinFn(3, (2, 3)), FinFn(3, [2, 3])
         assert f == g and hash(f) == hash(g)
@@ -1339,11 +1342,17 @@ def three_cycle():
     return DtryMor(Variant.PRODUCT, x, x, {a: b, b: c, c: a}, {p: SKEL.identity(1) for p in x.assign})
 
 
-def merging_mor():
-    """A GENERAL morphism sending ``a`` and ``b`` both to ``c``."""
+def merging_mor(variant=Variant.GENERAL):
+    """A morphism sending ``a`` and ``b`` both to ``c``."""
     src, dst, c = DtryObj.of(SKEL, {"a": 1, "b": 1}), DtryObj.of(SKEL, {"c": 1}), Path("c")
     f1 = {p: SKEL.identity(1) for p in src.assign}
-    return DtryMor(Variant.GENERAL, src, dst, {Path("a"): c, Path("b"): c}, f1)
+    return DtryMor(variant, src, dst, {Path("a"): c, Path("b"): c}, f1)
+
+
+def mor_sending_a_to(target):
+    """A GENERAL morphism from ``{a: 1}`` to ``{c: 1}`` with ``f0[a] = target``."""
+    src, dst = DtryObj.of(SKEL, {"a": 1}), DtryObj.of(SKEL, {"c": 1})
+    return DtryMor(Variant.GENERAL, src, dst, {Path("a"): target}, {Path("a"): SKEL.identity(1)})
 
 
 @pytest.mark.parametrize(
@@ -1391,6 +1400,37 @@ def merging_mor():
         (lambda: shape_with_n_leaves(2.5), TypeError, "^leaf count 2.5 is not an int$"),
         (lambda: shape_with_n_leaves(True), TypeError, "^leaf count True is not an int$"),
         (lambda: algebra_eval_mor(ALG, three_cycle()), ValueError, "PRODUCT morphism"),
+        (lambda: merging_mor("iso"), TypeError, "^variant 'iso' is not a Variant$"),
+        (lambda: merging_mor(None), TypeError, "^variant None is not a Variant$"),
+        (lambda: merging_mor(3), TypeError, "^variant 3 is not a Variant$"),
+        (
+            lambda: identity_mor(DtryObj.of(SKEL, {"a": 1}), "iso"),
+            TypeError,
+            "^variant 'iso' is not a Variant$",
+        ),
+        (
+            lambda: mu_mor(Dtry.leaf(merging_mor()), variant="iso"),
+            TypeError,
+            "^variant 'iso' is not a Variant$",
+        ),
+        (
+            lambda: mu_mor(Dtry.empty(), cat=SKEL, variant="iso"),
+            TypeError,
+            "^variant 'iso' is not a Variant$",
+        ),
+        (lambda: SKEL.truncate(True), TypeError, "^max size True is not an int$"),
+        (lambda: SKEL.truncate(2.0), TypeError, "^max size 2.0 is not an int$"),
+        (
+            lambda: DtryObj.of(TINY, {"a": [1]}),
+            ValueError,
+            r"^\[1\] assigned at Path\('a'\) is not an object of the category$",
+        ),
+        (lambda: TINY.compose([1], "f"), NotComposableError, r"^no composite for \(\[1\], 'f'\)$"),
+        (
+            lambda: mor_sending_a_to(["c"]),
+            ValueError,
+            r"^index map sends Path\('a'\) outside the other side: \['c'\]$",
+        ),
     ],
     ids=[
         "filter_nothings_of_a_bare_value",
@@ -1411,6 +1451,17 @@ def merging_mor():
         "leaf_count_that_is_a_float",
         "leaf_count_that_is_a_bool",
         "algebra_eval_of_a_product_mor",
+        "mor_whose_variant_is_a_string",
+        "mor_whose_variant_is_none",
+        "mor_whose_variant_is_an_int",
+        "identity_mor_whose_variant_is_a_string",
+        "mu_mor_told_a_string_variant",
+        "mu_mor_of_nothing_told_a_string_variant",
+        "truncate_to_a_bool",
+        "truncate_to_a_float",
+        "object_that_is_unhashable_in_a_table_category",
+        "table_compose_of_an_unhashable_id",
+        "index_map_to_an_unhashable_target",
     ],
 )
 def test_documented_input_error(call, error, message):
