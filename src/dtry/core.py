@@ -44,6 +44,7 @@ flat parser binds its texts in file order with :func:`_conflicts`.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
@@ -302,6 +303,7 @@ def _rebuild(tree, f, graft=False):
 
 
 _text = itemgetter(0)
+_pair = itemgetter(0, 1)
 
 
 def _sorted_clean(items: list) -> list | None:
@@ -376,30 +378,63 @@ def _clean_pairs(entries: Mapping) -> list:
     """The keys of a path map made dotted texts, with their values, sorted and clean.
 
     What :meth:`Dtry.from_path_map` builds its trie from, and raises for
-    exactly as it does (see there).
+    exactly as it does (see there). A row is ``(text, value)``, or
+    ``(text, value, key)`` when every key is a tuple of plain ``str``
+    names, so that a caller keeps the key and need not split its text.
+    Keys all of one of those two kinds are made texts in a few passes in
+    C (see :func:`_joined`); any other set of keys, one key at a time.
     """
     entries = dict(entries)
-    items = []
-    for key, value in entries.items():
-        if not isinstance(key, str):
-            try:
-                text = ".".join(key)
-                # () is the root; ("",) is not, and no name holds a '.'
-                if key and (not text or text.count(".") != len(key) - 1):
-                    break
-            except TypeError:
-                break
-            key = text
-        items.append((key, value))
+    kinds = set(map(type, entries))
+    if kinds <= {str}:
+        items = list(entries.items())
+    elif kinds <= {tuple, Path} and (texts := _joined(entries)) is not None:
+        items = list(zip(texts, entries.values(), entries))
     else:
-        ordered = _sorted_clean(items)
-        if ordered is not None:
-            return ordered
+        items = _texts_one_by_one(entries)
+    ordered = None if items is None else _sorted_clean(items)
+    if ordered is not None:
+        return ordered
     # Not clean, so it fails as the reference would: coerce every key, sort,
     # and name the first path that equals or extends the one before it.
     paths = sorted(map(Path, entries))
     existing, incoming = next((a, b) for a, b in zip(paths, paths[1:]) if b[: len(a)] == a)
     raise PrefixConflictError(existing, incoming)
+
+
+def _joined(keys: dict) -> list[str] | None:
+    """Tuples of plain ``str`` names dotted, or None when they are not all names without a ``.``.
+
+    A name holding a ``.`` adds to the dots of its text, and ``()`` has one
+    dot fewer than its names: the dots are the names less the keys only
+    when no key is either. ``("",)`` is the one left that joins to ``''``.
+    """
+    if not set(map(type, chain.from_iterable(keys))) <= {str}:
+        return None
+    texts = list(map(".".join, keys))
+    if all(texts) and "".join(texts).count(".") == sum(map(len, keys)) - len(keys):
+        return texts
+    return None
+
+
+def _texts_one_by_one(entries: dict) -> list | None:
+    """``(dotted text, value)`` for each entry, or None at the first key no text can stand for.
+
+    A ``str`` is its text; a sequence is joined, unless it is ``("",)`` or
+    a name holds a ``.``; and ``()`` is the root.
+    """
+    items = []
+    for key, value in entries.items():
+        if not isinstance(key, str):
+            try:
+                text = ".".join(key)
+                if key and (not text or text.count(".") != len(key) - 1):
+                    return None
+            except TypeError:
+                return None
+            key = text
+        items.append((key, value))
+    return items
 
 
 def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -500,7 +535,10 @@ class Dtry(Generic[T]):
             PrefixConflictError: when one key is a prefix of another.
             BadPathError, BadNameError, TypeError: for a key that is no path.
         """
-        return cls(_from_sorted(_clean_pairs(entries)))
+        rows = _clean_pairs(entries)
+        if rows and len(rows[0]) > 2:  # each row carries its key too
+            rows = list(map(_pair, rows))
+        return cls(_from_sorted(rows))
 
     @property
     def is_empty(self) -> bool:

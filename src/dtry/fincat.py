@@ -42,7 +42,7 @@ from enum import Enum
 from itertools import accumulate, chain, repeat
 from itertools import product as _cartesian
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Dtry, Leaf, Node, _clean_pairs, _from_sorted
 from .errors import NotACategoryError, NotComposableError
@@ -50,6 +50,19 @@ from .paths import Path
 
 ObjId = Any
 MorId = Any
+
+_value, _key = itemgetter(1), itemgetter(2)
+_ABSENT = object()  # what ``.get`` gives for a key that a mapping lacks
+
+
+def _paths(names: Iterable) -> Iterator[Path]:
+    """Each sequence of plain ``str`` names as a ``Path``, unchecked."""
+    return map(tuple.__new__, repeat(Path), names)
+
+
+def _under(p: Path, paths: Iterable[Path]) -> Iterator[Path]:
+    """``p + q`` for each path ``q``, without a Python call per path."""
+    return _paths(map(tuple.__add__, repeat(p), paths))
 
 __all__ = [
     "FinCat",
@@ -277,27 +290,30 @@ class FinCat:
         return [m for m, d, c in zip(self._ids, self._dom, self._cod) if d == x and c == y]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinFn:
     """A function {1..m} -> {1..cod} as an explicit image table.
 
     The domain size is the length of ``images``; entry ``i`` (1-based)
-    maps to ``images[i-1]``. Its hash is the dataclass's, that of ``(cod, images)``.
+    maps to ``images[i-1]``. ``images`` is stored as a tuple, and every
+    entry must be an ``int`` (a ``bool`` is none) in 1..cod. The
+    constructor checks and stores in one call, keyword or positional;
+    eq and hash are the dataclass's, on ``(cod, images)``.
     """
 
     cod: int
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        cod = self.cod
+    def __init__(self, cod: int, images: Iterable[int]):
+        images = tuple(images)
         if type(cod) is not int or cod < 0:
             raise ValueError(f"codomain size {cod!r} is not a nonnegative int")
-        for i in self.images:
+        for i in images:
             if type(i) is not int:
                 raise ValueError(f"image {i!r} is not an int")
             if not 1 <= i <= cod:
                 raise ValueError(f"image {i} outside 1..{cod}")
+        vars(self).update(cod=cod, images=images)
 
     @property
     def dom(self) -> int:
@@ -339,7 +355,8 @@ class FinSetSkeleton:
             raise NotComposableError(
                 f"cannot compose {f!r} (into {f.cod}) with {g!r} (out of {g.dom})"
             )
-        return FinFn(g.cod, tuple(g.images[i - 1] for i in f.images))
+        images = g.images
+        return FinFn(g.cod, [images[i - 1] for i in f.images])
 
     def hom(self, m: int, n: int) -> list[FinFn]:
         return [FinFn(n, images) for images in _cartesian(range(1, n + 1), repeat=m)]
@@ -384,6 +401,8 @@ class FinSetSkeleton:
         """
         if type(max_size) is not int:
             raise TypeError(f"max size {max_size!r} is not an int")
+        if max_size < 0:
+            raise ValueError("max size must be nonnegative")
         sizes = range(max_size + 1)
         out_of = [[f for n in sizes for f in self.hom(m, n)] for m in sizes]
         ids = [f for fns in out_of for f in fns]
@@ -443,8 +462,12 @@ class DtryObj:
         Raises as that does, then as the constructor does for a value that
         is no object. No trie is built.
         """
-        pairs = _clean_pairs(assign)  # text order is path order, and '' is the root
-        return cls._checked(cat, {tuple.__new__(Path, t.split(".") if t else ()): v for t, v in pairs})
+        rows = _clean_pairs(assign)  # text order is path order
+        if rows and len(rows[0]) > 2:  # each row carries its key, a tuple of names
+            names = map(_key, rows)
+        else:  # '' is the root
+            names = [t.split(".") if t else () for t, _ in rows]
+        return cls._checked(cat, dict(zip(_paths(names), map(_value, rows))))
 
     @classmethod
     def _checked(cls, cat, assign: dict) -> "DtryObj":
@@ -502,19 +525,22 @@ class DtryMor:
         given0, given1, objs = self.f0, self.f1, target.assign
         if not len(given0) == len(given1) == len(index.assign):
             raise ValueError("index map and components must have one entry per index path")
-        own = {q: q for q in objs}
-        f0, f1 = {}, {}
+        own = {q: (q, y) for q, y in objs.items()}  # a target, hashed once: its Path and object
+        get0, get1 = given0.get, given1.get
+        # A cat without them fails at each component, as calling one there would.
+        dom, cod = getattr(cat, "dom", None), getattr(cat, "cod", None)
+        targets, components = [], []
         for p, x in index.assign.items():
-            if p not in given0 or p not in given1:
+            t, m = get0(p, _ABSENT), get1(p, _ABSENT)
+            if t is _ABSENT or m is _ABSENT:
                 raise ValueError(f"index map and components must be total: nothing at {p!r}")
-            m = given1[p]
             try:
-                q = own[given0[p]]
+                q, y = own[t]
             except (KeyError, TypeError):  # no path there, or an unhashable value
-                raise ValueError(f"index map sends {p!r} outside the other side: {given0[p]!r}") from None
-            want = (objs[q], x) if product else (x, objs[q])
+                raise ValueError(f"index map sends {p!r} outside the other side: {t!r}") from None
+            want = (y, x) if product else (x, y)
             try:
-                have = (cat.dom(m), cat.cod(m))
+                have = (dom(m), cod(m))
             except (KeyError, AttributeError, TypeError) as exc:
                 raise ValueError(f"component at {p!r} is not a morphism: {m!r}") from exc
             if have != want:
@@ -522,10 +548,12 @@ class DtryMor:
                     f"component at {p!r} has type {have[0]!r} -> {have[1]!r}, "
                     f"expected {want[0]!r} -> {want[1]!r}"
                 )
-            f0[p], f1[p] = q, m
-        if self.variant is Variant.ISO and len(set(f0.values())) != len(own):
+            targets.append(q)
+            components.append(m)
+        if self.variant is Variant.ISO and len(set(targets)) != len(own):
             raise ValueError("index map of an ISO morphism must be a bijection")
-        vars(self).update(f0=f0, f1=f1)
+        paths = index.assign
+        vars(self).update(f0=dict(zip(paths, targets)), f1=dict(zip(paths, components)))
 
 
 def identity_mor(x: DtryObj, variant: Variant = Variant.GENERAL) -> DtryMor:
@@ -584,8 +612,7 @@ def _flatten(entries, cat) -> DtryObj:
             cat = x.cat
         elif x.cat != cat:
             raise NotComposableError("mixed categories in one directory")
-        for q, v in x.assign.items():
-            flat[p + q] = v
+        flat.update(zip(_under(p, x.assign), x.assign.values()))
     if cat is None:
         raise ValueError("cannot infer the category of an empty directory; pass cat=")
     return DtryObj._checked(cat, flat)
@@ -621,10 +648,10 @@ def mu_mor(dm: Dtry, *, cat=None, variant: Variant | None = None) -> DtryMor:
     src = _flatten(((p, m.src) for p, m in inner.items()), cat)
     dst = _flatten(((p, m.dst) for p, m in inner.items()), cat)
     f0, f1 = {}, {}
-    for p, m in inner.items():
-        for q, target in m.f0.items():
-            pq = p + q
-            f0[pq], f1[pq] = p + target, m.f1[q]
+    for p, m in inner.items():  # m.f1 is keyed as m.f0 is, in the same order
+        pqs = list(_under(p, m.f0))
+        f0.update(zip(pqs, _under(p, m.f0.values())))
+        f1.update(zip(pqs, m.f1.values()))
     return DtryMor(variant, src, dst, f0, f1)
 
 

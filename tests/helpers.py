@@ -15,7 +15,7 @@ import sys
 from typing import Mapping
 
 from dtry import cli, formats, paths
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, merge_disjoint
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _from_sorted, _sorted_clean, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
@@ -274,6 +274,48 @@ def oracle_conflicts(paths) -> list[tuple | None]:
                     least[t[:k]] = t
             out.append(None)
     return out
+
+
+def reference_clean_pairs(entries) -> list:
+    """A path map's keys made dotted texts one key at a time, with their values, sorted and clean.
+
+    The key handling ``Dtry.from_path_map`` and ``DtryObj.of`` had before
+    their C-level routes: every key set took this loop. A ``str`` is its
+    text, a sequence is joined unless it is ``("",)`` or a name holds a
+    ``.``, and ``()`` is the root; what is not clean raises as every key
+    made a ``Path``, sorted, names its first clash.
+    """
+    entries = dict(entries)
+    items = []
+    for key, value in entries.items():
+        if not isinstance(key, str):
+            try:
+                text = ".".join(key)
+                if key and (not text or text.count(".") != len(key) - 1):
+                    break
+            except TypeError:
+                break
+            key = text
+        items.append((key, value))
+    else:
+        ordered = _sorted_clean(items)
+        if ordered is not None:
+            return ordered
+    paths = sorted(map(Path, entries))
+    existing, incoming = next((a, b) for a, b in zip(paths, paths[1:]) if b[: len(a)] == a)
+    raise PrefixConflictError(existing, incoming)
+
+
+def reference_from_path_map_by_key(entries) -> Dtry:
+    """``Dtry.from_path_map`` built from :func:`reference_clean_pairs`."""
+    return Dtry(_from_sorted(reference_clean_pairs(entries)))
+
+
+def reference_obj_of(cat, assign) -> DtryObj:
+    """``DtryObj.of`` as it was: each text of :func:`reference_clean_pairs` split into its ``Path``."""
+    pairs = reference_clean_pairs(assign)
+    family = {tuple.__new__(Path, t.split(".") if t else ()): v for t, v in pairs}
+    return DtryObj._checked(cat, family)
 
 
 def oracle_fincat(objects, morphisms, identity, compose) -> None:

@@ -1,6 +1,7 @@
 """Finite categories, directory-indexed objects and morphisms, tensor evaluation."""
 
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -10,10 +11,12 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from collections.abc import Mapping
 from enum import IntEnum
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import product as cartesian
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +43,15 @@ from dtry.fincat import (
 )
 from dtry.paths import Name, Path
 
-from helpers import oracle_fincat, random_dtry, random_dtry_obj, random_mor_from, random_shape
+from helpers import (
+    oracle_fincat,
+    random_dtry,
+    random_dtry_obj,
+    random_mor_from,
+    random_shape,
+    reference_from_path_map_by_key,
+    reference_obj_of,
+)
 
 SKEL = FinSetSkeleton()
 ALG = finset_coproduct_algebra(SKEL)
@@ -459,7 +470,7 @@ class TestTruncateTables:
                 with pytest.raises(NotComposableError):
                     cat.compose(f, g)
 
-    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_truncate_is_the_category_of_its_id_tables(self, k):
         cat, want = SKEL.truncate(k), truncate_by_ids(k)
         assert cat.objects() == want.objects()
@@ -568,6 +579,51 @@ class TestFinSetSkeleton:
         # Each would name a morphism whose codomain is no object of SKEL.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FinFn(cod, images)
+
+    def test_keyword_construction_and_replace(self):
+        f = FinFn(cod=2, images=(2, 1))
+        assert f == FinFn(2, (2, 1)) == FinFn(2, images=[2, 1])
+        assert dataclasses.replace(f, images=[1, 1]) == FinFn(2, (1, 1))
+        assert dataclasses.replace(f, cod=3) == FinFn(3, (2, 1))
+        with pytest.raises(ValueError, match=r"^image 3 outside 1\.\.2$"):
+            dataclasses.replace(f, images=(3,))
+
+    def test_copies_and_pickles_are_equal_and_hash_alike(self):
+        f = FinFn(3, [2, 3])
+        for same in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(same) is FinFn and vars(same) == {"cod": 3, "images": (2, 3)}
+            assert same == f and hash(same) == hash(f)
+
+    def test_images_are_stored_as_a_tuple(self):
+        f = FinFn(2, [2, 1])
+        assert type(f.images) is tuple and f.images == (2, 1)
+        assert type(FinFn(3, iter([1, 3])).images) is tuple
+
+    def test_repr_eq_and_hash_are_those_of_the_fields(self):
+        f = FinFn(2, (2, 1))
+        assert repr(f) == "FinFn(2, (2, 1))"
+        assert f == FinFn(2, (2, 1)) and f != FinFn(2, (1, 2)) and f != (2, (2, 1))
+        assert hash(f) == hash((2, (2, 1)))
+
+    @pytest.mark.parametrize(
+        "cod, images, message",
+        [
+            (2, (3, "x"), "image 3 outside 1..2"),
+            (2, (True, 5), "image True is not an int"),
+            (2, (Size.TWO, 5), "image <Size.TWO: 2> is not an int"),
+            (-1, ("x",), "codomain size -1 is not a nonnegative int"),
+            (1.0, (5,), "codomain size 1.0 is not a nonnegative int"),
+        ],
+        ids=("out_of_range_first", "bool_first", "int_enum_first", "negative_cod", "float_cod"),
+    )
+    def test_the_first_fault_is_named_in_the_old_order(self, cod, images, message):
+        # The codomain is checked first, then each image in turn: its type, then its range.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FinFn(cod, images)
+
+    def test_images_that_do_not_iterate_fail_before_the_codomain_check(self):
+        with pytest.raises(TypeError):
+            FinFn(-1, 5)
 
     def test_truncation_validates_as_a_category(self):
         cat = SKEL.truncate(2)
@@ -717,6 +773,82 @@ def result_or_error(build):
         return type(exc), str(exc)
 
 
+# Keys over three names, so that repeats and prefixes are dense. Most
+# segments are names; the rest are what no clean key holds: an empty or
+# dotted name, a bad character, a newline, an int, or a ``Name``.
+route_names_st = st.sampled_from(["a", "b", "ab"])
+route_segments_st = st.lists(
+    st.one_of(
+        route_names_st,
+        route_names_st,
+        route_names_st,
+        st.sampled_from(["", "a.b", "b-", "a\nb", 5]),
+        route_names_st.map(Name),
+    ),
+    max_size=3,
+)
+route_clean_segments_st = st.lists(route_names_st, max_size=3)
+route_keys_st = {
+    "str": route_segments_st.map(lambda segs: ".".join(map(str, segs))),
+    "tuple": route_segments_st.map(tuple),
+    "path": route_clean_segments_st.map(Path),
+}
+route_maps_st = st.one_of(
+    *(st.dictionaries(keys, st.integers(0, 3), max_size=8) for keys in route_keys_st.values()),
+    st.dictionaries(
+        st.one_of(*route_keys_st.values(), route_names_st.map(Name)), st.integers(0, 3), max_size=8
+    ),
+)
+
+
+def exact_family(assign):
+    """A path family with the exact type of each key and of each of its names."""
+    return [(type(p), tuple(map(type, p)), tuple(p), v) for p, v in assign.items()]
+
+
+def route_outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # compared by type and text
+        return (type(exc), str(exc))
+
+
+class TestKeyRoutes:
+    """``DtryObj.of`` and ``Dtry.from_path_map`` against their keys made texts one at a time.
+
+    Sets of plain ``str`` keys, and of tuples of plain ``str`` names, take
+    a route in C; every other set the old loop. Each must give the same
+    family (order, exact ``Path`` keys, exact ``str`` names, values) or the
+    same exception type and text.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(route_maps_st)
+    @example({(): 1})
+    @example({("",): 1})
+    @example({("a.b",): 1})
+    @example({(Name("a"), "b"): 1})
+    @example({tuple.__new__(Path, (Name("a"), "b")): 1})
+    @example({("a",): 1, ("a", "b"): 2})
+    @example({("a", "b"): 1, "a.b": 2})
+    @example([(["a", "b"], 1)])  # pairs, one keyed by a list
+    def test_of_and_from_path_map_match_the_loop_over_keys(self, entries):
+        want = route_outcome(lambda: reference_obj_of(SKEL, entries))
+        got = route_outcome(lambda: DtryObj.of(SKEL, entries))
+        if isinstance(want, DtryObj):
+            assert isinstance(got, DtryObj)
+            assert exact_family(got.assign) == exact_family(want.assign)
+        else:
+            assert got == want
+        want = route_outcome(lambda: reference_from_path_map_by_key(entries))
+        got = route_outcome(lambda: Dtry.from_path_map(entries))
+        if isinstance(want, Dtry):
+            assert isinstance(got, Dtry) and got == want
+            assert exact_family(got.path_map()) == exact_family(want.path_map())
+        else:
+            assert got == want
+
+
 class TestLazyOf:
     """``DtryObj.of`` builds no trie: ``objs`` builds one from ``assign`` on each read."""
 
@@ -837,6 +969,22 @@ class TestLazyOf:
         assert x.assign == {Path("a"): 1} and x.objs == Dtry.from_path_map({"a": 1})
 
 
+class PlainMapping(Mapping):
+    """A read-only mapping with only the methods ``Mapping`` requires."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
 class TestDtryMorValidation:
     def test_general_requires_total_index_map(self):
         src = DtryObj.of(SKEL, {"a": 1, "b": 1})
@@ -893,6 +1041,30 @@ class TestDtryMorValidation:
         src, dst = DtryObj.of(cat, {"a.b": objs[0]}), DtryObj.of(cat, {"c": objs[1]})
         with pytest.raises(ValueError, match=re.escape(repr(Path("a.b")))):
             DtryMor(Variant.GENERAL, src, dst, {key: target}, {key: component})
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("wrap", [MappingProxyType, PlainMapping], ids=("proxy", "plain"))
+    def test_any_mapping_serves_as_index_map_and_components(self, variant, wrap):
+        rng = random.Random(223)
+        for _ in range(30):
+            m = random_mor_from(rng, random_dtry_obj(rng, SKEL), variant)
+            again = DtryMor(variant, m.src, m.dst, wrap(m.f0), wrap(m.f1))
+            assert again == m and type(again.f0) is dict and type(again.f1) is dict
+            assert list(again.f0.items()) == list(m.f0.items())
+
+    @pytest.mark.parametrize("wrap", [MappingProxyType, PlainMapping], ids=("proxy", "plain"))
+    def test_a_mapping_that_lacks_a_path_fails_as_a_dict_does(self, wrap):
+        src, dst = DtryObj.of(SKEL, {"a": 1, "b": 1}), DtryObj.of(SKEL, {"c": 1})
+        a, b, c = Path("a"), Path("b"), Path("c")
+        f1 = {a: SKEL.identity(1), b: SKEL.identity(1)}
+        cases = [({a: c, Path("z"): c}, f1), ({a: c, b: c}, {a: f1[a], Path("z"): f1[b]})]
+        for f0, components in cases:
+            with pytest.raises(ValueError) as want:
+                DtryMor(Variant.GENERAL, src, dst, f0, components)
+            with pytest.raises(ValueError) as got:
+                DtryMor(Variant.GENERAL, src, dst, wrap(f0), wrap(components))
+            assert str(got.value) == str(want.value)
+            assert str(want.value) == "index map and components must be total: nothing at Path('b')"
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_storage_is_in_index_order_and_targets_are_the_other_sides_paths(self, variant):
@@ -1420,6 +1592,7 @@ def mor_sending_a_to(target):
         ),
         (lambda: SKEL.truncate(True), TypeError, "^max size True is not an int$"),
         (lambda: SKEL.truncate(2.0), TypeError, "^max size 2.0 is not an int$"),
+        (lambda: SKEL.truncate(-1), ValueError, "^max size must be nonnegative$"),
         (
             lambda: DtryObj.of(TINY, {"a": [1]}),
             ValueError,
@@ -1459,6 +1632,7 @@ def mor_sending_a_to(target):
         "mu_mor_of_nothing_told_a_string_variant",
         "truncate_to_a_bool",
         "truncate_to_a_float",
+        "truncate_to_a_negative_size",
         "object_that_is_unhashable_in_a_table_category",
         "table_compose_of_an_unhashable_id",
         "index_map_to_an_unhashable_target",
