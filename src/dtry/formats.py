@@ -33,10 +33,11 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _conflicts, _from_sorted, _node, _sorted_clean
+from .core import Dtry, Leaf, Node, _conflicts, _from_sorted, _node, _sorted_clean, _text
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
 from .paths import Name, Path, _are_dotted, _is_dotted, _names, _text_prefix
 
@@ -84,43 +85,55 @@ class FlatLine:
     value: str
 
 
-def _entry_lines(text: str, diagnostics: list):
-    """Yield ``(line, path text, value)`` for each ``path = value`` line of a flat document.
+def _entry_lines(text: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """The ``(path text, value)`` pairs of a flat document, and the numbers of its other lines.
 
     The one reading of the line grammar: blank lines and lines starting
-    with ``#`` are skipped, and a line without ``=`` is appended to
-    ``diagnostics`` as ``E_SYNTAX``. Both sides come stripped, which
-    drops a CR before the LF too; the path text is not checked here.
+    with ``#`` are skipped, and so is a line without ``=``, an ``E_SYNTAX``
+    error, whose number is negated. Both sides come stripped, which drops a
+    CR before the LF too; the path text is not checked here. Only a failing
+    document needs a pair's line: :func:`_numbered` recovers it.
     """
+    pairs, skipped = [], []
     for lineno, line in enumerate(text.split("\n"), 1):
-        if not line or line.isspace() or line.startswith("#"):
-            continue
         lhs, sep, rhs = line.partition("=")
-        if not sep:
-            diagnostics.append(
-                Diagnostic("E_SYNTAX", lineno, "expected a 'path = value' line")
-            )
-            continue
-        yield lineno, lhs.strip(), rhs.strip()
+        if sep and line[0] != "#":
+            pairs.append((lhs.strip(), rhs.strip()))
+        elif not line or line.isspace() or line[0] == "#":
+            skipped.append(lineno)
+        else:
+            skipped.append(-lineno)
+    return pairs, skipped
+
+
+def _numbered(items, skipped: list[int]):
+    """Each item of :func:`_entry_lines`'s pairs with its line, in a pass in C."""
+    return zip(items, filterfalse(set(map(abs, skipped)).__contains__, count(1)))
+
+
+def _syntax_errors(skipped: list[int]) -> list[Diagnostic]:
+    return [Diagnostic("E_SYNTAX", -n, "expected a 'path = value' line") for n in skipped if n < 0]
 
 
 def scan_flat(text: str) -> tuple[list[FlatLine], list[Diagnostic]]:
-    """Split a flat document into entries and lexical diagnostics.
+    """Split a flat document into entries and lexical diagnostics, each in line order.
 
     One ``Path`` and one ``FlatLine`` per line. No cross-line checks
     happen here. No command reads a document through it: the parser and
     the key check below read the same line grammar without a ``Path`` per
     line, and the tests keep this reading as their reference.
     """
+    pairs, skipped = _entry_lines(text)
     entries: list[FlatLine] = []
-    diagnostics: list[Diagnostic] = []
-    for lineno, lhs, value in _entry_lines(text, diagnostics):
+    diagnostics = _syntax_errors(skipped)
+    for (lhs, value), lineno in _numbered(pairs, skipped):
         try:
             path = Path.parse(lhs)
         except BadPathError as exc:
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
             continue
         entries.append(FlatLine(lineno, path, value))
+    diagnostics.sort(key=attrgetter("line"))  # the syntax errors came first; one per line
     return entries, diagnostics
 
 
@@ -141,49 +154,90 @@ def parse_flat(text: str) -> Dtry[str]:
 def _read_flat(text: str) -> list[tuple[str, str]]:
     """The ``(dotted text, value)`` pairs of a flat document, sorted by text: the trie unbuilt.
 
-    The lines are read once. When every key is a path (one match for all
-    the keys) and none repeats or is a prefix of another (each sorted text
-    against the one before it), no ``Path`` and no trie is made. Otherwise
-    no trie is made either: a key that is no path is parsed once, for the
-    error that names its segment, and the other keys are bound in file
-    order by :func:`core._conflicts`, which names every conflict.
+    The lines are read once, without their numbers. When no line is a
+    syntax error, every key is a path (one match for all the keys) and none
+    repeats or is a prefix of another (each sorted text against the one
+    before it), no ``Path`` and no trie is made. Otherwise no trie is made
+    either: a key that is no path is parsed once, for the error that names
+    its segment, and the keys that :func:`_clashing` finds are bound in
+    file order by :func:`core._conflicts`, which names every conflict.
 
     Raises:
         ParseError: with one diagnostic per failing line, in line order.
     """
-    diagnostics: list[Diagnostic] = []
-    items, linenos = [], []
-    for lineno, key, value in _entry_lines(text, diagnostics):
-        items.append((key, value))
-        linenos.append(lineno)
-    ordered = None if diagnostics else _sorted_clean(items)
+    ordered, diagnostics, clashing = _read_keys(text)
     if ordered is not None:
         return ordered
-    entries = _paths_only([(key, lineno) for lineno, (key, _) in zip(linenos, items)], diagnostics)
+    clashing.sort(key=itemgetter(1))
     # A dotted text names one path, so equal texts are equal paths; and a
     # text's first line binds it if any does, since a binding stays.
-    first_line = dict(reversed(entries))
-    for index, existing in _conflicts([key for key, _ in entries]):
-        key, lineno = entries[index]
+    first_line = dict(reversed(clashing))
+    for index, existing in _conflicts([key for key, _ in clashing]):
+        key, lineno = clashing[index]
         if existing == key:
             message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
             diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
         else:
             exc = PrefixConflictError(Path.parse(existing), Path.parse(key))
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
-    diagnostics.sort(key=attrgetter("line"))  # the syntax errors came first; one per line
+    diagnostics.sort(key=attrgetter("line"))  # one per line
     raise ParseError(diagnostics)
+
+
+def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
+    """A flat document's sorted pairs if clean, else None, its lexical diagnostics, clashing keys.
+
+    The clean test of :func:`_read_flat` and :func:`_key_conflicts`: no
+    syntax error, and :func:`core._sorted_clean` accepts the pairs. For a
+    document that fails it, a diagnostic per syntax error and per key that
+    is no path (see :func:`_paths_only`), and the ``(key, line)`` entries
+    of the paths that :func:`_clashing` finds, sorted by key.
+    """
+    pairs, skipped = _entry_lines(text)
+    ordered = _sorted_clean(pairs)
+    if ordered is not None and min(skipped, default=1) > 0:
+        return ordered, [], []
+    diagnostics = _syntax_errors(skipped)
+    if ordered is not None:  # only syntax errors
+        return None, diagnostics, []
+    entries = sorted(_numbered(map(_text, pairs), skipped))
+    clashing = _clashing(entries)
+    # _sorted_clean matched the keys in one call: when no text is a prefix
+    # of another, that match is what failed, and else it is made again.
+    if clashing and _are_dotted(list(map(_text, entries))):
+        return None, diagnostics, clashing
+    return None, diagnostics, _clashing(_paths_only(entries, diagnostics))
+
+
+def _clashing(entries: list) -> list:
+    """The ``(text, line)`` entries, sorted by text, whose text another equals, extends or prefixes.
+
+    Sorted by text, the copies and extensions of a path follow it (see
+    :func:`core._sorted_clean`), so these come in runs, each from a text
+    that is a prefix of the next one to the last text it is a prefix of.
+    The root, ``''``, sorts first and is a prefix of every text. A key
+    outside the runs never clashes, nor changes what another clashes with.
+    """
+    texts = list(map(_text, entries))
+    if texts and not texts[0]:
+        return entries if len(texts) > 1 else []
+    stops = list(map(str.__add__, texts, repeat(".")))
+    runs, end = [], 0
+    for start in compress(count(), map(str.startswith, stops[1:], stops)):
+        if start >= end:  # else inside a run, and so are its extensions
+            end = start + 2
+            while end < len(stops) and stops[end].startswith(stops[start]):
+                end += 1
+            runs += entries[start:end]
+    return runs
 
 
 def _paths_only(entries: list, diagnostics: list[Diagnostic]) -> list:
     """The ``(key, line)`` entries whose key is a path, and a diagnostic for each other one.
 
-    The keys are matched in one call; only when that fails is each key
-    matched alone, and only a key that fails is parsed, for the error that
-    names its segment.
+    Each key is matched alone, and only a key that fails is parsed, for the
+    error that names its segment.
     """
-    if _are_dotted([key for key, _ in entries]):
-        return entries
     dotted = []
     for key, lineno in entries:
         if _is_dotted(key) is None:
@@ -203,18 +257,19 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     whose paths are equal or one a prefix of the other, one diagnostic at
     the later line; ordered by that line, then by the earlier one. Works
     on the dotted texts, without a ``Path`` per line and without the trie;
-    a key that is no path is named as :func:`_paths_only` names it.
+    a key that is no path is named as :func:`_paths_only` names it. A
+    document that passes :func:`_read_keys`'s clean test has none.
 
-    Sorted by text, the copies and extensions of a path follow it
-    contiguously, since ``.`` sorts below every character of a name and
-    so text order is path order: each scan stops at the first text its
-    own is no prefix of, and the cost is O(n log n + conflicting pairs).
+    Only the keys that :func:`_clashing` finds are scanned, sorted by text:
+    the copies and extensions of a path follow it contiguously, since ``.``
+    sorts below every character of a name and so text order is path order,
+    and each scan stops at the first text its own is no prefix of. The cost
+    is O(n log n + conflicting pairs).
     """
-    diagnostics: list[Diagnostic] = []
-    entries = [(key, lineno) for lineno, key, _ in _entry_lines(text, diagnostics)]
-    entries = _paths_only(entries, diagnostics)
+    ordered, diagnostics, entries = _read_keys(text)
+    if ordered is not None:
+        return []
     problems = [(d.line, 0, d) for d in diagnostics]
-    entries.sort()
     for i, (key, _) in enumerate(entries):
         j = i + 1
         while j < len(entries) and _text_prefix(key, entries[j][0]):
@@ -546,7 +601,7 @@ def _nested_from_sorted(items: list) -> str:
     if not items[0][0]:  # the root path: clean, so the only key
         _readable(0)
         return _string(items[0][1]) + "\n"
-    _readable(max(text.count(".") for text, _ in items) + 1)  # the nodes on the longest path
+    _readable(max(map(str.count, map(_text, items), repeat("."))) + 1)  # the nodes on the longest path
     out = ["{"]
     names: list[str] = []  # the open objects below the root, outermost first
     prefix = ""  # the innermost open object's text and a '.'; '' at the root

@@ -36,26 +36,31 @@ __all__ = ["Name", "Path"]
 _is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
 _is_dotted = re.compile(r"(?:[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)?").fullmatch  # '' too: the root
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
-_dotted_chars = re.compile(r"[A-Za-z0-9_.\n]*").fullmatch
+# The bytes of a name's characters, of '.' and of the newline that joins texts.
+_DOTTED_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.\n"
 
 
 def _are_dotted(texts: list[str]) -> bool:
     """``all(_is_dotted(t) for t in texts)``, in a few passes over the texts joined.
 
-    The texts go one per line, with a newline before the first and after
-    the last. No text holds a newline when the newlines are one more than
-    the texts; then every character is of a name or a ``.``, and no
-    segment is empty when no ``.`` stands next to another or to a newline.
+    The texts go one per line. No text holds a newline when the newlines
+    are one fewer than the texts; then every character is of a name or a
+    ``.`` when the joined text is ASCII and its bytes hold no other, and no
+    segment is empty when no ``.`` stands next to another, to a newline or
+    at either end.
     """
     if not texts:  # joined, [] would read as [""]
         return True
-    joined = "\n" + "\n".join(texts) + "\n"
+    joined = "\n".join(texts)
     return (
-        joined.count("\n") == len(texts) + 1
-        and _dotted_chars(joined) is not None
+        joined.count("\n") == len(texts) - 1
+        and joined.isascii()
+        and not joined.encode().translate(None, _DOTTED_BYTES)
         and ".." not in joined
         and "\n." not in joined
         and ".\n" not in joined
+        and not joined.startswith(".")
+        and not joined.endswith(".")
     )
 
 

@@ -34,7 +34,13 @@ from dtry.formats import ParseError, emit_flat, emit_nested, parse_flat, parse_n
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path, _is_name
 
-from helpers import nodes, oracle_check, oracle_conflicts, reference_parse_nested
+from helpers import (
+    nodes,
+    oracle_check,
+    oracle_conflicts,
+    reference_parse_flat,
+    reference_parse_nested,
+)
 
 # Three letters and short paths, so duplicates and prefix conflicts are dense.
 paths_st = st.lists(st.sampled_from("abc"), max_size=3).map(".".join)
@@ -55,6 +61,17 @@ sorted_build_paths_st = st.lists(st.text(alphabet="AZ_a0", min_size=1, max_size=
     tuple
 )
 ordered_documents_st = st.lists(ordered_paths_st.map(lambda p: f"{p} = v"), max_size=12).map(
+    lambda lines: "\n".join(lines) + "\n"
+)
+# Failing files: repeats, prefixes and the root from the three-letter paths,
+# with syntax errors and keys that are no path. Some of those sort between a
+# path and its extensions ('-' and ' ' sort below '.'), or extend a path as
+# text.
+failing_lines_st = st.one_of(
+    paths_st.map(lambda p: f"{p} = v"),
+    st.sampled_from(["no binding", "# a = 1", "", "a..b = 1", "a- = 1", "a.b c = 1", "a. = 1"]),
+)
+failing_documents_st = st.lists(failing_lines_st, max_size=12).map(
     lambda lines: "\n".join(lines) + "\n"
 )
 
@@ -100,6 +117,26 @@ class TestDifferential:
     def test_check_sorts_by_text_as_by_path(self, text):
         want = oracle_check(text)
         assert run_check(text) == (1 if want else 0, "".join(f"{t}\n" for t in want))
+
+    @settings(max_examples=400, deadline=None)
+    @given(failing_documents_st)
+    @example("a = 1\na.b = 2\na.c = 3\n")
+    @example("x = 1\ny = 2\ny.z = 3\n")
+    @example("a = 1\nb.c = 2\n = 3\nc = 4\n")
+    @example("b.c = 1\na = 2\nc = 3\nb.c = 4\n")
+    @example("a = 1\na- = 2\na.b = 3\nno binding\n")
+    def test_reading_only_the_clashing_keys_names_what_binding_every_key_names(self, text):
+        # The references bind (reference_parse_flat) and compare
+        # (oracle_check) every key, each made a Path.
+        def diagnostics(read):
+            try:
+                read(text)
+            except ParseError as exc:
+                return [str(d) for d in exc.diagnostics]
+            return []
+
+        assert diagnostics(formats._read_flat) == diagnostics(reference_parse_flat)
+        assert [str(d) for d in formats._key_conflicts(text)] == oracle_check(text)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(paths_st, max_size=10), paths_st)
@@ -346,6 +383,27 @@ class TestWork:
         with pytest.raises(ParseError):
             parse_flat(text + lines[0] + "\n")
         assert calls["scans"] == 1
+
+    def test_a_failing_file_binds_only_its_clashing_keys(self, monkeypatch):
+        bound = []
+        conflicts = core._conflicts
+
+        def listing_conflicts(texts):
+            bound.extend(texts)
+            return conflicts(texts)
+
+        monkeypatch.setattr(formats, "_conflicts", listing_conflicts)
+        lines = realistic_lines(1000)
+        lines[700] = lines[300]
+        with pytest.raises(ParseError) as exc:
+            parse_flat("\n".join(lines) + "\n")
+        assert [(d.code, d.line) for d in exc.value.diagnostics] == [("E_DUPLICATE_PATH", 701)]
+        key = lines[300].partition(" = ")[0]
+        assert bound == [key, key]
+
+    def test_a_clean_check_makes_no_prefix_test(self, work):
+        assert run_check("\n".join(realistic_lines(1000)) + "\n") == (0, "")
+        assert work["prefix tests"] == 0
 
     def test_only_the_flat_reader_binds_keys_to_name_a_conflict(self, monkeypatch):
         calls = Counter()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dtry import formats
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord
 from dtry.formats import (
     Diagnostic,
@@ -143,6 +144,17 @@ class TestFlatDiagnostics:
             (4, "E_BAD_PATH"),
             (5, "E_PREFIX_CONFLICT"),
         ]
+
+    def test_syntax_errors_and_bad_paths_interleaved_stay_in_line_order(self):
+        # The syntax errors are found apart from the keys, so each reader
+        # sorts them in among the bad paths.
+        text = "a-b = 1\nnonsense\nc = 2\nd..e = 3\nmore nonsense\nf = 4\n"
+        want = [(1, "E_BAD_PATH"), (2, "E_SYNTAX"), (4, "E_BAD_PATH"), (5, "E_SYNTAX")]
+        assert [(d.line, d.code) for d in scan_flat(text)[1]] == want
+        with pytest.raises(ParseError) as exc:
+            parse_flat(text)
+        assert codes(exc.value) == want
+        assert [(d.line, d.code) for d in formats._key_conflicts(text)] == want
 
     def test_many_rejected_prefix_lines_under_a_wide_node_stay_linear(self):
         # Each `a = x` is a prefix of the paths under `a`, whose least one

@@ -103,6 +103,10 @@ class TestBulkMatch:
     @example(["a."])
     @example([".a"])
     @example(["a..b"])
+    @example(["."])
+    @example(["a", "b."])
+    @example([".a", "b"])
+    @example(["", ""])
     def test_matches_each_text_alone(self, texts):
         assert _are_dotted(texts) == all(_is_dotted(t) is not None for t in texts)
 
