@@ -17,8 +17,9 @@ complete paths prefix-free, makes the path-map view faithful, and forces
 absence over directories, exposed and tested as such: an absent entry
 of a record is dropped, and a record that loses all its entries becomes
 absent itself. The operations share one non-recursive rewrite that
-replaces each value by another, grafts a tree in its place, or deletes
-it, and deletes each node it empties: ``map_values``, ``filter``,
+replaces each value by another, grafts a tree in its place, keeps it as
+a predicate says, or deletes it, and deletes each node it empties:
+``map_values``, ``filter``,
 ``flatten`` (which grafts the inner directories in place, so inner
 empties vanish) and ``distrib`` are each one call of it. A record is
 sorted once: the sorted build fills it in order, the nested reader sorts
@@ -233,33 +234,40 @@ def _present(entry):
     return entry.value
 
 
-def _rebuild(tree, f, graft=False):
-    """``tree`` with each value ``v`` replaced by ``f(v)``, in path order.
+def _rebuild(tree, f, mode="replace"):
+    """``tree`` with each value ``v`` rewritten through ``f``, in path order.
 
-    ``f`` returns the value to bind in ``v``'s place, or ``_ABSENT`` to
-    delete the entry; a returned ``Leaf`` or ``Node`` is a value, and a
-    record entry holds it in a ``Leaf``. With ``graft``, ``f`` returns a
-    tree to put in ``v``'s place instead, None deleting the entry. A node
-    left without entries is deleted too, so the result is None when
+    ``mode`` says what ``f(v)`` returns:
+
+    - ``"replace"``: the value to bind in ``v``'s place, or ``_ABSENT`` to
+      delete the entry; a returned ``Leaf`` or ``Node`` is a value, and a
+      record entry holds it in a ``Leaf``.
+    - ``"graft"``: a tree to put in ``v``'s place, None deleting the entry.
+    - ``"keep"``: whether to keep the entry: it stays, as it is, when
+      ``f(v)`` is true and is deleted when it is false. ``f`` is the
+      caller's predicate, called as it is, with no frame of ours around it.
+
+    A node left without entries is deleted too, so the result is None when
     nothing remains. Records keep their names sorted, so values come in
     path order and each changed node's record is built from the dict the
     walk filled, children before parents; nothing recurses.
 
     A node for which ``f`` returned each of its values as the same
-    object, and none of whose child nodes changed, is kept as it is, with
-    its whole subtree.
+    object (in ``"keep"`` mode: kept each), and none of whose child nodes
+    changed, is kept as it is, with its whole subtree.
     """
     if tree is None:
         return None
+    absent, trees = _ABSENT, _TREES
+    graft, keep = mode == "graft", mode == "keep"
     if type(tree) is Leaf:
         value = tree.value
-        new = f(value)
+        new = (value if f(value) else absent) if keep else f(value)
         if new is value:
             return tree
         if graft:
             return new
-        return None if new is _ABSENT else Leaf(new)
-    absent, trees = _ABSENT, _TREES
+        return None if new is absent else Leaf(new)
     # A frame per open node: its name, the node, its unvisited children,
     # the rebuilt ones, and whether any entry changed.
     stack = [[None, tree, iter(tree.items()), _Sorted(), False]]
@@ -272,7 +280,7 @@ def _rebuild(tree, f, graft=False):
                 stack.append([name, child, iter(child.items()), _Sorted(), False])
                 break
             value = child.value if kind is Leaf else child
-            new = f(value)
+            new = (value if f(value) else absent) if keep else f(value)
             if new is value:
                 kept[name] = child
                 continue
@@ -608,7 +616,7 @@ class Dtry(Generic[T]):
         the cost is in the size of the outer tree. Inner empty
         directories vanish together with the paths that led to them.
         """
-        return Dtry(_rebuild(self._root, _inner_root, graft=True))
+        return Dtry(_rebuild(self._root, _inner_root, "graft"))
 
     def bind(self, f: Callable[[T], "Dtry"]) -> "Dtry":
         """Replace every value by a directory of its own and flatten."""
@@ -617,11 +625,14 @@ class Dtry(Generic[T]):
     def filter(self, pred: Callable[[T], bool]) -> "Dtry[T]":
         """Keep entries whose value satisfies ``pred``.
 
-        Subdirectories that lose every entry are deleted rather than
-        left behind. A subtree that keeps every entry is shared with this
-        directory rather than copied.
+        ``pred`` is called once per value, in path order, and an entry is
+        kept when what it returns is true (``bool`` of it, so any object
+        will do); an exception it raises escapes as it is. Subdirectories
+        that lose every entry are deleted rather than left behind. A
+        subtree that keeps every entry is shared with this directory
+        rather than copied.
         """
-        return Dtry(_rebuild(self._root, lambda value: value if pred(value) else _ABSENT))
+        return Dtry(_rebuild(self._root, pred, "keep"))
 
     def path_map(self) -> dict[Path, T]:
         """The complete paths and their values, in lexicographic order."""
@@ -631,6 +642,7 @@ class Dtry(Generic[T]):
         if type(root) is Leaf:
             return {Path(): root.value}
         out: dict[Path, T] = {}
+        new, path = tuple.__new__, Path
         # Depth first without recursion: one iterator per open node, and
         # ``names`` is the path to the innermost one.
         names: list[str] = []
@@ -642,7 +654,7 @@ class Dtry(Generic[T]):
                     names.append(name)
                     pending.append(iter(child.items()))
                     break
-                out[tuple.__new__(Path, (*names, name))] = child.value if kind is Leaf else child
+                out[new(path, (*names, name))] = child.value if kind is Leaf else child
             else:
                 pending.pop()
                 if names:
@@ -660,9 +672,11 @@ class Dtry(Generic[T]):
         count, stack = 0, [root]
         while stack:
             entries = stack.pop().values()
-            nodes = [child for child in entries if type(child) is Node]
-            count += len(entries) - len(nodes)
-            stack += nodes
+            count += len(entries)
+            for child in entries:
+                if type(child) is Node:  # a subtree, counted by its own entries
+                    count -= 1
+                    stack.append(child)
         return count
 
     def __eq__(self, other) -> bool:

@@ -337,7 +337,7 @@ def _flat_from_sorted(items: list, cut: int = 0) -> str:
     Each text is written from index ``cut`` on. Every value was read from
     a flat line, so a flat line holds it.
     """
-    return "".join(f"{text[cut:]} = {value}\n" for text, value in items)
+    return "".join([f"{text[cut:]} = {value}\n" for text, value in items])
 
 
 def _flat_line(dotted: str, value) -> str:
@@ -449,9 +449,16 @@ def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bo
     """The node of a JSON object at path ``at``, or None when it keeps no entry.
 
     Recurses once per level of objects; a value is kept as json read it,
-    since json makes no ``Leaf`` or ``Node``.
-    ``names`` holds the key texts found to be names, so a document checks
-    each new key once, in one call per object, and sorts each object once.
+    since json makes no ``Leaf`` or ``Node``. ``names`` holds the key texts
+    found to be names, so a document checks each new key once, in one call
+    per object, and sorts each object once, through :func:`core._node`.
+
+    An object whose keys are all names is its node's entries: each subtree
+    is put back in place of its object, and the dict json made is sorted
+    as it is, with no copy. A subtree that is None has left a diagnostic,
+    so that node is never used. Any other object is read key by key: a
+    key that is no name is reported and dropped, and so is a subtree that
+    keeps no entry.
     """
     for key in getattr(obj, "repeated", ()):
         message = f"duplicate path '{'.'.join((*at, key))}'"
@@ -460,8 +467,20 @@ def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bo
         if not top:
             diagnostics.append(Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(at)}"))
         return None
-    if (new := [key for key in obj if key not in names]) and _names(new):
-        names.update(new)  # else the loop checks each new key alone
+    all_names = names.issuperset(obj)
+    if not all_names and _names(new := obj.keys() - names):
+        names.update(new)
+        all_names = True
+    if all_names:
+        for key, value in obj.items():
+            kind = type(value)
+            if kind is dict or kind is _Repeats:  # the objects json makes, by the hook
+                obj[key] = _node_from_json(value, (*at, key), names, diagnostics, False)
+            elif kind is list:
+                _check_array(value, (*at, key), diagnostics)
+            elif kind is float and value - value != 0.0:  # NaN or an infinity
+                raise ValueError(value)
+        return _node(obj)
     children = {}
     for key, value in obj.items():
         if key not in names:
@@ -562,8 +581,21 @@ def emit_nested(directory: Dtry) -> str:
                 break
             if kind is Leaf:
                 value = value.value
-            text = _scalar(value)
-            if text is None:
+                kind = type(value)
+            # _scalar, inline for the common case
+            if kind is str:
+                text = _string(value)
+            elif kind is int:
+                text = _int(value)
+            elif kind is float and value - value == 0.0:  # finite
+                text = _float(value)
+            elif value is None:
+                text = "null"
+            elif value is True:
+                text = "true"
+            elif value is False:
+                text = "false"
+            else:
                 text = _scalar_array(value, indent)
                 if text is None:
                     text = _leaf_text(value, indent)
@@ -646,6 +678,7 @@ def _nested_from_sorted(items: list) -> str:
 _string = json.encoder.encode_basestring  # the encoder of ensure_ascii=False
 _int = int.__repr__
 _float = float.__repr__
+_INTS = {int}
 # Every other leaf, as json.dumps writes it with the document's settings.
 _LEAF = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
 
@@ -678,12 +711,15 @@ def _scalar_array(value, indent: str) -> str | None:
         return None
     if not value:
         return "[]"
-    texts = []
-    for item in value:
-        text = _scalar(item)
-        if text is None:
-            return None
-        texts.append(text)
+    if set(map(type, value)) == _INTS:  # exact ints, written in one pass in C
+        texts = map(_int, value)
+    else:
+        texts = []
+        for item in value:
+            text = _scalar(item)
+            if text is None:
+                return None
+            texts.append(text)
     inner = indent + "  "
     return f"[{inner}{(',' + inner).join(texts)}{indent}]"
 

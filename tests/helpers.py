@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from typing import Mapping
 
 from dtry import cli, formats, paths
@@ -555,6 +556,28 @@ def random_mor_from(
     f0 = {q: rng.choice(src_paths) for q in dst.paths()}
     f1 = {q: rng.choice(cat.hom(src.assign[f0[q]], dst.assign[q])) for q in dst.paths()}
     return DtryMor(Variant.PRODUCT, src, dst, f0, f1)
+
+
+def python_calls(function, *args):
+    """What ``function(*args)`` returns, and a ``Counter`` of the Python frames it started, by code.
+
+    Counts ``sys.setprofile``'s ``"call"`` events, ``function``'s own
+    included: one per Python function entered or generator resumed, none
+    for a function written in C. The profiler that was set is put back.
+    """
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def chain(depth: int, value=1) -> Dtry:

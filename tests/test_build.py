@@ -38,6 +38,7 @@ from helpers import (
     nodes,
     oracle_check,
     oracle_conflicts,
+    python_calls,
     reference_parse_flat,
     reference_parse_nested,
 )
@@ -293,6 +294,26 @@ def config_keys(n, seed=1):
     return keys[:n]
 
 
+def realistic_document(n):
+    """A nested JSON object of ``n`` leaves at ``config_keys(n)``: ints, floats, bools,
+    nulls, strings and arrays of ints, in turn."""
+    kinds = (
+        lambda i: i,
+        lambda i: i / 8 - 0.5,
+        lambda i: i % 4 == 1,
+        lambda i: None,
+        lambda i: [i % 10, -i],
+        lambda i: f"v{i}",
+    )
+    document = {}
+    for i, key in enumerate(config_keys(n)):
+        obj = document
+        for name in key[:-1]:
+            obj = obj.setdefault(name, {})
+        obj[key[-1]] = kinds[i % len(kinds)](i)
+    return document
+
+
 def balanced_document(n, first=0):
     """A nested JSON object of ``n`` int leaves, ``first`` onwards, split in halves "l" and "r"."""
     if n == 1:
@@ -496,6 +517,53 @@ class TestWork:
         assert written.root.children["s"] is directory.root.children["s"]
         # the root, n and n.x are new: their entries and nothing else
         assert work["record entries"] == 2 + 2 + 1
+
+    @pytest.mark.parametrize(
+        "document", [balanced_document(256), realistic_document(256)], ids=("balanced", "realistic")
+    )
+    def test_path_map_len_and_emit_nested_make_no_call_per_leaf_or_node(self, document):
+        directory = parse_nested(json.dumps(document))
+        arrays = sum(type(value) is list for value in directory.path_map().values())
+        height = max(map(len, directory.paths()))  # the nodes on the longest path
+        assert python_calls(directory.path_map)[1] == Counter({Dtry.path_map.__code__: 1})
+        assert python_calls(len, directory)[1] == Counter({Dtry.__len__.__code__: 1})
+        text, calls = python_calls(emit_nested, directory)
+        assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert calls.pop(formats._scalar_array.__code__, 0) <= arrays
+        # What is left is the depth check, a few frames per level
+        # (``_readable`` tries the depth it needs), and no more.
+        assert sum(calls.values()) <= 3 * (height + 10)
+
+    @pytest.mark.parametrize(
+        "document", [balanced_document(256), realistic_document(256)], ids=("balanced", "realistic")
+    )
+    def test_filter_calls_pred_once_per_leaf_and_builds_only_the_changed_nodes(self, document):
+        directory = parse_nested(json.dumps(document))
+        pred = lambda value: value is not None and value != 3
+        kept, calls = python_calls(directory.filter, pred)
+        old = set(map(id, nodes(directory.root)))
+        rebuilt = sum(id(node) not in old for node in nodes(kept.root))
+        assert 0 < rebuilt < len(old)
+        assert calls.pop(pred.__code__) == len(directory)
+        assert calls.pop(NonEmptyRecord.__init__.__code__) == rebuilt
+        assert sum(calls.values()) <= 3  # filter, _rebuild and Dtry.__init__
+        assert kept.path_map() == {p: v for p, v in directory.path_map().items() if pred(v)}
+
+    @pytest.mark.parametrize(
+        "document", [balanced_document(256), realistic_document(256)], ids=("balanced", "realistic")
+    )
+    def test_parse_nested_makes_a_few_calls_per_object(self, document):
+        directory, calls = python_calls(parse_nested, json.dumps(document))
+        objects = len(list(nodes(directory.root)))
+        arrays = sum(type(value) is list for value in directory.path_map().values())
+        # per object: json's hook, the walk's frame, the sort and the record
+        for function in (formats._object, formats._node_from_json, core._node, NonEmptyRecord.__init__):
+            assert calls.pop(function.__code__) == objects, function.__name__
+        assert calls.pop(formats._names.__code__, 0) <= objects
+        assert calls.pop(formats._check_array.__code__, 0) == arrays
+        # parse_nested, json.loads, its decoder's __init__, decode and
+        # raw_decode, and Dtry.__init__
+        assert sum(calls.values()) <= 6
 
     def test_filter_rebuilds_only_the_path_to_a_dropped_leaf(self, work, monkeypatch):
         directory = parse_nested(json.dumps(balanced_document(1000)))

@@ -692,6 +692,45 @@ class TestFilter:
     def test_no_empty_husks_left_behind(self, d):
         check_representation(d.filter(lambda v: v == 0))
 
+    @pytest.mark.parametrize(
+        "answer, keeps",
+        [(0, False), ("", False), (None, False), ([], False), ([0], True), (2, True), ("no", True)],
+    )
+    def test_keeps_an_entry_when_what_pred_returns_is_true(self, answer, keeps):
+        d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
+        assert d.filter(lambda v: answer) == (d if keeps else Dtry.empty())
+        one = d.filter(lambda v: answer if v == 2 else True)
+        assert one.path_map() == {Path("a.x"): 1, **({Path("a.y"): 2} if keeps else {}), Path("b"): 3}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_an_exception_from_pred_escapes_as_it_is(self, k):
+        class Stop(Exception):
+            pass
+
+        stop, seen = Stop(), []
+
+        def pred(value):
+            seen.append(value)
+            if len(seen) == k:
+                raise stop
+            return True
+
+        with pytest.raises(Stop) as caught:
+            Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3}).filter(pred)
+        assert caught.value is stop
+        assert seen == [1, 2, 3][:k]  # in path order, and none past the k-th
+
+    @pytest.mark.parametrize("value", [5, None, Leaf(1)])
+    def test_a_root_leaf_is_kept_or_dropped(self, value):
+        d = Dtry.leaf(value)
+        assert d.filter(lambda v: v is value).root is d.root
+        assert d.filter(lambda v: v is not value) == Dtry.empty()
+
+    def test_an_empty_directory_calls_no_pred(self):
+        seen = []
+        assert Dtry.empty().filter(seen.append) == Dtry.empty()
+        assert seen == []
+
 
 # Values a record could misread as a subtree, or that equal nothing but
 # themselves: trees, directories, None, one NaN object, and plain values.

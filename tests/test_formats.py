@@ -303,6 +303,14 @@ class TestNestedParserAgainstNamePerKey:
     @example(json.dumps({"x": {"a\nb": 1}}))
     @example(json.dumps({"x": {"a\n": 1, "b": 2}}))
     @example('{"b": {}, "a": [{"c": 1, "c": 2}], "a": 3, "": {"b c": 1}}')
+    # Objects whose keys are all names, which are read as their own nodes'
+    # entries, around each kind of failure below them.
+    @example('{"a": {"b": {}, "c": 1}, "d": 2}')
+    @example('{"a": {"b": {"c": 1, "c": 2}}, "d": 3}')
+    @example('{"a": {"b": {"c": 1, "b c": 2}}, "d": 3}')
+    @example('{"a": {"b": NaN, "c": 1}}')
+    @example('{"a": {"b": {"c": 1e400}}, "d": 2}')
+    @example('{"a": {"b": [{"c": 1, "c": 2}, 3]}}')
     def test_same_directory_or_diagnostics(self, text):
         assert parse_outcome(parse_nested, text) == parse_outcome(reference_parse_nested, text)
 
@@ -582,6 +590,13 @@ nested_dtries_st = dtries_of(leaf_values_st, writer_names_st)
 
 class TestNestedWriter:
     @given(nested_dtries_st)
+    @example(Dtry.from_path_map({"a": [1, True]}))
+    @example(Dtry.from_path_map({"a.b": [100000000000000000000, -1]}))
+    @example(Dtry.from_path_map({"a": [0]}))
+    @example(Dtry.from_path_map({"a": []}))
+    @example(Dtry.from_path_map({"a.b": [1.5, 2]}))
+    @example(Dtry.from_path_map({"a": -0.0}))
+    @example(Dtry.leaf(-0.0))
     def test_matches_json_dumps_byte_for_byte(self, d):
         assert emit_nested(d) == oracle_emit_nested(d)
 
