@@ -31,9 +31,11 @@ dotted texts, sorted once: since ``.`` sorts below every character of a
 name, text order is path order, so one pass fills each record in order,
 children before parents. ``Dtry.from_path_map``, ``Dtry.insert`` and the
 flat parser build so whatever they are given that is clean: paths, none
-repeated and none a prefix of another. For what fails no trie is built:
+repeated and none a prefix of another, which one finder of clashes in
+sorted texts tells (:func:`_clashing`). For what fails no trie is built:
 a path map or ``insert`` names its first clash in path order, and the
-flat parser binds its texts in file order with :func:`_conflicts`.
+flat parser binds the texts that clash in file order with
+:func:`_conflicts`.
 
 >>> d = Dtry.from_path_map({"a.x": 1, "a.y": 2, "b": 3})
 >>> d.lookup("a").path_map()
@@ -45,7 +47,7 @@ flat parser binds its texts in file order with :func:`_conflicts`.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
@@ -317,24 +319,38 @@ _pair = itemgetter(0, 1)
 def _sorted_clean(items: list) -> list | None:
     """``(dotted text, value)`` pairs sorted by text for :func:`_from_sorted`, or None.
 
-    None unless every text is a path, none repeats and none is a prefix
-    of another. The texts are matched in one bulk call (:func:`_are_dotted`).
-    Since ``.`` sorts below every character of a name, text order is path
-    order, so a text's copies and extensions follow it at once, and each
-    text is tested only against the one before it: with a ``.`` after
-    each, a text is a copy or an extension of the one before exactly when
-    it starts with it. The root, ``''``, sorts first and must stand alone.
+    None unless every text is a path, matched in one bulk call
+    (:func:`_are_dotted`), and :func:`_clashing` finds no text that
+    repeats or is a prefix of another.
     """
     items = sorted(items, key=_text)
     texts = list(map(_text, items))
-    if not _are_dotted(texts):
-        return None
+    return items if _are_dotted(texts) and not _clashing(items, texts) else None
+
+
+def _clashing(entries: list, texts: list[str]) -> list:
+    """The ``entries``, sorted by their dotted ``texts``, whose text another equals, extends or prefixes.
+
+    Since ``.`` sorts below every character of a name, text order is path
+    order, so a text's copies and extensions follow it at once: with a
+    ``.`` after each, a text is a copy or an extension of the one before
+    exactly when it starts with it. The clashing entries come in runs,
+    each from a text that is a prefix of the next one to the last text it
+    is a prefix of. The root, ``''``, sorts first and is a prefix of every
+    text. An entry outside the runs never clashes, nor changes what
+    another clashes with.
+    """
     if texts and not texts[0]:
-        return items if len(texts) == 1 else None
+        return entries if len(texts) > 1 else []
     stops = (".\n".join(texts) + ".").split("\n")  # no text holds a newline
-    if any(map(str.startswith, stops[1:], stops)):
-        return None
-    return items
+    runs, end = [], 0
+    for start in compress(count(), map(str.startswith, stops[1:], stops)):
+        if start >= end:  # else inside a run, and so are its extensions
+            end = start + 2
+            while end < len(stops) and stops[end].startswith(stops[start]):
+                end += 1
+            runs += entries[start:end]
+    return runs
 
 
 def _from_sorted(items) -> Leaf | Node | None:
@@ -390,7 +406,8 @@ def _clean_pairs(entries: Mapping) -> list:
     ``(text, value, key)`` when every key is a tuple of plain ``str``
     names, so that a caller keeps the key and need not split its text.
     Keys all of one of those two kinds are made texts in a few passes in
-    C (see :func:`_joined`); any other set of keys, one key at a time.
+    C (see :func:`_joined`); any other set of keys, each made a ``Path``
+    in the mapping's order, so that the first key that is no path raises.
     """
     entries = dict(entries)
     kinds = set(map(type, entries))
@@ -399,8 +416,8 @@ def _clean_pairs(entries: Mapping) -> list:
     elif kinds <= {tuple, Path} and (texts := _joined(entries)) is not None:
         items = list(zip(texts, entries.values(), entries))
     else:
-        items = _texts_one_by_one(entries)
-    ordered = None if items is None else _sorted_clean(items)
+        items = list(zip(map(".".join, map(Path, entries)), entries.values()))
+    ordered = _sorted_clean(items)
     if ordered is not None:
         return ordered
     # Not clean, so it fails as the reference would: coerce every key, sort,
@@ -423,26 +440,6 @@ def _joined(keys: dict) -> list[str] | None:
     if all(texts) and "".join(texts).count(".") == sum(map(len, keys)) - len(keys):
         return texts
     return None
-
-
-def _texts_one_by_one(entries: dict) -> list | None:
-    """``(dotted text, value)`` for each entry, or None at the first key no text can stand for.
-
-    A ``str`` is its text; a sequence is joined, unless it is ``("",)`` or
-    a name holds a ``.``; and ``()`` is the root.
-    """
-    items = []
-    for key, value in entries.items():
-        if not isinstance(key, str):
-            try:
-                text = ".".join(key)
-                if key and (not text or text.count(".") != len(key) - 1):
-                    return None
-            except TypeError:
-                return None
-            key = text
-        items.append((key, value))
-    return items
 
 
 def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -520,11 +517,12 @@ class Dtry(Generic[T]):
         """Build a directory from a path-to-value mapping.
 
         A key is a ``Path``, a dotted string, or a sequence of names; a
-        ``Name`` key is one segment. Each key is made dotted text once: a
-        string is used as it is, and a sequence is joined, unless one of its
-        names holds a ``.`` or it is ``("",)``. The texts are sorted and
-        matched in one call, and if every one is a path and none is a
-        prefix of another, the trie is built from them in one pass.
+        ``Name`` key is one segment. Each key is made dotted text once: plain
+        strings are used as they are, and tuples or ``Path``s of plain string
+        names are joined; in any other key set, each key is made a ``Path``
+        first. The texts are sorted and matched in one call, and if every
+        one is a path and none is a prefix of another, the trie is built
+        from them in one pass.
 
         Errors are reported as if every key were first made a ``Path``, in
         the mapping's order, and the paths then sorted: a bad key is raised

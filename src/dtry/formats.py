@@ -33,13 +33,13 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, repeat
+from itertools import count, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _conflicts, _from_sorted, _node, _sorted_clean, _text
+from .core import Dtry, Leaf, Node, _clashing, _conflicts, _from_sorted, _node, _sorted_clean, _text
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Name, Path, _are_dotted, _is_dotted, _names, _text_prefix
+from .paths import Path, _are_dotted, _fault, _is_dotted, _is_name, _names, _text_prefix
 
 __all__ = [
     "Diagnostic",
@@ -155,12 +155,12 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
     """The ``(dotted text, value)`` pairs of a flat document, sorted by text: the trie unbuilt.
 
     The lines are read once, without their numbers. When no line is a
-    syntax error, every key is a path (one match for all the keys) and none
-    repeats or is a prefix of another (each sorted text against the one
-    before it), no ``Path`` and no trie is made. Otherwise no trie is made
+    syntax error, every key is a path (one match for all the keys) and
+    :func:`core._clashing` finds none that repeats or is a prefix of
+    another, no ``Path`` and no trie is made. Otherwise no trie is made
     either: a key that is no path is parsed once, for the error that names
-    its segment, and the keys that :func:`_clashing` finds are bound in
-    file order by :func:`core._conflicts`, which names every conflict.
+    its segment, and the keys that :func:`core._clashing` finds are bound
+    in file order by :func:`core._conflicts`, which names every conflict.
 
     Raises:
         ParseError: with one diagnostic per failing line, in line order.
@@ -191,7 +191,7 @@ def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
     syntax error, and :func:`core._sorted_clean` accepts the pairs. For a
     document that fails it, a diagnostic per syntax error and per key that
     is no path (see :func:`_paths_only`), and the ``(key, line)`` entries
-    of the paths that :func:`_clashing` finds, sorted by key.
+    of the paths that :func:`core._clashing` finds, sorted by key.
     """
     pairs, skipped = _entry_lines(text)
     ordered = _sorted_clean(pairs)
@@ -201,35 +201,14 @@ def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
     if ordered is not None:  # only syntax errors
         return None, diagnostics, []
     entries = sorted(_numbered(map(_text, pairs), skipped))
-    clashing = _clashing(entries)
+    texts = list(map(_text, entries))
+    clashing = _clashing(entries, texts)
     # _sorted_clean matched the keys in one call: when no text is a prefix
     # of another, that match is what failed, and else it is made again.
-    if clashing and _are_dotted(list(map(_text, entries))):
+    if clashing and _are_dotted(texts):
         return None, diagnostics, clashing
-    return None, diagnostics, _clashing(_paths_only(entries, diagnostics))
-
-
-def _clashing(entries: list) -> list:
-    """The ``(text, line)`` entries, sorted by text, whose text another equals, extends or prefixes.
-
-    Sorted by text, the copies and extensions of a path follow it (see
-    :func:`core._sorted_clean`), so these come in runs, each from a text
-    that is a prefix of the next one to the last text it is a prefix of.
-    The root, ``''``, sorts first and is a prefix of every text. A key
-    outside the runs never clashes, nor changes what another clashes with.
-    """
-    texts = list(map(_text, entries))
-    if texts and not texts[0]:
-        return entries if len(texts) > 1 else []
-    stops = list(map(str.__add__, texts, repeat(".")))
-    runs, end = [], 0
-    for start in compress(count(), map(str.startswith, stops[1:], stops)):
-        if start >= end:  # else inside a run, and so are its extensions
-            end = start + 2
-            while end < len(stops) and stops[end].startswith(stops[start]):
-                end += 1
-            runs += entries[start:end]
-    return runs
+    entries = _paths_only(entries, diagnostics)
+    return None, diagnostics, _clashing(entries, list(map(_text, entries)))
 
 
 def _paths_only(entries: list, diagnostics: list[Diagnostic]) -> list:
@@ -260,11 +239,10 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
     a key that is no path is named as :func:`_paths_only` names it. A
     document that passes :func:`_read_keys`'s clean test has none.
 
-    Only the keys that :func:`_clashing` finds are scanned, sorted by text:
-    the copies and extensions of a path follow it contiguously, since ``.``
-    sorts below every character of a name and so text order is path order,
-    and each scan stops at the first text its own is no prefix of. The cost
-    is O(n log n + conflicting pairs).
+    Only the keys that :func:`core._clashing` finds are scanned, sorted by
+    text, in which order the copies and extensions of a path follow it
+    contiguously; each scan stops at the first text its own is no prefix
+    of. The cost is O(n log n + conflicting pairs).
     """
     ordered, diagnostics, entries = _read_keys(text)
     if ordered is not None:
@@ -446,19 +424,19 @@ def _too_deep() -> ParseError:
 
 
 def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bool):
-    """The node of a JSON object at path ``at``, or None when it keeps no entry.
+    """The node of a JSON object at path ``at``, or None for an empty one.
 
     Recurses once per level of objects; a value is kept as json read it,
     since json makes no ``Leaf`` or ``Node``. ``names`` holds the key texts
     found to be names, so a document checks each new key once, in one call
     per object, and sorts each object once, through :func:`core._node`.
 
-    An object whose keys are all names is its node's entries: each subtree
-    is put back in place of its object, and the dict json made is sorted
-    as it is, with no copy. A subtree that is None has left a diagnostic,
-    so that node is never used. Any other object is read key by key: a
-    key that is no name is reported and dropped, and so is a subtree that
-    keeps no entry.
+    The object's entries are its node's: each subtree is put back in place
+    of its object, and the dict json made is sorted as it is, with no copy.
+    Only when the one call fails is each new key matched alone: a key that
+    is no name is reported in its place, in key order, and its value is not
+    walked. A node of an object that held such a key, or whose subtree
+    left a diagnostic, is never used, since the document then fails.
     """
     for key in getattr(obj, "repeated", ()):
         message = f"duplicate path '{'.'.join((*at, key))}'"
@@ -467,42 +445,26 @@ def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bo
         if not top:
             diagnostics.append(Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(at)}"))
         return None
-    all_names = names.issuperset(obj)
-    if not all_names and _names(new := obj.keys() - names):
-        names.update(new)
-        all_names = True
-    if all_names:
-        for key, value in obj.items():
-            kind = type(value)
-            if kind is dict or kind is _Repeats:  # the objects json makes, by the hook
-                obj[key] = _node_from_json(value, (*at, key), names, diagnostics, False)
-            elif kind is list:
-                _check_array(value, (*at, key), diagnostics)
-            elif kind is float and value - value != 0.0:  # NaN or an infinity
-                raise ValueError(value)
-        return _node(obj)
-    children = {}
+    bad = ()
+    if not names.issuperset(obj):
+        new = obj.keys() - names
+        if _names(new):
+            names.update(new)
+        else:
+            bad = {key for key in new if _is_name(key) is None}
     for key, value in obj.items():
-        if key not in names:
-            try:
-                Name(key)
-            except BadNameError as exc:
-                message = f"invalid key {key!r} under {_show(at)}: {exc.reason}"
-                diagnostics.append(Diagnostic(exc.code, 1, message))
-                continue
-            names.add(key)
-        if isinstance(value, dict):
-            subtree = _node_from_json(value, (*at, key), names, diagnostics, False)
-            if subtree is not None:
-                children[key] = subtree
+        if key in bad:
+            message = f"invalid key {key!r} under {_show(at)}: {_fault(key)[1]}"
+            diagnostics.append(Diagnostic(BadNameError.code, 1, message))
             continue
         kind = type(value)
-        if kind is list:
+        if kind is dict or kind is _Repeats:  # the objects json makes, by the hook
+            obj[key] = _node_from_json(value, (*at, key), names, diagnostics, False)
+        elif kind is list:
             _check_array(value, (*at, key), diagnostics)
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
-        children[key] = value
-    return _node(children) if children else None
+    return _node(obj)
 
 
 def _check_array(value: list, at: tuple, diagnostics: list) -> None:

@@ -487,8 +487,8 @@ class TestWork:
         text = json.dumps({"top": {key: i for i, key in enumerate(keys)}})
         with pytest.raises(ParseError) as caught:
             parse_nested(text)
-        # the bulk call fails, so each new key is made alone, in order
-        assert validations == {"bulk calls": 2, "bulk texts": 1001, "Name": 1000}
+        # the bulk call fails, so each new key is matched alone, with no Name
+        assert validations == {"bulk calls": 2, "bulk texts": 1001}
         want = ["1:E_BAD_NAME:invalid key 'k 500' under 'top': invalid character ' '"]
         assert [str(d) for d in caught.value.diagnostics] == want
         with pytest.raises(ParseError) as reference:
@@ -608,6 +608,15 @@ class TestWork:
         keys = [tuple(line.partition(" = ")[0].split(".")) for line in lines]
         assert len(Dtry.from_path_map(dict.fromkeys(keys, 1))) == 1000
         assert key_matches == {"bulk calls": 1}
+
+    def test_the_clean_test_makes_no_python_call_per_key(self):
+        items = [(line.partition(" = ")[0], i) for i, line in enumerate(realistic_lines(1000))]
+        ordered, calls = python_calls(_sorted_clean, items)
+        assert len(ordered) == 1000
+        # the bulk match and the clash finder, once each
+        for function in (_sorted_clean, core._are_dotted, core._clashing):
+            assert calls.pop(function.__code__) == 1, function.__name__
+        assert calls == Counter()
 
     def test_check_matches_each_key_alone_only_when_the_bulk_match_fails(self, key_matches):
         lines = realistic_lines(1000)

@@ -817,9 +817,9 @@ class TestKeyRoutes:
     """``DtryObj.of`` and ``Dtry.from_path_map`` against their keys made texts one at a time.
 
     Sets of plain ``str`` keys, and of tuples of plain ``str`` names, take
-    a route in C; every other set the old loop. Each must give the same
-    family (order, exact ``Path`` keys, exact ``str`` names, values) or the
-    same exception type and text.
+    a route in C; in every other set each key is made a ``Path``. Each must
+    give the same family (order, exact ``Path`` keys, exact ``str`` names,
+    values) or the same exception type and text.
     """
 
     @settings(max_examples=400, deadline=None)
@@ -832,6 +832,14 @@ class TestKeyRoutes:
     @example({("a",): 1, ("a", "b"): 2})
     @example({("a", "b"): 1, "a.b": 2})
     @example([(["a", "b"], 1)])  # pairs, one keyed by a list
+    # Key sets each key of which is made a Path: the first key that is no
+    # path, in the mapping's order, is the one raised.
+    @example({5: 1})
+    @example({(1,): 1})
+    @example({"a b": 1, (1,): 2})
+    @example({(1,): 1, "a b": 2})
+    @example({Name("a"): 1, ("a", "b"): 2})
+    @example({(): 1, "a": 2})
     def test_of_and_from_path_map_match_the_loop_over_keys(self, entries):
         want = route_outcome(lambda: reference_obj_of(SKEL, entries))
         got = route_outcome(lambda: DtryObj.of(SKEL, entries))

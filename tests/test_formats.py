@@ -311,6 +311,13 @@ class TestNestedParserAgainstNamePerKey:
     @example('{"a": {"b": NaN, "c": 1}}')
     @example('{"a": {"b": {"c": 1e400}}, "d": 2}')
     @example('{"a": {"b": [{"c": 1, "c": 2}, 3]}}')
+    # Bad keys among good ones: each reported in key order, between the
+    # diagnostics of the subtrees beside it, and no value under one read.
+    @example('{"a b": 1, "c": {"d e": 2, "f": {}}, "g h": {"i": 1}, "j": [{"k": 1, "k": 2}]}')
+    @example('{"a b": {}, "c": 1}')
+    @example('{"a b": {"c": NaN}}')
+    @example('{"a b": 1, "a b": 2}')
+    @example('{"": 1, "b": {"": 2}}')
     def test_same_directory_or_diagnostics(self, text):
         assert parse_outcome(parse_nested, text) == parse_outcome(reference_parse_nested, text)
 
