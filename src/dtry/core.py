@@ -23,8 +23,13 @@ a predicate says, or deletes it, and deletes each node it empties:
 ``flatten`` (which grafts the inner directories in place, so inner
 empties vanish) and ``distrib`` are each one call of it. A record is
 sorted once: the sorted build fills it in order, the nested reader sorts
-a JSON object's entries, and the record copies the dict they fill as it
+a JSON object's pairs, and the record copies the dict they fill as it
 is; a caller's it copies and sorts.
+
+A directory keeps the number of values it binds, ``len``, once it is
+known: the readers, ``from_path_map``, ``path_map`` and ``map_values``
+know it as they build, ``merge_disjoint`` adds its inputs' counts, and
+any other directory counts its tree on its first ``len`` and keeps that.
 
 A trie that is not derived from another is built from its keys as
 dotted texts, sorted once: since ``.`` sorts below every character of a
@@ -195,11 +200,6 @@ class Node(NonEmptyRecord):
 _set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats object.__setattr__
 _TREES = (Leaf, Node)  # the types of value a record entry holds in a Leaf
 _ABSENT = object()  # no entry: one deleted by a _rebuild, or missing in a lookup
-
-
-def _node(children: dict) -> Node:
-    """The node of ``children``, a dict of name keys that no one else holds, sorted once."""
-    return Node(_Sorted(sorted(children.items())))
 
 
 def filter_nothings(record: NonEmptyRecord) -> NonEmptyRecord | None:
@@ -492,7 +492,9 @@ def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
 class Dtry(Generic[T]):
     """An immutable directory of values indexed by prefix-free paths."""
 
-    __slots__ = ("_root",)
+    # ``_size``, the number of values bound, is set only once it is known
+    # (see :meth:`__len__`), and is unset until then.
+    __slots__ = ("_root", "_size")
 
     def __init__(self, root: Leaf | Node | None = None):
         if root is not None and not isinstance(root, (Leaf, Node)):
@@ -544,7 +546,9 @@ class Dtry(Generic[T]):
         rows = _clean_pairs(entries)
         if rows and len(rows[0]) > 2:  # each row carries its key too
             rows = list(map(_pair, rows))
-        return cls(_from_sorted(rows))
+        directory = cls(_from_sorted(rows))
+        directory._size = len(rows)
+        return directory
 
     @property
     def is_empty(self) -> bool:
@@ -566,8 +570,10 @@ class Dtry(Generic[T]):
 
         A node all of whose values ``f`` returns as the same objects is
         shared with this directory, with its whole subtree, not rebuilt.
+        The result binds as many values as this directory, and keeps its
+        count when this one has it.
         """
-        return Dtry(_rebuild(self._root, f))
+        return _sized(_rebuild(self._root, f), getattr(self, "_size", None))
 
     def lookup(self, path) -> "Dtry[T] | None":
         """The subdirectory at ``path``, or None when absent.
@@ -633,7 +639,12 @@ class Dtry(Generic[T]):
         return Dtry(_rebuild(self._root, pred, "keep"))
 
     def path_map(self) -> dict[Path, T]:
-        """The complete paths and their values, in lexicographic order."""
+        """The complete paths and their values, in lexicographic order.
+
+        Each key is one ``Path`` made straight from the list of names that
+        the walk keeps, with no other tuple per key. The directory keeps
+        the number of keys as its ``len``.
+        """
         root = self._root
         if root is None:
             return {}
@@ -642,21 +653,23 @@ class Dtry(Generic[T]):
         out: dict[Path, T] = {}
         new, path = tuple.__new__, Path
         # Depth first without recursion: one iterator per open node, and
-        # ``names`` is the path to the innermost one.
-        names: list[str] = []
+        # ``names`` is the path to the innermost one, then a slot for the
+        # name of the entry at hand.
+        names: list = [None]
         pending = [iter(root.items())]
         while pending:
             for name, child in pending[-1]:
+                names[-1] = name
                 kind = type(child)
                 if kind is Node:
-                    names.append(name)
+                    names.append(None)
                     pending.append(iter(child.items()))
                     break
-                out[new(path, (*names, name))] = child.value if kind is Leaf else child
+                out[new(path, names)] = child.value if kind is Leaf else child
             else:
                 pending.pop()
-                if names:
-                    names.pop()
+                names.pop()
+        self._size = len(out)
         return out
 
     def paths(self) -> list[Path]:
@@ -664,17 +677,33 @@ class Dtry(Generic[T]):
         return list(self.path_map())
 
     def __len__(self) -> int:
+        """The number of values bound: the number of complete paths.
+
+        Kept when known: a directory that a reader, :meth:`from_path_map`,
+        :meth:`map_values` or :func:`merge_disjoint` built answers without
+        a walk, and so does one whose :meth:`path_map` was read. Any other,
+        such as ``Dtry(root)`` or a result of :meth:`filter`,
+        :meth:`flatten` or :meth:`lookup`, counts its tree once, on its
+        first ``len``, and keeps the count. A directory restored from a
+        state that has no count counts again.
+        """
+        try:
+            return self._size
+        except AttributeError:  # not known yet
+            pass
         root = self._root
         if type(root) is not Node:
-            return 0 if root is None else 1
-        count, stack = 0, [root]
-        while stack:
-            entries = stack.pop().values()
-            count += len(entries)
-            for child in entries:
-                if type(child) is Node:  # a subtree, counted by its own entries
-                    count -= 1
-                    stack.append(child)
+            count = 0 if root is None else 1
+        else:
+            count, stack = 0, [root]
+            while stack:
+                entries = stack.pop().values()
+                count += len(entries)
+                for child in entries:
+                    if type(child) is Node:  # a subtree, counted by its own entries
+                        count -= 1
+                        stack.append(child)
+        self._size = count
         return count
 
     def __eq__(self, other) -> bool:
@@ -690,6 +719,18 @@ class Dtry(Generic[T]):
         return f"Dtry({{{entries}}})"
 
 
+def _sized(root: Leaf | Node | None, size: int | None) -> Dtry:
+    """The directory of ``root``, keeping ``size`` as its ``len`` unless it is None (not known).
+
+    ``root`` is a tree built here, so it is not checked again.
+    """
+    directory = Dtry.__new__(Dtry)
+    directory._root = root
+    if size is not None:
+        directory._size = size
+    return directory
+
+
 def _inner_root(inner):
     if not isinstance(inner, Dtry):
         raise TypeError(f"flatten needs every value to be a directory, got {inner!r}")
@@ -701,8 +742,13 @@ def merge_disjoint(entries: Mapping[str, Dtry]) -> Dtry:
 
     Equivalent to flattening the node whose children are the given
     directories: entries mapping to empty directories vanish, and the
-    result is empty when all of them were.
+    result is empty when all of them were. When each input keeps its
+    ``len``, the result keeps their sum.
     """
     entries = dict(entries)
     node = Node({k: Leaf(d) if type(d) in _TREES else d for k, d in entries.items()})
-    return Dtry(node).flatten()
+    merged = Dtry(node).flatten()
+    sizes = [getattr(d, "_size", None) for d in entries.values()]
+    if None not in sizes:
+        merged._size = sum(sizes)
+    return merged

@@ -37,7 +37,7 @@ from itertools import count, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _clashing, _conflicts, _from_sorted, _node, _sorted_clean, _text
+from .core import Dtry, Leaf, Node, _clashing, _conflicts, _from_sorted, _sized, _Sorted, _text
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
 from .paths import Path, _are_dotted, _fault, _is_dotted, _is_name, _names, _text_prefix
 
@@ -148,7 +148,8 @@ def parse_flat(text: str) -> Dtry[str]:
     Raises:
         ParseError: with one diagnostic per failing line.
     """
-    return Dtry(_from_sorted(_read_flat(text)))
+    items = _read_flat(text)
+    return _sized(_from_sorted(items), len(items))
 
 
 def _read_flat(text: str) -> list[tuple[str, str]]:
@@ -187,27 +188,32 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
 def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
     """A flat document's sorted pairs if clean, else None, its lexical diagnostics, clashing keys.
 
-    The clean test of :func:`_read_flat` and :func:`_key_conflicts`: no
-    syntax error, and :func:`core._sorted_clean` accepts the pairs. For a
+    The clean test of :func:`_read_flat` and :func:`_key_conflicts`, the
+    one :func:`core._sorted_clean` makes: the pairs sorted by key, one bulk
+    match of the keys and, when all are paths, one :func:`core._clashing`
+    scan; clean when no line is a syntax error and nothing clashes. For a
     document that fails it, a diagnostic per syntax error and per key that
     is no path (see :func:`_paths_only`), and the ``(key, line)`` entries
-    of the paths that :func:`core._clashing` finds, sorted by key.
+    of the paths that :func:`core._clashing` finds, sorted by key, then by
+    line. A failing document keeps that sort and scan, and finds each
+    pair's line by the pair's identity; only when some key is no path are
+    the others scanned again.
     """
     pairs, skipped = _entry_lines(text)
-    ordered = _sorted_clean(pairs)
-    if ordered is not None and min(skipped, default=1) > 0:
-        return ordered, [], []
+    items = sorted(pairs, key=_text)  # stable: a key's lines stay in order
+    texts = list(map(_text, items))
+    dotted = _are_dotted(texts)
+    clashing = _clashing(items, texts) if dotted else None
+    clean = dotted and not clashing
+    if clean and min(skipped, default=1) > 0:
+        return items, [], []
     diagnostics = _syntax_errors(skipped)
-    if ordered is not None:  # only syntax errors
+    if clean:  # only syntax errors
         return None, diagnostics, []
-    entries = sorted(_numbered(map(_text, pairs), skipped))
-    texts = list(map(_text, entries))
-    clashing = _clashing(entries, texts)
-    # _sorted_clean matched the keys in one call: when no text is a prefix
-    # of another, that match is what failed, and else it is made again.
-    if clashing and _are_dotted(texts):
-        return None, diagnostics, clashing
-    entries = _paths_only(entries, diagnostics)
+    line = dict(_numbered(map(id, pairs), skipped))
+    if dotted:
+        return None, diagnostics, [(pair[0], line[id(pair)]) for pair in clashing]
+    entries = _paths_only([(pair[0], line[id(pair)]) for pair in items], diagnostics)
     return None, diagnostics, _clashing(entries, list(map(_text, entries)))
 
 
@@ -345,15 +351,23 @@ def parse_nested(text: str) -> Dtry:
     stops at the first refused number, reporting the first refused
     literal in the text, or at nesting too deep for the walk. Else the
     semantic diagnostics.
+
+    json hands over each object as the tuple of its pairs, with no Python
+    call, and the walk builds its node from them once
+    (:func:`_node_from_json`). The directory keeps its ``len``, the sum of
+    the entries of its nodes less the nodes below the root, so counting
+    it walks nothing.
     """
     diagnostics: list[Diagnostic] = []
     try:
-        data = json.loads(text, object_pairs_hook=_object)
-        if isinstance(data, dict):
-            root = _node_from_json(data, (), set(), diagnostics, top=True)
+        data = json.loads(text, object_pairs_hook=tuple)
+        if type(data) is tuple:
+            sizes: list[int] = []
+            root = _node_from_json(data, (), set(), sizes, diagnostics, top=True)
+            size = sum(sizes) - len(sizes) + 1 if sizes else 0
         else:  # checked as the one item of an array
             _check_array([data], (), diagnostics)
-            root = Leaf(data)
+            root, size = Leaf(data), 1
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic("E_SYNTAX", exc.lineno, exc.msg)]) from exc
     except ValueError as exc:
@@ -365,7 +379,7 @@ def parse_nested(text: str) -> Dtry:
         raise _too_deep() from exc
     if diagnostics:
         raise ParseError(diagnostics)
-    return Dtry(root)
+    return _sized(root, size)
 
 
 class _Repeats(dict):
@@ -374,14 +388,19 @@ class _Repeats(dict):
     __slots__ = ("repeated",)
 
 
-def _object(pairs):
-    # object_pairs_hook: the dict json would make, marked when a key repeats.
+def _object(pairs: tuple) -> dict:
+    """The dict json would make of an object's ``pairs``, marked when a key repeats."""
     obj = dict(pairs)
     if len(obj) == len(pairs):
         return obj
     marked = _Repeats(obj)
-    marked.repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    marked.repeated = _repeated(pairs)
     return marked
+
+
+def _repeated(pairs) -> list[str]:
+    """The keys that ``pairs`` name more than once, sorted."""
+    return sorted(k for k, n in Counter(map(_text, pairs)).items() if n > 1)
 
 
 # A JSON string; or a number outside strings: its integer part and the rest;
@@ -423,53 +442,64 @@ def _too_deep() -> ParseError:
     return ParseError([Diagnostic("E_TOO_DEEP", 1, message)])
 
 
-def _node_from_json(obj: dict, at: tuple, names: set, diagnostics: list, top: bool):
-    """The node of a JSON object at path ``at``, or None for an empty one.
+def _node_from_json(pairs: tuple, at: tuple, names: set, sizes: list, diagnostics: list, top: bool):
+    """The node of a JSON object's ``pairs`` at path ``at``, or None for an empty one.
 
     Recurses once per level of objects; a value is kept as json read it,
     since json makes no ``Leaf`` or ``Node``. ``names`` holds the key texts
     found to be names, so a document checks each new key once, in one call
-    per object, and sorts each object once, through :func:`core._node`.
+    per object, and ``sizes`` gets the number of entries of each node.
 
-    The object's entries are its node's: each subtree is put back in place
-    of its object, and the dict json made is sorted as it is, with no copy.
-    Only when the one call fails is each new key matched alone: a key that
-    is no name is reported in its place, in key order, and its value is not
-    walked. A node of an object that held such a key, or whose subtree
-    left a diagnostic, is never used, since the document then fails.
+    The node's entries are built once, sorted from the pairs; a key seen
+    twice leaves fewer entries than pairs, each holding its last value.
+    The walk goes in text order, over the pairs, or over each key's last
+    value at the key's first place when a key repeats, so every diagnostic
+    comes in the order the text gives. Each subtree replaces its object's
+    pairs in the entries, and each array is checked in place
+    (:func:`_check_array`). A key that is no name is reported in its
+    place, in key order, and its value is not walked. A node of an object
+    that held such a key, or whose subtree left a diagnostic, is never
+    used, since the document then fails.
     """
-    for key in getattr(obj, "repeated", ()):
-        message = f"duplicate path '{'.'.join((*at, key))}'"
-        diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
-    if not obj:
+    if not pairs:
         if not top:
             diagnostics.append(Diagnostic("E_EMPTY_SUBDIR", 1, f"empty object at {_show(at)}"))
         return None
+    entries = _Sorted(sorted(pairs, key=_text))
+    if len(entries) != len(pairs):
+        for key in _repeated(pairs):
+            message = f"duplicate path '{'.'.join((*at, key))}'"
+            diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
+        pairs = dict(pairs).items()
+    sizes.append(len(entries))
     bad = ()
-    if not names.issuperset(obj):
-        new = obj.keys() - names
+    if not names.issuperset(entries):
+        new = entries.keys() - names
         if _names(new):
             names.update(new)
         else:
             bad = {key for key in new if _is_name(key) is None}
-    for key, value in obj.items():
+    for key, value in pairs:
         if key in bad:
             message = f"invalid key {key!r} under {_show(at)}: {_fault(key)[1]}"
             diagnostics.append(Diagnostic(BadNameError.code, 1, message))
             continue
         kind = type(value)
-        if kind is dict or kind is _Repeats:  # the objects json makes, by the hook
-            obj[key] = _node_from_json(value, (*at, key), names, diagnostics, False)
+        if kind is tuple:  # an object, as the hook hands it over
+            entries[key] = _node_from_json(value, (*at, key), names, sizes, diagnostics, False)
         elif kind is list:
             _check_array(value, (*at, key), diagnostics)
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
-    return _node(obj)
+    return Node(entries)
 
 
 def _check_array(value: list, at: tuple, diagnostics: list) -> None:
-    """Check what an array leaf at ``at`` holds, without recursion.
+    """Check what an array leaf at ``at`` holds, without recursion, making its objects dicts.
 
+    Each object in it, which json hands over as the tuple of its pairs, is
+    replaced in place by the ``dict`` of :func:`_object`, in text key
+    order, so the leaf holds what ``json.loads`` makes without a hook.
     Reports the keys its objects repeat; raises ``ValueError`` for a float
     that is not finite.
     """
@@ -478,11 +508,17 @@ def _check_array(value: list, at: tuple, diagnostics: list) -> None:
         item = stack.pop()
         kind = type(item)
         if kind is list:
+            if tuple in map(type, item):
+                item[:] = [_object(x) if type(x) is tuple else x for x in item]
             stack.extend(item)
         elif isinstance(item, dict):
             for key in getattr(item, "repeated", ()):
                 message = f"duplicate key {key!r} in the value at {_show(at)}"
                 diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
+            if tuple in map(type, item.values()):
+                for key, x in item.items():
+                    if type(x) is tuple:
+                        item[key] = _object(x)
             stack.extend(item.values())
         elif kind is float and item - item != 0.0:
             raise ValueError(item)
@@ -493,7 +529,9 @@ def emit_nested(directory: Dtry) -> str:
 
     The text is what ``json.dumps(..., indent=2, sort_keys=True,
     ensure_ascii=False)`` writes for the directory as nested objects; it
-    is built straight from the trie, without recursion.
+    is built straight from the trie, without recursion. The trie's height
+    is found first, so that a trie too deep is refused before any text is
+    built, and each depth's line start and comma are made once from it.
 
     >>> print(emit_nested(Dtry.from_path_map({"b": [1, 2], "a.y": None, "a.x": "s"})), end="")
     {
@@ -522,23 +560,25 @@ def emit_nested(directory: Dtry) -> str:
         text = _leaf_text(root.value, "\n")
         _readable(_levels(root.value))
         return text + "\n"
-    readable = _readable(_height(root))
+    height = _height(root)
+    readable = _readable(height)
+    # The text that starts a line at each depth, and the comma and line
+    # start before each entry but a node's first, made once per depth.
+    indents = ["\n" + "  " * depth for depth in range(height + 1)]
+    commas = ["," + indent for indent in indents]
     out = ["{"]
     # Depth first without recursion, as Dtry.path_map walks: one iterator
-    # per open node. ``indent`` starts each line of the innermost one, and
-    # ``sep`` goes before its next entry.
-    indent = "\n  "
-    comma = "," + indent
-    sep = indent
+    # per open node. ``sep`` goes before the innermost one's next entry.
+    sep = indents[1]
     pending = [iter(root.items())]
     while True:
+        depth = len(pending)
+        indent, comma = indents[depth], commas[depth]
         for name, value in pending[-1]:
             kind = type(value)
             if kind is Node:
                 out.append(f'{sep}"{name}": {{')
-                indent += "  "
-                comma = "," + indent
-                sep = indent
+                sep = indents[depth + 1]
                 pending.append(iter(value.items()))
                 break
             if kind is Leaf:
@@ -563,19 +603,20 @@ def emit_nested(directory: Dtry) -> str:
                     text = _leaf_text(value, indent)
                     # The value's own arrays and objects nest further;
                     # its brackets bound how far.
-                    if len(pending) + text.count("[") + text.count("{") > readable:
-                        readable = max(readable, _readable(len(pending) + _levels(value)))
-                elif len(pending) >= readable:  # the array is one level more
-                    readable = _readable(len(pending) + 1)
+                    if depth + text.count("[") + text.count("{") > readable:
+                        readable = max(readable, _readable(depth + _levels(value)))
+                elif depth >= readable:  # the array is one level more
+                    readable = _readable(depth + 1)
             out.append(f'{sep}"{name}": {text}')
             sep = comma
         else:
             pending.pop()
-            indent = indent[:-2]
-            out.append(indent + "}")
-            if not pending:
+            depth -= 1
+            out.append(indents[depth])
+            out.append("}")
+            if not depth:
                 return "".join(out) + "\n"
-            sep = comma = "," + indent
+            sep = commas[depth]
 
 
 def _nested_from_sorted(items: list) -> str:

@@ -192,15 +192,17 @@ def reference_parse_nested(text: str) -> Dtry:
     The same read as ``parse_nested``, and the same walk, except that each
     key not yet seen is validated alone, in the object's order, and each
     node's record goes through the public ``NonEmptyRecord``, which sorts
-    and re-keys it.
+    and re-keys it. json makes each object a dict, through a hook that
+    marks the keys it repeats, so the walk and the array check are over
+    dicts, as the reader's were when it made a dict of every object.
     """
     diagnostics: list[Diagnostic] = []
     try:
-        data = json.loads(text, object_pairs_hook=formats._object)
+        data = json.loads(text, object_pairs_hook=_reference_object)
         if isinstance(data, dict):
             root = _reference_node(data, (), {}, diagnostics, top=True)
         else:
-            formats._check_array([data], (), diagnostics)
+            _reference_check_array([data], (), diagnostics)
             root = Leaf(data)
     except json.JSONDecodeError as exc:
         raise ParseError([Diagnostic("E_SYNTAX", exc.lineno, exc.msg)]) from exc
@@ -211,6 +213,35 @@ def reference_parse_nested(text: str) -> Dtry:
     if diagnostics:
         raise ParseError(diagnostics)
     return Dtry(root)
+
+
+class _ReferenceRepeats(dict):
+    """A JSON object that names some keys more than once; ``repeated`` lists them."""
+
+
+def _reference_object(pairs):
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    marked = _ReferenceRepeats(obj)
+    marked.repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    return marked
+
+
+def _reference_check_array(value: list, at: tuple, diagnostics: list) -> None:
+    """Report the keys repeated by the objects of an array leaf; raise for a float not finite."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            for key in getattr(item, "repeated", ()):
+                message = f"duplicate key {key!r} in the value at {_show(Path(at))}"
+                diagnostics.append(Diagnostic("E_DUPLICATE_PATH", 1, message))
+            stack.extend(item.values())
+        elif type(item) is float and item - item != 0.0:
+            raise ValueError(item)
 
 
 def _reference_node(obj: dict, at: tuple, names: dict, diagnostics: list, top: bool):
@@ -243,7 +274,7 @@ def _reference_node(obj: dict, at: tuple, names: dict, diagnostics: list, top: b
             continue
         kind = type(value)
         if kind is list:
-            formats._check_array(value, (*at, name), diagnostics)
+            _reference_check_array(value, (*at, name), diagnostics)
         elif kind is float and value - value != 0.0:  # NaN or an infinity
             raise ValueError(value)
         children[name] = Leaf(value)

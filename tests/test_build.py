@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import time
 from collections import Counter
 from unittest import mock
@@ -534,6 +535,29 @@ class TestWork:
         # (``_readable`` tries the depth it needs), and no more.
         assert sum(calls.values()) <= 3 * (height + 10)
 
+    def test_len_of_a_parsed_or_merged_document_walks_nothing(self):
+        parsed = parse_nested(json.dumps(balanced_document(1000)))
+        companions = [parse_nested(json.dumps(realistic_document(100))) for _ in range(2)]
+        merged = merge_disjoint({"main": parsed, "aux1": companions[0], "aux2": companions[1]})
+        for directory, size in ((parsed, 1000), (merged, 1200)):
+            events = Counter()
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    events[event, frame.f_code.co_name if event == "call" else arg.__name__] += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                got = len(directory)
+            finally:
+                sys.setprofile(previous)
+            events.pop(("c_call", "setprofile"), None)
+            assert got == size
+            # the frame of Dtry.__len__ and the builtin len that enters it:
+            # no walk, which would call a node's values, and len on them
+            assert events == Counter({("call", "__len__"): 1, ("c_call", "len"): 1})
+
     @pytest.mark.parametrize(
         "document", [balanced_document(256), realistic_document(256)], ids=("balanced", "realistic")
     )
@@ -556,13 +580,15 @@ class TestWork:
         directory, calls = python_calls(parse_nested, json.dumps(document))
         objects = len(list(nodes(directory.root)))
         arrays = sum(type(value) is list for value in directory.path_map().values())
-        # per object: json's hook, the walk's frame, the sort and the record
-        for function in (formats._object, formats._node_from_json, core._node, NonEmptyRecord.__init__):
+        # per object: the walk's frame and the record; json hands each
+        # object over as a tuple, with no Python hook
+        for function in (formats._node_from_json, NonEmptyRecord.__init__):
             assert calls.pop(function.__code__) == objects, function.__name__
         assert calls.pop(formats._names.__code__, 0) <= objects
         assert calls.pop(formats._check_array.__code__, 0) == arrays
+        assert formats._object.__code__ not in calls  # only for an object in an array
         # parse_nested, json.loads, its decoder's __init__, decode and
-        # raw_decode, and Dtry.__init__
+        # raw_decode, and the directory's build
         assert sum(calls.values()) <= 6
 
     def test_filter_rebuilds_only_the_path_to_a_dropped_leaf(self, work, monkeypatch):
@@ -617,6 +643,36 @@ class TestWork:
         for function in (_sorted_clean, core._are_dotted, core._clashing):
             assert calls.pop(function.__code__) == 1, function.__name__
         assert calls == Counter()
+
+    def test_a_failing_file_of_paths_is_scanned_once(self):
+        lines = realistic_lines(1000)
+        lines[700] = lines[300]
+        lines.append(lines[40].rpartition(".")[0] + " = prefix")
+        text = "\n".join(lines) + "\n"
+
+        def read(text):
+            try:
+                parse_flat(text)
+            except ParseError as exc:
+                return [str(d) for d in exc.diagnostics]
+
+        check = lambda text: [str(d) for d in formats._key_conflicts(text)]
+        want = {
+            read: [
+                "701:E_DUPLICATE_PATH:duplicate path 'a.b7.c20'; first bound at line 301",
+                "1001:E_PREFIX_CONFLICT:path 'a.b1' is a prefix of the bound path 'a.b1.c0'",
+            ],
+            check: [
+                "701:E_DUPLICATE_PATH:duplicate path 'a.b7.c20'; first bound at line 301",
+                *(f"1001:E_PREFIX_CONFLICT:paths 'a.b1.c{i}' (line {41 + i}) and 'a.b1' conflict" for i in range(40)),
+            ],
+        }
+        for run, diagnostics in want.items():
+            got, calls = python_calls(run, text)
+            assert got == diagnostics
+            # the keys are sorted once, matched in one call and scanned once
+            assert calls[core._are_dotted.__code__] == 1
+            assert calls[core._clashing.__code__] == 1
 
     def test_check_matches_each_key_alone_only_when_the_bulk_match_fails(self, key_matches):
         lines = realistic_lines(1000)

@@ -318,8 +318,33 @@ class TestNestedParserAgainstNamePerKey:
     @example('{"a b": {"c": NaN}}')
     @example('{"a b": 1, "a b": 2}')
     @example('{"": 1, "b": {"": 2}}')
+    # A repeated key: each value only the last one walked, whatever its kind.
+    @example('{"a": 1, "a": {"b": 1}}')
+    @example('{"a": {"b": 1}, "a": 2}')
+    @example('{"a": {"b b": 1}, "a": {"c": 1}}')
+    # Objects held in arrays, at the root and under a key, nested, repeating
+    # a key, and empty.
+    @example('[{"a": 1, "a": 2}, {"b": {"c": 1, "c": 2}}]')
+    @example('{"v": [{"b": 1, "a": [{"d": 2, "c": 3}]}, [{}]]}')
     def test_same_directory_or_diagnostics(self, text):
-        assert parse_outcome(parse_nested, text) == parse_outcome(reference_parse_nested, text)
+        got = parse_outcome(parse_nested, text)
+        want = parse_outcome(reference_parse_nested, text)
+        assert got == want
+        if isinstance(want, Dtry):  # and each value of the same type, its keys in the same order
+            assert value_texts(got) == value_texts(want)
+
+    def test_an_object_in_an_array_is_a_plain_dict_in_text_key_order(self):
+        (value,) = parse_nested('{"v": [{"b": 1, "a": 2}]}').lookup("v").value
+        assert type(value) is dict and list(value) == ["b", "a"]
+        (value,) = parse_nested('[{"b": {"d": 1, "c": 2}, "a": [{"z": 1, "y": 2}]}]').value
+        assert type(value) is dict and list(value) == ["b", "a"]
+        assert type(value["b"]) is dict and list(value["b"]) == ["d", "c"]
+        assert type(value["a"][0]) is dict and list(value["a"][0]) == ["z", "y"]
+
+
+def value_texts(directory: Dtry) -> list:
+    """Each path's value as its type and its JSON text, keys in the value's own order."""
+    return [(p, type(v), json.dumps(v)) for p, v in directory.path_map().items()]
 
 
 def path_map_emit_flat(directory):
