@@ -26,10 +26,10 @@ sorted once: the sorted build fills it in order, the nested reader sorts
 a JSON object's pairs, and the record copies the dict they fill as it
 is; a caller's it copies and sorts.
 
-A directory keeps the number of values it binds, ``len``, once it is
-known: the readers, ``from_path_map``, ``path_map`` and ``map_values``
-know it as they build, ``merge_disjoint`` adds its inputs' counts, and
-any other directory counts its tree on its first ``len`` and keeps that.
+A directory that the nested reader builds keeps the number of values it
+binds, its ``len``, counted as the reader builds it; ``merge_disjoint``
+adds its inputs' counts when each keeps one; any other directory counts
+its tree on each ``len``.
 
 A trie that is not derived from another is built from its keys as
 dotted texts, sorted once: since ``.`` sorts below every character of a
@@ -316,16 +316,18 @@ _text = itemgetter(0)
 _pair = itemgetter(0, 1)
 
 
-def _sorted_clean(items: list) -> list | None:
-    """``(dotted text, value)`` pairs sorted by text for :func:`_from_sorted`, or None.
+def _sorted_scan(items: list) -> tuple[list, list | None]:
+    """``(dotted text, value)`` pairs sorted by text, and the ones that clash.
 
-    None unless every text is a path, matched in one bulk call
-    (:func:`_are_dotted`), and :func:`_clashing` finds no text that
-    repeats or is a prefix of another.
+    The sort is stable, so pairs of one text keep their order. The second
+    part is None unless every text is a path, matched in one bulk call
+    (:func:`_are_dotted`), and else the entries in which :func:`_clashing`
+    finds a text that repeats or is a prefix of another. The pairs are
+    clean, fit for :func:`_from_sorted`, exactly when it is ``[]``.
     """
     items = sorted(items, key=_text)
     texts = list(map(_text, items))
-    return items if _are_dotted(texts) and not _clashing(items, texts) else None
+    return items, (_clashing(items, texts) if _are_dotted(texts) else None)
 
 
 def _clashing(entries: list, texts: list[str]) -> list:
@@ -354,7 +356,7 @@ def _clashing(entries: list, texts: list[str]) -> list:
 
 
 def _from_sorted(items) -> Leaf | Node | None:
-    """The tree of clean ``(dotted text, value)`` pairs in text order (see :func:`_sorted_clean`).
+    """The tree of clean ``(dotted text, value)`` pairs in text order (see :func:`_sorted_scan`).
 
     One pass, without recursion: each key closes the open nodes it does
     not share, opens the ones it starts, and binds its last name; a key of
@@ -417,8 +419,8 @@ def _clean_pairs(entries: Mapping) -> list:
         items = list(zip(texts, entries.values(), entries))
     else:
         items = list(zip(map(".".join, map(Path, entries)), entries.values()))
-    ordered = _sorted_clean(items)
-    if ordered is not None:
+    ordered, clashing = _sorted_scan(items)
+    if clashing == []:
         return ordered
     # Not clean, so it fails as the reference would: coerce every key, sort,
     # and name the first path that equals or extends the one before it.
@@ -492,8 +494,8 @@ def _conflicts(texts: Iterable[str]) -> Iterator[tuple[int, str]]:
 class Dtry(Generic[T]):
     """An immutable directory of values indexed by prefix-free paths."""
 
-    # ``_size``, the number of values bound, is set only once it is known
-    # (see :meth:`__len__`), and is unset until then.
+    # ``_size``, the number of values bound, is set only by a builder that
+    # knows it (see :meth:`__len__`), and is unset otherwise.
     __slots__ = ("_root", "_size")
 
     def __init__(self, root: Leaf | Node | None = None):
@@ -546,9 +548,7 @@ class Dtry(Generic[T]):
         rows = _clean_pairs(entries)
         if rows and len(rows[0]) > 2:  # each row carries its key too
             rows = list(map(_pair, rows))
-        directory = cls(_from_sorted(rows))
-        directory._size = len(rows)
-        return directory
+        return cls(_from_sorted(rows))
 
     @property
     def is_empty(self) -> bool:
@@ -570,10 +570,8 @@ class Dtry(Generic[T]):
 
         A node all of whose values ``f`` returns as the same objects is
         shared with this directory, with its whole subtree, not rebuilt.
-        The result binds as many values as this directory, and keeps its
-        count when this one has it.
         """
-        return _sized(_rebuild(self._root, f), getattr(self, "_size", None))
+        return Dtry(_rebuild(self._root, f))
 
     def lookup(self, path) -> "Dtry[T] | None":
         """The subdirectory at ``path``, or None when absent.
@@ -639,12 +637,7 @@ class Dtry(Generic[T]):
         return Dtry(_rebuild(self._root, pred, "keep"))
 
     def path_map(self) -> dict[Path, T]:
-        """The complete paths and their values, in lexicographic order.
-
-        Each key is one ``Path`` made straight from the list of names that
-        the walk keeps, with no other tuple per key. The directory keeps
-        the number of keys as its ``len``.
-        """
+        """The complete paths and their values, in lexicographic order."""
         root = self._root
         if root is None:
             return {}
@@ -653,23 +646,21 @@ class Dtry(Generic[T]):
         out: dict[Path, T] = {}
         new, path = tuple.__new__, Path
         # Depth first without recursion: one iterator per open node, and
-        # ``names`` is the path to the innermost one, then a slot for the
-        # name of the entry at hand.
-        names: list = [None]
+        # ``names`` is the path to the innermost one.
+        names: list[str] = []
         pending = [iter(root.items())]
         while pending:
             for name, child in pending[-1]:
-                names[-1] = name
                 kind = type(child)
                 if kind is Node:
-                    names.append(None)
+                    names.append(name)
                     pending.append(iter(child.items()))
                     break
-                out[new(path, names)] = child.value if kind is Leaf else child
+                out[new(path, (*names, name))] = child.value if kind is Leaf else child
             else:
                 pending.pop()
-                names.pop()
-        self._size = len(out)
+                if names:
+                    names.pop()
         return out
 
     def paths(self) -> list[Path]:
@@ -679,31 +670,27 @@ class Dtry(Generic[T]):
     def __len__(self) -> int:
         """The number of values bound: the number of complete paths.
 
-        Kept when known: a directory that a reader, :meth:`from_path_map`,
-        :meth:`map_values` or :func:`merge_disjoint` built answers without
-        a walk, and so does one whose :meth:`path_map` was read. Any other,
-        such as ``Dtry(root)`` or a result of :meth:`filter`,
-        :meth:`flatten` or :meth:`lookup`, counts its tree once, on its
-        first ``len``, and keeps the count. A directory restored from a
-        state that has no count counts again.
+        A directory that :func:`formats.parse_nested` built, or a
+        :func:`merge_disjoint` of such directories, keeps the count and
+        answers without a walk; copies and pickles carry it. Any other,
+        such as ``Dtry(root)``, a :meth:`lookup` result or one restored
+        from a state without a count, counts its tree, in O(nodes).
         """
         try:
             return self._size
-        except AttributeError:  # not known yet
+        except AttributeError:  # not kept
             pass
         root = self._root
         if type(root) is not Node:
-            count = 0 if root is None else 1
-        else:
-            count, stack = 0, [root]
-            while stack:
-                entries = stack.pop().values()
-                count += len(entries)
-                for child in entries:
-                    if type(child) is Node:  # a subtree, counted by its own entries
-                        count -= 1
-                        stack.append(child)
-        self._size = count
+            return 0 if root is None else 1
+        count, stack = 0, [root]
+        while stack:
+            entries = stack.pop().values()
+            count += len(entries)
+            for child in entries:
+                if type(child) is Node:  # a subtree, counted by its own entries
+                    count -= 1
+                    stack.append(child)
         return count
 
     def __eq__(self, other) -> bool:
@@ -719,15 +706,11 @@ class Dtry(Generic[T]):
         return f"Dtry({{{entries}}})"
 
 
-def _sized(root: Leaf | Node | None, size: int | None) -> Dtry:
-    """The directory of ``root``, keeping ``size`` as its ``len`` unless it is None (not known).
-
-    ``root`` is a tree built here, so it is not checked again.
-    """
+def _sized(root: Leaf | Node | None, size: int) -> Dtry:
+    """The directory of ``root``, a tree built in this package, keeping ``size`` as its ``len``."""
     directory = Dtry.__new__(Dtry)
     directory._root = root
-    if size is not None:
-        directory._size = size
+    directory._size = size
     return directory
 
 

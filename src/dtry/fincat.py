@@ -44,7 +44,7 @@ from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Dtry, Leaf, Node, _clean_pairs, _from_sorted, _sized
+from .core import Dtry, Leaf, Node, _clean_pairs, _from_sorted
 from .errors import NotACategoryError, NotComposableError
 from .paths import Path
 
@@ -480,8 +480,7 @@ class DtryObj:
     @property
     def objs(self) -> Dtry:
         """The family as a trie, built from ``assign`` on every read."""
-        rows = [(".".join(p), v) for p, v in self.assign.items()]
-        return _sized(_from_sorted(rows), len(rows))
+        return Dtry(_from_sorted([(".".join(p), v) for p, v in self.assign.items()]))
 
     def paths(self) -> list[Path]:
         return list(self.assign)

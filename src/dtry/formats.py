@@ -37,9 +37,20 @@ from itertools import count, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
-from .core import Dtry, Leaf, Node, _clashing, _conflicts, _from_sorted, _sized, _Sorted, _text
+from .core import (
+    Dtry,
+    Leaf,
+    Node,
+    _clashing,
+    _conflicts,
+    _from_sorted,
+    _sized,
+    _Sorted,
+    _sorted_scan,
+    _text,
+)
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
-from .paths import Path, _are_dotted, _fault, _is_dotted, _is_name, _names, _text_prefix
+from .paths import Path, _fault, _is_dotted, _is_name, _names, _text_prefix
 
 __all__ = [
     "Diagnostic",
@@ -148,8 +159,7 @@ def parse_flat(text: str) -> Dtry[str]:
     Raises:
         ParseError: with one diagnostic per failing line.
     """
-    items = _read_flat(text)
-    return _sized(_from_sorted(items), len(items))
+    return Dtry(_from_sorted(_read_flat(text)))
 
 
 def _read_flat(text: str) -> list[tuple[str, str]]:
@@ -188,30 +198,26 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
 def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
     """A flat document's sorted pairs if clean, else None, its lexical diagnostics, clashing keys.
 
-    The clean test of :func:`_read_flat` and :func:`_key_conflicts`, the
-    one :func:`core._sorted_clean` makes: the pairs sorted by key, one bulk
-    match of the keys and, when all are paths, one :func:`core._clashing`
-    scan; clean when no line is a syntax error and nothing clashes. For a
-    document that fails it, a diagnostic per syntax error and per key that
-    is no path (see :func:`_paths_only`), and the ``(key, line)`` entries
-    of the paths that :func:`core._clashing` finds, sorted by key, then by
-    line. A failing document keeps that sort and scan, and finds each
-    pair's line by the pair's identity; only when some key is no path are
-    the others scanned again.
+    The clean test of :func:`_read_flat` and :func:`_key_conflicts`: no
+    syntax error, and no clash in the one sort and scan of
+    :func:`core._sorted_scan`. For a document that fails it, a diagnostic
+    per syntax error and per key that is no path (see :func:`_paths_only`),
+    and the ``(key, line)`` entries of the paths that
+    :func:`core._clashing` finds, sorted by key, then by line. A failing
+    document keeps that sort and scan, and finds each pair's line by the
+    pair's identity; only when some key is no path are the others scanned
+    again.
     """
     pairs, skipped = _entry_lines(text)
-    items = sorted(pairs, key=_text)  # stable: a key's lines stay in order
-    texts = list(map(_text, items))
-    dotted = _are_dotted(texts)
-    clashing = _clashing(items, texts) if dotted else None
-    clean = dotted and not clashing
+    items, clashing = _sorted_scan(pairs)
+    clean = clashing == []
     if clean and min(skipped, default=1) > 0:
         return items, [], []
     diagnostics = _syntax_errors(skipped)
     if clean:  # only syntax errors
         return None, diagnostics, []
     line = dict(_numbered(map(id, pairs), skipped))
-    if dotted:
+    if clashing is not None:  # every key is a path
         return None, diagnostics, [(pair[0], line[id(pair)]) for pair in clashing]
     entries = _paths_only([(pair[0], line[id(pair)]) for pair in items], diagnostics)
     return None, diagnostics, _clashing(entries, list(map(_text, entries)))

@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Mapping
 
 from dtry import cli, formats, paths
-from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _from_sorted, _sorted_clean, merge_disjoint
+from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _from_sorted, _sorted_scan, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
 from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
@@ -330,8 +330,8 @@ def reference_clean_pairs(entries) -> list:
             key = text
         items.append((key, value))
     else:
-        ordered = _sorted_clean(items)
-        if ordered is not None:
+        ordered, clashing = _sorted_scan(items)
+        if clashing == []:
             return ordered
     paths = sorted(map(Path, entries))
     existing, incoming = next((a, b) for a, b in zip(paths, paths[1:]) if b[: len(a)] == a)

@@ -25,7 +25,7 @@ from dtry.core import (
     Dtry,
     NonEmptyRecord,
     _from_sorted,
-    _sorted_clean,
+    _sorted_scan,
     distrib,
     merge_disjoint,
 )
@@ -192,9 +192,9 @@ class TestDifferential:
         # the clean test accepts exactly the key sets it binds whole.
         items = [(".".join(p), i) for i, p in enumerate(paths)]
         kept = [item for item, hit in zip(items, oracle_conflicts(paths)) if hit is None]
-        assert (_sorted_clean(items) is not None) == (len(kept) == len(items))
+        assert (_sorted_scan(items)[1] == []) == (len(kept) == len(items))
         # The sorted build of the bound keys binds exactly them.
-        tree = _from_sorted(_sorted_clean(kept))
+        tree = _from_sorted(_sorted_scan(kept)[0])
         assert Dtry(tree).path_map() == {Path(paths[value]): value for _, value in kept}
         for node in nodes(tree):
             keys = list(node.children)
@@ -259,8 +259,7 @@ def key_matches(monkeypatch):
         counts["one key"] += 1
         return is_dotted(text)
 
-    monkeypatch.setattr(core, "_are_dotted", counting_are_dotted)
-    monkeypatch.setattr(formats, "_are_dotted", counting_are_dotted)
+    monkeypatch.setattr(core, "_are_dotted", counting_are_dotted)  # the readers match through core
     monkeypatch.setattr(formats, "_is_dotted", counting_is_dotted)
     return counts
 
@@ -637,10 +636,10 @@ class TestWork:
 
     def test_the_clean_test_makes_no_python_call_per_key(self):
         items = [(line.partition(" = ")[0], i) for i, line in enumerate(realistic_lines(1000))]
-        ordered, calls = python_calls(_sorted_clean, items)
-        assert len(ordered) == 1000
+        (ordered, clashing), calls = python_calls(_sorted_scan, items)
+        assert len(ordered) == 1000 and clashing == []
         # the bulk match and the clash finder, once each
-        for function in (_sorted_clean, core._are_dotted, core._clashing):
+        for function in (_sorted_scan, core._are_dotted, core._clashing):
             assert calls.pop(function.__code__) == 1, function.__name__
         assert calls == Counter()
 

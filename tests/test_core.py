@@ -941,21 +941,22 @@ class TestNameInterop:
 
 
 # Each way a directory is built from another, over int values: the readers,
-# the path map, the rewrites, a merge, a lookup and a hand-built root, so
-# that some results know their size as they are built and some count it.
+# the path map, the rewrites, merges, a lookup and a hand-built root, so
+# that some results keep the size their builder counted and some count it.
 BUILDS = {
     "hand-built": lambda d: Dtry(d.root),
     "parse_nested": lambda d: parse_nested(emit_nested(d)),
     "parse_flat": lambda d: parse_flat(emit_flat(d.map_values(str))),
     "from_path_map": lambda d: Dtry.from_path_map(Dtry(d.root).path_map()),
     "map_values": lambda d: parse_nested(emit_nested(d)).map_values(str),
-    "map_values of a hand-built one": lambda d: Dtry(d.root).map_values(str),
     "filter": lambda d: parse_nested(emit_nested(d)).filter(lambda v: v % 2),
     "flatten": lambda d: d.map_values(lambda v: Dtry.leaf(v) if v % 3 else Dtry.empty()).flatten(),
     "merge_disjoint": lambda d: merge_disjoint(
-        {"a": parse_nested(emit_nested(d)), "b": Dtry.from_path_map({"x.y": 1, "z": 2}), "c": Dtry()}
+        {"a": parse_nested(emit_nested(d)), "b": parse_nested('{"x": {"y": 1}, "z": 2}'), "c": parse_nested("{}")}
     ),
-    "merge_disjoint of a hand-built one": lambda d: merge_disjoint({"a": Dtry(d.root), "b": d}),
+    "merge_disjoint of mixed ones": lambda d: merge_disjoint(
+        {"a": Dtry(d.root), "b": parse_nested(emit_nested(d)), "c": Dtry.from_path_map({"x.y": 1})}
+    ),
     "lookup": lambda d: d.lookup(next(iter(Dtry(d.root).path_map()), Path())[:1]),
 }
 COPIES = {
@@ -968,48 +969,36 @@ COPIES = {
 
 class TestKeptSize:
     @settings(max_examples=150)
-    @given(
-        dtries(),
-        st.sampled_from(sorted(BUILDS)),
-        st.sampled_from(sorted(COPIES)),
-        st.booleans(),
-    )
-    def test_len_is_the_number_of_paths_before_and_after_path_map(self, d, build, copier, counted):
-        def made():
-            built = BUILDS[build](d)
-            if counted:  # copied after its first len, which keeps the count
-                len(built)
-            return COPIES[copier](built)
-
-        first = made()
+    @given(dtries(), st.sampled_from(sorted(BUILDS)), st.sampled_from(sorted(COPIES)))
+    def test_len_is_the_number_of_paths_before_and_after_path_map(self, d, build, copier):
+        first = COPIES[copier](BUILDS[build](d))
         size = len(first)  # before path_map
         assert size == len(first.path_map()) == len(first)
-        second = made()
+        second = COPIES[copier](BUILDS[build](d))
         assert len(second.path_map()) == len(second) == size
 
     @pytest.mark.parametrize("copier", sorted(COPIES))
     def test_a_directory_restored_from_a_state_without_a_size_counts(self, copier):
-        d = Dtry(parse_nested('{"a": {"x": 1, "y": [2]}, "b": 3}').root)
-        assert "_size" not in d.__reduce_ex__(2)[2][1]  # a hand-built one keeps none yet
+        parsed = parse_nested('{"a": {"x": 1, "y": [2]}, "b": 3}')
+        assert parsed.__reduce_ex__(2)[2][1]["_size"] == 3  # kept, and so copied
+        d = Dtry(parsed.root)
+        assert "_size" not in d.__reduce_ex__(2)[2][1]  # a hand-built one keeps none
         restored = COPIES[copier](d)
-        assert len(restored) == 3
-        assert len(d) == 3
-        assert d.__reduce_ex__(2)[2][1]["_size"] == 3  # kept, and so copied
+        assert len(restored) == len(d) == 3
+        assert "_size" not in restored.__reduce_ex__(2)[2][1]
 
     def test_builders_that_know_the_size_keep_it(self):
-        text = '{"a": {"x": 1, "y": [2]}, "b": 3}'
-        parsed = parse_nested(text)
-        kept = [
-            parsed,
-            parse_nested("{}"),
-            parse_nested("[1]"),
+        parsed = parse_nested('{"a": {"x": 1, "y": [2]}, "b": 3}')
+        kept = [parsed, parse_nested("{}"), parse_nested("[1]"), merge_disjoint({"m": parsed, "n": parsed})]
+        assert [d._size for d in kept] == [3, 0, 1, 6]
+        counted = [
+            Dtry(parsed.root),
             parse_flat("a.x = 1\nb = 2\n"),
             Dtry.from_path_map({"a.x": 1, "b": 2}),
             parsed.map_values(str),
-            merge_disjoint({"m": parsed, "n": parsed}),
+            parsed.filter(bool),
+            parsed.lookup("a"),
+            merge_disjoint({"m": parsed, "n": Dtry(parsed.root)}),
         ]
-        assert [d._size for d in kept] == [3, 0, 1, 2, 2, 3, 6]
-        counted = [Dtry(parsed.root), parsed.filter(bool), parsed.lookup("a")]
-        assert [hasattr(d, "_size") for d in counted] == [False] * 3
-        assert [len(d) for d in counted] == [3, 3, 2]
-        assert [d._size for d in counted] == [3, 3, 2]
+        assert [len(d) for d in counted] == [3, 2, 2, 3, 3, 2, 6]
+        assert not any(hasattr(d, "_size") for d in counted)  # so each len counts
