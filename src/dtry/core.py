@@ -51,13 +51,12 @@ flat parser binds the texts that clash in file order with
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, count
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import PrefixConflictError
-from .maybe import NOTHING, Just
+from .maybe import NOTHING, Just, _Frozen
 from .paths import Name, Path, _are_dotted, _name
 
 T = TypeVar("T")
@@ -119,19 +118,14 @@ class _Sorted(dict):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Leaf(Generic[T]):
+class Leaf(_Frozen, Generic[T]):
     """A tree that is one value: the root of a single-value directory, or a record
     entry holding a value that is itself a ``Leaf`` or a ``Node``."""
 
-    __slots__ = ("value",)
-    value: T
+    __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: T):
         _set_value(self, value)
-
-    def __reduce__(self):  # copies and pickles go through __init__: the slot is frozen
-        return Leaf, (self.value,)
 
 
 class Node(NonEmptyRecord):
@@ -159,11 +153,8 @@ class Node(NonEmptyRecord):
         """The node itself, read as the record of its entries."""
         return self
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Node):

@@ -32,7 +32,6 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
@@ -50,6 +49,7 @@ from .core import (
     _text,
 )
 from .errors import BadNameError, BadPathError, DtryError, PrefixConflictError, _show
+from .maybe import _Frozen
 from .paths import Path, _fault, _is_dotted, _is_name, _names, _text_prefix
 
 __all__ = [
@@ -64,13 +64,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Frozen):
     """One reported problem: a stable code, a 1-based line, a message."""
 
-    code: str
-    line: int
-    message: str
+    __slots__ = __match_args__ = ("code", "line", "message")
+
+    def __init__(self, code: str, line: int, message: str):
+        _set_code(self, code)
+        _set_line(self, line)
+        _set_message(self, message)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.code}:{self.message}"
@@ -87,13 +89,19 @@ class ParseError(DtryError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class FlatLine:
+class FlatLine(_Frozen):
     """One successfully scanned ``path = value`` line."""
 
-    line: int
-    path: Path
-    value: str
+    __slots__ = __match_args__ = ("line", "path", "value")
+
+    def __init__(self, line: int, path: Path, value: str):
+        _set_flat_line(self, line)
+        _set_flat_path(self, path)
+        _set_flat_value(self, value)
+
+
+_set_code, _set_line, _set_message = (getattr(Diagnostic, f).__set__ for f in Diagnostic.__slots__)
+_set_flat_line, _set_flat_path, _set_flat_value = (getattr(FlatLine, f).__set__ for f in FlatLine.__slots__)
 
 
 def _entry_lines(text: str) -> tuple[list[tuple[str, str]], list[int]]:

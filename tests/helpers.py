@@ -13,13 +13,14 @@ import json
 import random
 import sys
 from collections import Counter
-from typing import Mapping
+from dataclasses import make_dataclass
+from typing import Generic, Mapping, TypeVar
 
 from dtry import cli, formats, paths
 from dtry.core import Dtry, Leaf, Node, NonEmptyRecord, _from_sorted, _sorted_scan, merge_disjoint
 from dtry.errors import BadNameError, BadPathError, NotACategoryError, PrefixConflictError, _show
 from dtry.fincat import DtryMor, DtryObj, Variant
-from dtry.formats import Diagnostic, ParseError, emit_nested, scan_flat
+from dtry.formats import Diagnostic, FlatLine, ParseError, emit_nested, scan_flat
 from dtry.maybe import NOTHING, Just
 from dtry.paths import Name, Path
 
@@ -640,6 +641,26 @@ def deepest(accepts, lo: int = 1, hi: int = 3000) -> int:
         else:
             hi = mid
     return lo
+
+
+# ------------------------------------------------- frozen values, as dataclasses
+
+T = TypeVar("T")
+
+
+def _as_dataclass(cls, **namespace):
+    """The frozen dataclass of ``cls``'s name, fields and generic base: ``cls`` written as one."""
+    bases = (Generic[T],) if issubclass(cls, Generic) else ()
+    return make_dataclass(cls.__name__, cls.__match_args__, bases=bases, frozen=True, namespace=namespace)
+
+
+# Each plain frozen value class of dtry, and the dataclass it stands for.
+REFERENCE_DATACLASSES = {
+    Leaf: _as_dataclass(Leaf),
+    Just: _as_dataclass(Just, __repr__=lambda self: f"Just({self.value!r})"),
+    Diagnostic: _as_dataclass(Diagnostic),
+    FlatLine: _as_dataclass(FlatLine),
+}
 
 
 # -------------------------------------------------------- worked example

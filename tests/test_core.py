@@ -212,6 +212,15 @@ class TestNodeContract:
     def test_leaf_is_generic(self):
         assert Leaf[int](3) == Leaf(3)  # the alias's call tries to set __orig_class__
 
+    def test_a_value_equals_the_same_object_on_every_python(self):
+        # One NaN object is not == itself, but it is the same object: the
+        # fields compare as one tuple, as a Node's entries do.
+        nan = float("nan")
+        assert Leaf(nan) == Leaf(nan) and Just(nan) == Just(nan)
+        assert Dtry(Leaf(nan)) == Dtry(Leaf(nan))
+        assert Node(NonEmptyRecord({"x": nan})) == Node(NonEmptyRecord({"x": nan}))
+        assert Leaf(nan) != Leaf(float("nan")) and Just(nan) != Just(float("nan"))
+
 
 def set_a(record):
     record["a"] = 9
