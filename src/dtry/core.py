@@ -336,6 +336,8 @@ def _clashing(entries: list, texts: list[str]) -> list:
     if texts and not texts[0]:
         return entries if len(texts) > 1 else []
     stops = (".\n".join(texts) + ".").split("\n")  # no text holds a newline
+    if not any(map(str.startswith, stops[1:], stops)):  # clean, as most are
+        return []
     runs, end = [], 0
     for start in compress(count(), map(str.startswith, stops[1:], stops)):
         if start >= end:  # else inside a run, and so are its extensions

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -98,8 +98,11 @@ class FinCat:
     each is hashed once per table entry, and morphism ``i`` of the table
     is the integer ``i`` from then on. Each morphism keeps a row: its
     composites with the morphisms out of its codomain, as a tuple. The
-    associativity check compares whole rows, one comparison per
-    composite; only its messages name the ids.
+    associativity check compares whole rows, and only the rows of a
+    generating set: ``(f;g);h = f;(g;h)`` for every ``f`` follows from it
+    for the generators ``f`` (see :meth:`validate`). The check of every
+    composable pair runs only on tables that fail, to name the first
+    triple that does; only the messages name the ids.
     """
 
     def __init__(
@@ -192,6 +195,17 @@ class FinCat:
     def validate(self):
         """Check the identity and associativity laws over the full tables.
 
+        The identity laws are checked at each morphism, then associativity,
+        ``(f;g);h = f;(g;h)``, only where ``f`` is a generator
+        (:meth:`_generators`). That is enough, by induction on the order in
+        which the morphisms are reached: an identity ``f`` satisfies the law
+        by the identity laws, a generator by the check, and ``f = s;f'`` by
+        ``((s;f');g);h = (s;(f';g));h = s;((f';g);h) = s;(f';(g;h)) =
+        (s;f');(g;h)``, the law at ``(s, f', g)``, ``(s, f';g, h)``,
+        ``(f', g, h)`` and ``(s, f', g;h)``. Only tables that fail that check
+        run the full one, over every composable pair in the tables' order,
+        to name the first triple that fails.
+
         Raises:
             NotACategoryError: naming an offending morphism or triple.
         """
@@ -208,6 +222,12 @@ class FinCat:
         # composite, and itemgetter reads a one-entry row as its entry.
         read = [itemgetter(*[pos[gh] for gh in row]) for row in rows]
         want = [row if len(row) > 1 else row[0] for row in rows]
+        for s in self._generators():
+            row = rows[s]
+            if any(read[g](row) != want[sg] for g, sg in zip(by_dom[cod[s]], row)):
+                break
+        else:
+            return
         entries = self._entries
         if entries is None:  # the rows' own order
             entries = chain.from_iterable(
@@ -221,6 +241,36 @@ class FinCat:
                             f"associativity fails at ({ids[f]!r}, {ids[g]!r}, {ids[h]!r})",
                             (ids[f], ids[g], ids[h]),
                         )
+
+    def _generators(self) -> list[int]:
+        """A generating set of the morphisms, as their indices in order.
+
+        A morphism is reached when it is an identity, a generator, or
+        ``s;f`` for a generator ``s`` and a reached ``f``. Taken in order,
+        each morphism not reached yet joins the generators. So each
+        morphism that is neither an identity nor a generator is ``s;f``
+        for a generator ``s`` and an ``f`` reached before it.
+        """
+        rows, pos, dom, cod, by_dom = self._rows, self._pos, self._dom, self._cod, self._by_dom
+        reached = bytearray(len(rows))
+        into = {x: [] for x in self._objects}  # each object to the rows of the generators into it
+        gens, todo, m = [], list(self._ident.values()), 0
+        while True:
+            while todo:
+                f = todo.pop()
+                if not reached[f]:
+                    reached[f] = 1
+                    at = pos[f]
+                    for row in into[dom[f]]:
+                        todo.append(row[at])  # s;f
+            m = reached.find(0, m)
+            if m < 0:
+                return gens
+            gens.append(m)
+            into[cod[m]].append(rows[m])
+            # m itself, and m;f for each f reached before m
+            todo.append(m)
+            todo += compress(rows[m], map(reached.__getitem__, by_dom[cod[m]]))
 
     @classmethod
     def from_json(cls, text: str, *, check_laws: bool = True) -> "FinCat":
@@ -287,7 +337,12 @@ class FinCat:
         return self._ids[self._rows[i][self._pos[j]]]
 
     def hom(self, x, y) -> list[MorId]:
-        return [m for m, d, c in zip(self._ids, self._dom, self._cod) if d == x and c == y]
+        try:
+            out = self._by_dom.get(x, ())
+        except TypeError:  # unhashable, so no object
+            return []
+        ids, cod = self._ids, self._cod
+        return [ids[i] for i in out if cod[i] == y]
 
 
 @dataclass(frozen=True, init=False)
@@ -324,6 +379,13 @@ class FinFn:
 
     def __repr__(self) -> str:
         return f"FinFn({self.cod}, {self.images})"
+
+
+def _reader(images: tuple[int, ...]) -> itemgetter:
+    """The getter of a tuple's entries at the 1-based ``images``: a tuple, even of one entry or none."""
+    if len(images) > 1:
+        return itemgetter(*[i - 1 for i in images])
+    return itemgetter(slice(images[0] - 1, images[0]) if images else slice(0))
 
 
 @dataclass(frozen=True)
@@ -390,7 +452,9 @@ class FinSetSkeleton:
 
         Each hom-set is enumerated once, and morphism ``i`` of that list is the
         integer ``i``. Composites are computed by index, so none is built as a
-        :class:`FinFn`, and each id is hashed once, to intern it.
+        :class:`FinFn`, and each id is hashed once, to intern it: a morphism's
+        row is one ``itemgetter`` over its images, mapped over the images of
+        the morphisms out of its codomain.
 
         >>> cat = FinSetSkeleton().truncate(2)
         >>> len(cat.morphisms())
@@ -407,9 +471,11 @@ class FinSetSkeleton:
         out_of = [[f for n in sizes for f in self.hom(m, n)] for m in sizes]
         ids = [f for fns in out_of for f in fns]
         index = [{f.images: i for i, f in enumerate(ids) if f.cod == n} for n in sizes]
-        # Led by a 0, g's images read along f's images are the composite's.
-        led = [[(index[g.cod], (0,) + g.images) for g in fns] for fns in out_of]
-        rows = [[at[tuple([g[i] for i in f.images])] for at, g in led[f.cod]] for f in ids]
+        # f;g has g's images read along f's: one getter per f, mapped over the
+        # morphisms g out of f's codomain, each composite looked up where g goes.
+        at = [[index[g.cod] for g in fns] for fns in out_of]
+        images = [[g.images for g in fns] for fns in out_of]
+        rows = [tuple(map(dict.__getitem__, at[f.cod], map(_reader(f.images), images[f.cod]))) for f in ids]
         ident = {n: index[n][tuple(range(1, n + 1))] for n in sizes}
         ends = [(f.dom, f.cod) for f in ids]
         return FinCat._of_rows(sizes, ids, ends, ident, rows, check_laws=check_laws)

@@ -362,6 +362,131 @@ class TestTableChecks:
         assert reached == {"left identity fails", "right identity fails", "associativity fails"}
 
 
+def random_tables(rng):
+    """Well-typed tables on one or two objects: identity composites right, the others drawn at random.
+
+    Each hom-set holds up to two morphisms besides an identity, and the
+    morphisms and composites come in a random order.
+    """
+    objects = ["x", "y"][: rng.randint(1, 2)]
+    identity = {x: f"id_{x}" for x in objects}
+    morphisms = [(f"id_{x}", (x, x)) for x in objects]
+    morphisms += [(f"{d}{c}{i}", (d, c)) for d in objects for c in objects for i in range(rng.randint(0, 2))]
+    rng.shuffle(morphisms)
+    morphisms = dict(morphisms)
+    compose = []
+    for (f, (d, c)), (g, (b, e)) in cartesian(morphisms.items(), repeat=2):
+        if c != b:
+            continue
+        if f == identity[d]:
+            h = g
+        elif g == identity[e]:
+            h = f
+        else:
+            h = rng.choice([m for m, ends in morphisms.items() if ends == (d, e)])
+        compose.append(((f, g), h))
+    rng.shuffle(compose)
+    return objects, morphisms, identity, dict(compose)
+
+
+def generator_ids(cat):
+    return [cat.morphisms()[i] for i in cat._generators()]
+
+
+def reached(cat, gens):
+    """The morphisms that the identities and ``gens`` reach, each ``gens`` member composed before a reached one."""
+    seen = {cat.identity(x) for x in cat.objects()} | set(gens)
+    todo = list(seen)
+    while todo:
+        f = todo.pop()
+        for s in gens:
+            if cat.cod(s) == cat.dom(f):
+                sf = cat.compose(s, f)
+                if sf not in seen:
+                    seen.add(sf)
+                    todo.append(sf)
+    return seen
+
+
+def assert_generated(cat):
+    """The generators reach every morphism, and each joins, in morphism order, where those before it do not reach."""
+    morphisms, gens = cat.morphisms(), generator_ids(cat)
+    assert reached(cat, gens) == set(morphisms)
+    assert gens == sorted(gens, key=morphisms.index)
+    for i, s in enumerate(gens):
+        assert s not in reached(cat, gens[:i])
+    return gens
+
+
+def shuffled_json(tables, rng):
+    """The JSON document of ``tables``, its morphisms and composites in a random order."""
+    objects, morphisms, identity, compose = tables
+    morphisms, compose = list(morphisms.items()), list(compose.items())
+    rng.shuffle(morphisms)
+    rng.shuffle(compose)
+    return json.dumps(
+        {
+            "objects": objects,
+            "morphisms": [{"id": m, "dom": d, "cod": c} for m, (d, c) in morphisms],
+            "identity": identity,
+            "compose": [[f, g, h] for (f, g), h in compose],
+        }
+    )
+
+
+class TestGeneratedChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_tables_fail_as_the_loops_do(self, rng):
+        tables = random_tables(rng)
+        assert outcome(FinCat, tables) == outcome(oracle_fincat, tables)
+        args, listed = row_tables(*tables)
+        assert outcome(partial(FinCat._of_rows, check_laws=True), args) == outcome(oracle_fincat, listed)
+
+    def test_a_first_failing_triple_led_by_no_generator_is_named_as_the_loops_name_it(self):
+        rng, led_by_others = random.Random(0), 0
+        for _ in range(400):
+            tables = random_tables(rng)
+            args, listed = row_tables(*tables)
+            for check, given, as_listed in (
+                (FinCat, tables, tables),
+                (partial(FinCat._of_rows, check_laws=True), args, listed),
+            ):
+                want = outcome(oracle_fincat, as_listed)
+                if want is None or not want[0].startswith("associativity fails"):
+                    continue
+                gens = generator_ids(FinCat(*as_listed, check_laws=False))
+                led_by_others += want[2][0] not in gens
+                assert outcome(check, given) == want
+        assert led_by_others >= 10
+
+    @pytest.mark.parametrize("k, count", [(0, 0), (1, 1), (2, 6), (3, 19)])
+    def test_generators_reach_every_truncated_morphism(self, k, count):
+        assert len(assert_generated(SKEL.truncate(k))) == count
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_generators_reach_every_morphism_of_shuffled_tables(self, k):
+        rng, tables = random.Random(k), skeleton_tables(k)
+        for _ in range(3):
+            assert_generated(FinCat.from_json(shuffled_json(tables, rng)))
+
+    def test_generators_reach_every_morphism_of_one_entry_rows(self):
+        assert_generated(FinCat(*one_entry_rows_tables()))
+
+    def test_truncate_4_builds_with_its_laws_checked(self):
+        cat = SKEL.truncate(4, check_laws=True)
+        assert len(cat.morphisms()) == 499
+        assert len(generator_ids(cat)) == 51
+
+    @pytest.mark.parametrize("cat", [TINY, SKEL.truncate(2)], ids=["tiny", "truncate_2"])
+    def test_hom_reads_the_morphisms_out_of_its_domain_in_order(self, cat):
+        morphisms = cat.morphisms()
+        for x in list(cat.objects()) + ["z", 7, None, []]:
+            for y in list(cat.objects()) + ["z", []]:
+                want = [m for m in morphisms if cat.dom(m) == x and cat.cod(m) == y]
+                assert cat.hom(x, y) == want
+
+
 class TestTableWork:
     @pytest.fixture
     def fn_hashes(self, monkeypatch):
