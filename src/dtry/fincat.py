@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, repeat
 from itertools import product as _cartesian
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Dtry, Leaf, Node, _clean_pairs, _from_sorted
@@ -352,10 +352,14 @@ class FinFn:
     The domain size is the length of ``images``; entry ``i`` (1-based)
     maps to ``images[i-1]``. ``images`` is stored as a tuple, and every
     entry must be an ``int`` (a ``bool`` is none) in 1..cod. The
-    constructor checks and stores in one call, keyword or positional;
-    eq and hash are the dataclass's, on ``(cod, images)``.
+    constructor checks and stores in one call, keyword or positional.
+    The fields live in slots, with no instance dict; eq compares
+    ``(cod, images)`` with a function of the same class only, as the
+    dataclass's does, and hash is that of ``(cod, images)``, computed on
+    each call. Copies and pickles go through the constructor.
     """
 
+    __slots__ = ("cod", "images", "__weakref__")
     cod: int
     images: tuple[int, ...]
 
@@ -368,17 +372,36 @@ class FinFn:
                 raise ValueError(f"image {i!r} is not an int")
             if not 1 <= i <= cod:
                 raise ValueError(f"image {i} outside 1..{cod}")
-        vars(self).update(cod=cod, images=images)
+        _set_cod(self, cod)
+        _set_images(self, images)
 
     @property
     def dom(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
+        images = self.images
+        if not 1 <= i <= len(images):
+            raise IndexError(f"index {i!r} outside the domain 1..{len(images)}")
+        return images[i - 1]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cod == other.cod and self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cod, self.images))
+
+    def __reduce__(self):
+        return self.__class__, (self.cod, self.images)
 
     def __repr__(self) -> str:
         return f"FinFn({self.cod}, {self.images})"
+
+
+# The slots' own setters, which the frozen ``__setattr__`` refuses.
+_set_cod, _set_images = FinFn.cod.__set__, FinFn.images.__set__
 
 
 def _reader(images: tuple[int, ...]) -> itemgetter:
@@ -403,11 +426,9 @@ class FinSetSkeleton:
     def has_object(self, x) -> bool:
         return type(x) is int and x >= 0
 
-    def dom(self, f: FinFn) -> int:
-        return f.dom
-
-    def cod(self, f: FinFn) -> int:
-        return f.cod
+    # Read straight off the function, with no frame of the category's.
+    dom = staticmethod(attrgetter("dom"))
+    cod = staticmethod(attrgetter("cod"))
 
     def identity(self, n: int) -> FinFn:
         return FinFn(n, tuple(range(1, n + 1)))

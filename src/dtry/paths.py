@@ -36,29 +36,25 @@ __all__ = ["Name", "Path"]
 _is_name = re.compile(r"[A-Za-z0-9_]+").fullmatch
 _is_dotted = re.compile(r"(?:[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)?").fullmatch  # '' too: the root
 _bad_char = re.compile(r"[^A-Za-z0-9_]").search
-# The bytes of a name's characters, of '.' and of the newline that joins texts.
-_DOTTED_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.\n"
+# The bytes of a name's characters and of '.'.
+_NAME_AND_DOT = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
 
 
 def _are_dotted(texts: list[str]) -> bool:
     """``all(_is_dotted(t) for t in texts)``, in a few passes over the texts joined.
 
-    The texts go one per line. No text holds a newline when the newlines
-    are one fewer than the texts; then every character is of a name or a
-    ``.`` when the joined text is ASCII and its bytes hold no other, and no
-    segment is empty when no ``.`` stands next to another, to a newline or
-    at either end.
+    The empty texts (the root) are dropped, and the others joined by
+    ``.``, as one path. Every character is of a name or a ``.`` when the
+    joined text is ASCII and its bytes hold no other (a newline is one),
+    and no segment is empty when no ``.`` stands next to another or at
+    either end: each text is nonempty, so a ``.`` that joins two stands
+    next to another only where a text starts or ends with one.
     """
-    if not texts:  # joined, [] would read as [""]
-        return True
-    joined = "\n".join(texts)
+    joined = ".".join(filter(None, texts))
     return (
-        joined.count("\n") == len(texts) - 1
-        and joined.isascii()
-        and not joined.encode().translate(None, _DOTTED_BYTES)
+        joined.isascii()
+        and not joined.encode().translate(None, _NAME_AND_DOT)
         and ".." not in joined
-        and "\n." not in joined
-        and ".\n" not in joined
         and not joined.startswith(".")
         and not joined.endswith(".")
     )

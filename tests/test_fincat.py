@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from enum import IntEnum
@@ -56,6 +57,12 @@ from helpers import (
 SKEL = FinSetSkeleton()
 ALG = finset_coproduct_algebra(SKEL)
 VARIANTS = (Variant.GENERAL, Variant.ISO, Variant.PRODUCT)
+
+
+def slot_fields(obj) -> dict:
+    """What ``obj`` holds in the slots of its classes, ``__weakref__`` aside: ``vars`` for a slotted value."""
+    names = [name for cls in type(obj).__mro__ for name in cls.__dict__.get("__slots__", ())]
+    return {name: getattr(obj, name) for name in names if name != "__weakref__" and hasattr(obj, name)}
 
 
 class Size(IntEnum):
@@ -670,7 +677,11 @@ class TestFinSetSkeleton:
         assert hash(f) == hash((cod, tuple(images)))
 
     def test_holds_only_its_fields(self):
-        assert vars(FinFn(2, (2, 1))) == {"cod": 2, "images": (2, 1)}
+        f = FinFn(2, (2, 1))
+        assert not hasattr(f, "__dict__")
+        assert slot_fields(f) == {"cod": 2, "images": (2, 1)}
+        with pytest.raises(TypeError):
+            vars(f)
 
     def test_equal_functions_hash_alike(self):
         f, g = FinFn(3, (2, 3)), FinFn(3, [2, 3])
@@ -716,8 +727,76 @@ class TestFinSetSkeleton:
     def test_copies_and_pickles_are_equal_and_hash_alike(self):
         f = FinFn(3, [2, 3])
         for same in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-            assert type(same) is FinFn and vars(same) == {"cod": 3, "images": (2, 3)}
+            assert type(same) is FinFn and not hasattr(same, "__dict__")
+            assert slot_fields(same) == {"cod": 3, "images": (2, 3)}
             assert same == f and hash(same) == hash(f)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_under_every_protocol(self, protocol):
+        f = FinFn(3, (2, 3, 3))
+        same = pickle.loads(pickle.dumps(f, protocol))
+        assert type(same) is FinFn and same == f and hash(same) == hash(f)
+        assert slot_fields(same) == {"cod": 3, "images": (2, 3, 3)}
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            lambda f: setattr(f, "cod", 4),
+            lambda f: setattr(f, "images", (1, 1)),
+            lambda f: setattr(f, "extra", 1),
+            lambda f: delattr(f, "cod"),
+            lambda f: delattr(f, "images"),
+            lambda f: delattr(f, "extra"),
+        ],
+        ids=("set_cod", "set_images", "set_new_name", "del_cod", "del_images", "del_new_name"),
+    )
+    def test_fields_and_new_names_are_frozen(self, refused):
+        f = FinFn(2, (2, 1))
+        with pytest.raises(FrozenInstanceError):
+            refused(f)
+        assert slot_fields(f) == {"cod": 2, "images": (2, 1)} and not hasattr(f, "extra")
+
+    def test_stays_a_dataclass_of_the_same_fields(self):
+        assert dataclasses.is_dataclass(FinFn)
+        assert [field.name for field in dataclasses.fields(FinFn)] == ["cod", "images"]
+        assert FinFn.__match_args__ == ("cod", "images")
+        match FinFn(2, (2, 1)):
+            case FinFn(cod, images):
+                assert (cod, images) == (2, (2, 1))
+
+    def test_weak_references_work(self):
+        f = FinFn(2, (2, 1))
+        ref = weakref.ref(f)
+        assert ref() is f
+        registry = weakref.WeakValueDictionary({"f": f})
+        assert registry["f"] is f
+
+    def test_compares_with_no_other_type(self):
+        f = FinFn(2, (2, 1))
+
+        @dataclasses.dataclass(frozen=True)
+        class Lookalike:
+            cod: int
+            images: tuple
+
+        for other in ((2, (2, 1)), Lookalike(2, (2, 1)), 2, None):
+            assert f.__eq__(other) is NotImplemented
+            assert f != other and not f == other
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.lists(st.integers(1, 1), max_size=2)), min_size=2, max_size=2))
+    def test_equal_exactly_when_codomain_and_images_are(self, tables):
+        (c, i), (d, j) = tables
+        f, g = FinFn(c, i), FinFn(d, j)
+        assert (f == g) is (not f != g) is ((c, tuple(i)) == (d, tuple(j)))
+
+    def test_is_called_on_its_domain_only(self):
+        f = FinFn(3, (3, 1))
+        assert [f(i) for i in range(1, f.dom + 1)] == [3, 1]
+        for i in (0, -1, f.dom + 1):
+            with pytest.raises(IndexError, match=f"^index {i} outside the domain 1\\.\\.2$"):
+                f(i)
+        with pytest.raises(IndexError, match=r"^index 1 outside the domain 1\.\.0$"):
+            FinFn(2, ())(1)
 
     def test_images_are_stored_as_a_tuple(self):
         f = FinFn(2, [2, 1])

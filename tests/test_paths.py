@@ -88,8 +88,9 @@ class TestPathParsing:
         assert Path(["a", "b"]) == Path("a.b")
 
 
-# Names' characters, '.', the newline that joins the texts, and characters
-# no name holds: ASCII ones, a letter and a digit that are not ASCII.
+# Names' characters, the '.' that joins the texts, and characters no name
+# holds: ASCII ones, the newline among them, and a letter and a digit that
+# are not ASCII.
 dotted_texts_st = st.lists(st.text(alphabet="aZ0_.\n\r -é٣", max_size=6), max_size=8)
 
 
@@ -107,6 +108,13 @@ class TestBulkMatch:
     @example(["a", "b."])
     @example([".a", "b"])
     @example(["", ""])
+    @example(["a", ""])
+    @example(["a", "", "b"])
+    @example(["", "", "a"])
+    @example(["a", "\n"])
+    @example(["é"])
+    @example(["a\nb", "c"])
+    @example(["a", "\udcff"])
     def test_matches_each_text_alone(self, texts):
         assert _are_dotted(texts) == all(_is_dotted(t) is not None for t in texts)
 
