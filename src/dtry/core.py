@@ -8,10 +8,12 @@ a subdirectory, itself a ``Node``, or the value bound there, held bare,
 as a named tuple holds it; only a value that is itself a ``Leaf`` or a
 ``Node`` is held in a ``Leaf``, so that no value is read as a subtree.
 Records built around ``Leaf`` entries for every value mean the same and
-compare equal. Emptiness exists only at the top level: no subtree is
-ever an empty node. That single constraint is what keeps the set of
-complete paths prefix-free, makes the path-map view faithful, and forces
-:meth:`Dtry.filter` to delete subdirectories it empties out.
+compare equal: ``==`` compares two trees' path families, as
+:meth:`Dtry.path_map` reads them, without recursion. Emptiness exists
+only at the top level: no subtree is ever an empty node. That single
+constraint is what keeps the set of complete paths prefix-free, makes
+the path-map view faithful, and forces :meth:`Dtry.filter` to delete
+subdirectories it empties out.
 
 ``filter_nothings`` and ``distrib`` are the paper's distributive law of
 absence over directories, exposed and tested as such: an absent entry
@@ -135,7 +137,8 @@ class Node(NonEmptyRecord):
     then a ``Leaf`` holds it, so that it is not read as a subtree. A
     ``Leaf`` child always holds a value, so ``Leaf(1)`` as a child means
     what ``1`` does, and the two trees compare equal. A node is never
-    equal to anything but a node.
+    equal to anything but a node, and equals one that binds the same
+    values at the same paths: ``==`` compares their path maps.
 
     >>> root = Dtry.from_path_map({"a.x": 1, "b": Leaf(2)}).root
     >>> root
@@ -157,29 +160,7 @@ class Node(NonEmptyRecord):
     __delattr__ = _Frozen.__delattr__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Node):
-            return False
-        # Without recursion: a stack of node pairs still to compare. Records
-        # keep their keys sorted, so equal key sets pair the children in order.
-        # A value equals the same object, so one NaN object equals itself.
-        pending = [(self, other)]
-        while pending:
-            left, right = pending.pop()
-            if left.keys() != right.keys():
-                return False
-            for a, b in zip(left.values(), right.values()):
-                if type(a) is Node or type(b) is Node:
-                    if type(a) is not type(b):
-                        return False
-                    pending.append((a, b))
-                    continue
-                if type(a) is Leaf:
-                    a = a.value
-                if type(b) is Leaf:
-                    b = b.value
-                if not (a is b or a == b):
-                    return False
-        return True
+        return isinstance(other, Node) and Dtry(self).path_map() == Dtry(other).path_map()
 
     def __ne__(self, other) -> bool:
         return not self.__eq__(other)
@@ -689,8 +670,7 @@ class Dtry(Generic[T]):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dtry):
             return NotImplemented
-        # Trees are canonical, so equal directories have equal trees.
-        return self._root == other._root
+        return self.path_map() == other.path_map()
 
     __hash__ = None
 

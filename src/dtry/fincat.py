@@ -355,8 +355,10 @@ class FinFn:
     constructor checks and stores in one call, keyword or positional.
     The fields live in slots, with no instance dict; eq compares
     ``(cod, images)`` with a function of the same class only, as the
-    dataclass's does, and hash is that of ``(cod, images)``, computed on
-    each call. Copies and pickles go through the constructor.
+    dataclass's does, and hash is the dataclass's, that of
+    ``(cod, images)``, computed on each call. Copies and pickles go
+    through the constructor. An index it is called on must be an ``int``
+    (a ``bool`` is none) in ``1..dom``.
     """
 
     __slots__ = ("cod", "images", "__weakref__")
@@ -380,6 +382,8 @@ class FinFn:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int:
+            raise TypeError(f"index {i!r} is not an int")
         images = self.images
         if not 1 <= i <= len(images):
             raise IndexError(f"index {i!r} outside the domain 1..{len(images)}")
@@ -389,9 +393,6 @@ class FinFn:
         if other.__class__ is self.__class__:
             return self.cod == other.cod and self.images == other.images
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cod, self.images))
 
     def __reduce__(self):
         return self.__class__, (self.cod, self.images)
@@ -455,15 +456,19 @@ class FinSetSkeleton:
         The domain lays out the blocks ``[sizes[j] for j in index]`` and the
         codomain ``sizes``, in order; block ``i`` maps element for element.
         A repeated index merges blocks (a codiagonal), a missing one leaves
-        its block empty, and a permutation permutes the blocks.
+        its block empty, and a permutation permutes the blocks. Each index
+        must be an ``int`` (a ``bool`` is none) in ``0..len(sizes) - 1``.
 
         >>> FinSetSkeleton().block_reindex([2, 1], [1, 0])
         FinFn(3, (3, 1, 2))
         >>> FinSetSkeleton().block_reindex([2], [0, 0])
         FinFn(2, (1, 2, 1, 2))
         """
-        if not all(0 <= j < len(sizes) for j in index):
-            raise ValueError(f"block index outside 0..{len(sizes) - 1}: {list(index)}")
+        for j in index:
+            if type(j) is not int:
+                raise TypeError(f"block index {j!r} is not an int")
+            if not 0 <= j < len(sizes):
+                raise ValueError(f"block index outside 0..{len(sizes) - 1}: {list(index)}")
         starts = list(accumulate(sizes, initial=0))
         images = [i for j in index for i in range(starts[j] + 1, starts[j + 1] + 1)]
         return FinFn(starts[-1], images)

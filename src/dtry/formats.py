@@ -543,9 +543,12 @@ def emit_nested(directory: Dtry) -> str:
 
     The text is what ``json.dumps(..., indent=2, sort_keys=True,
     ensure_ascii=False)`` writes for the directory as nested objects; it
-    is built straight from the trie, without recursion. The trie's height
-    is found first, so that a trie too deep is refused before any text is
-    built, and each depth's line start and comma are made once from it.
+    is built straight from the trie, without recursion. A str, an exact
+    int, a finite float, a bool, None and a nonempty array of exact ints
+    are written here; json's encoder writes every other leaf. The trie's
+    height is found first, so that a trie too deep is refused before any
+    text is built, and each depth's line start and comma are made once
+    from it.
 
     >>> print(emit_nested(Dtry.from_path_map({"b": [1, 2], "a.y": None, "a.x": "s"})), end="")
     {
@@ -598,7 +601,6 @@ def emit_nested(directory: Dtry) -> str:
             if kind is Leaf:
                 value = value.value
                 kind = type(value)
-            # _scalar, inline for the common case
             if kind is str:
                 text = _string(value)
             elif kind is int:
@@ -612,7 +614,7 @@ def emit_nested(directory: Dtry) -> str:
             elif value is False:
                 text = "false"
             else:
-                text = _scalar_array(value, indent)
+                text = _int_array(value, indent)
                 if text is None:
                     text = _leaf_text(value, indent)
                     # The value's own arrays and objects nest further;
@@ -700,45 +702,15 @@ _INTS = {int}
 _LEAF = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
 
 
-def _scalar(value) -> str | None:
-    """A str, exact int, finite float, bool or None as json writes it; None for other values."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return _int(value)
-    if kind is float and value - value == 0.0:  # finite
-        return _float(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return None
+def _int_array(value, indent: str) -> str | None:
+    """A nonempty list of exact ints as json writes it at ``indent``, in one pass in C.
 
-
-def _scalar_array(value, indent: str) -> str | None:
-    """A list of values :func:`_scalar` writes, as json writes it at ``indent``.
-
-    None for any other value, so that only arrays holding arrays or
-    objects, and leaves of other types, go through json's encoder.
+    None for any other value, which json's encoder writes.
     """
-    if type(value) is not list:
+    if type(value) is not list or set(map(type, value)) != _INTS:
         return None
-    if not value:
-        return "[]"
-    if set(map(type, value)) == _INTS:  # exact ints, written in one pass in C
-        texts = map(_int, value)
-    else:
-        texts = []
-        for item in value:
-            text = _scalar(item)
-            if text is None:
-                return None
-            texts.append(text)
     inner = indent + "  "
-    return f"[{inner}{(',' + inner).join(texts)}{indent}]"
+    return f"[{inner}{(',' + inner).join(map(_int, value))}{indent}]"
 
 
 # Frames that reading a document back takes beyond one per level of

@@ -529,7 +529,7 @@ class TestWork:
         assert python_calls(len, directory)[1] == Counter({Dtry.__len__.__code__: 1})
         text, calls = python_calls(emit_nested, directory)
         assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
-        assert calls.pop(formats._scalar_array.__code__, 0) <= arrays
+        assert calls.pop(formats._int_array.__code__, 0) <= arrays
         # What is left is the depth check, a few frames per level
         # (``_readable`` tries the depth it needs), and no more.
         assert sum(calls.values()) <= 3 * (height + 10)

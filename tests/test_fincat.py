@@ -798,6 +798,17 @@ class TestFinSetSkeleton:
         with pytest.raises(IndexError, match=r"^index 1 outside the domain 1\.\.0$"):
             FinFn(2, ())(1)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=repr)
+    def test_an_index_that_is_no_int_is_refused(self, index):
+        # True would read as 1 and False as 0, so a bool is refused as a float is.
+        shown = re.escape(repr(index))
+        with pytest.raises(TypeError, match=f"^index {shown} is not an int$"):
+            FinFn(2, (2, 1))(index)
+        with pytest.raises(TypeError, match=f"^block index {shown} is not an int$"):
+            SKEL.block_reindex([2, 3], [index])
+        with pytest.raises(TypeError, match=f"^block index {shown} is not an int$"):
+            SKEL.block_reindex([2, 3], [1, index])
+
     def test_images_are_stored_as_a_tuple(self):
         f = FinFn(2, [2, 1])
         assert type(f.images) is tuple and f.images == (2, 1)

@@ -626,6 +626,10 @@ class TestNestedWriter:
     @example(Dtry.from_path_map({"a.b": [100000000000000000000, -1]}))
     @example(Dtry.from_path_map({"a": [0]}))
     @example(Dtry.from_path_map({"a": []}))
+    @example(Dtry.from_path_map({"a.b": [], "c": [[]]}))
+    @example(Dtry.from_path_map({"a.b": [" ", '"']}))
+    @example(Dtry.from_path_map({"a": ["x", 1.5, True, False, None, -0.0]}))
+    @example(Dtry.from_path_map({"a.b": [[1, 2], ["x", [None]]], "c": [[[]]]}))
     @example(Dtry.from_path_map({"a.b": [1.5, 2]}))
     @example(Dtry.from_path_map({"a": -0.0}))
     @example(Dtry.leaf(-0.0))
