@@ -160,10 +160,7 @@ def _flat_get(items: list, at: str) -> str | None:
 
 
 def cmd_get(args) -> int:
-    try:
-        path = Path.parse(args.path)
-    except BadPathError as exc:
-        raise ParseError([Diagnostic(exc.code, 1, str(exc))]) from exc
+    path = Path.parse(args.path)
     text = _read(args.file)
     if args.format == "flat":
         found = _flat_get(_read_flat(text), str(path))
@@ -188,10 +185,7 @@ def cmd_merge(args) -> int:
         if not sep:
             print(f"error: --prefix takes NAME=FILE, got {binding!r}", file=sys.stderr)
             return EXIT_INVALID
-        try:
-            name = _name(name_text)
-        except BadNameError as exc:
-            raise ParseError([Diagnostic(exc.code, 1, str(exc))]) from exc
+        name = _name(name_text)
         if name in entries:
             print(f"error: duplicate prefix {name!r}", file=sys.stderr)
             return EXIT_INVALID
@@ -268,6 +262,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
+        return EXIT_INVALID
+    except (BadPathError, BadNameError) as exc:  # a path or name on the command line
+        print(Diagnostic(exc.code, 1, str(exc)), file=sys.stderr)
         return EXIT_INVALID
 
 

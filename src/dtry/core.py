@@ -3,7 +3,7 @@
 A directory is either empty or a nonempty tree: a single value at the
 root, held in a ``Leaf``, or a ``Node``. A node is its own record: a
 read-only ``dict`` from names, plain ``str``s, to entries, read with
-dict's own methods (``Node.children`` is the node itself). An entry is
+dict's own methods and printed as ``Node({...})``. An entry is
 a subdirectory, itself a ``Node``, or the value bound there, held bare,
 as a named tuple holds it; only a value that is itself a ``Leaf`` or a
 ``Node`` is held in a ``Leaf``, so that no value is read as a subtree.
@@ -111,7 +111,7 @@ class NonEmptyRecord(dict):
         return type(self), (dict(self),)
 
     def __repr__(self) -> str:
-        return f"NonEmptyRecord({dict.__repr__(self)})"
+        return f"{type(self).__name__}({dict.__repr__(self)})"
 
 
 class _Sorted(dict):
@@ -142,19 +142,14 @@ class Node(NonEmptyRecord):
 
     >>> root = Dtry.from_path_map({"a.x": 1, "b": Leaf(2)}).root
     >>> root
-    Node(children=NonEmptyRecord({'a': Node(children=NonEmptyRecord({'x': 1})), 'b': Leaf(value=Leaf(value=2))}))
-    >>> root.children is root, list(root["a"].items())
+    Node({'a': Node({'x': 1}), 'b': Leaf(value=Leaf(value=2))})
+    >>> isinstance(root, dict), list(root["a"].items())
     (True, [('x', 1)])
     >>> Node({"x": Leaf(1)}) == Node({"x": 1})
     True
     """
 
     __slots__ = ()
-
-    @property
-    def children(self) -> "Node":
-        """The node itself, read as the record of its entries."""
-        return self
 
     __setattr__ = _Frozen.__setattr__
     __delattr__ = _Frozen.__delattr__
@@ -164,9 +159,6 @@ class Node(NonEmptyRecord):
 
     def __ne__(self, other) -> bool:
         return not self.__eq__(other)
-
-    def __repr__(self) -> str:
-        return f"Node(children={NonEmptyRecord.__repr__(self)})"
 
 
 _set_value = Leaf.value.__set__  # Leaf is frozen; the slot's setter beats object.__setattr__
@@ -382,25 +374,22 @@ def _clean_pairs(entries: Mapping) -> list:
     ``(text, value, key)`` when every key is a tuple of plain ``str``
     names, so that a caller keeps the key and need not split its text.
     Keys all of one of those two kinds are made texts in a few passes in
-    C (see :func:`_joined`); any other set of keys, each made a ``Path``
-    in the mapping's order, so that the first key that is no path raises.
+    C (see :func:`_joined`); any other set of keys, or one with a text that
+    is no path, each made a ``Path`` in the mapping's order, so that the
+    first bad key raises. A clash is named by :func:`_clashing`'s first run.
     """
     entries = dict(entries)
     kinds = set(map(type, entries))
+    clashing = None
     if kinds <= {str}:
-        items = list(entries.items())
+        ordered, clashing = _sorted_scan(list(entries.items()))
     elif kinds <= {tuple, Path} and (texts := _joined(entries)) is not None:
-        items = list(zip(texts, entries.values(), entries))
-    else:
-        items = list(zip(map(".".join, map(Path, entries)), entries.values()))
-    ordered, clashing = _sorted_scan(items)
-    if clashing == []:
-        return ordered
-    # Not clean, so it fails as the reference would: coerce every key, sort,
-    # and name the first path that equals or extends the one before it.
-    paths = sorted(map(Path, entries))
-    existing, incoming = next((a, b) for a, b in zip(paths, paths[1:]) if b[: len(a)] == a)
-    raise PrefixConflictError(existing, incoming)
+        ordered, clashing = _sorted_scan(list(zip(texts, entries.values(), entries)))
+    if clashing is None:
+        ordered, clashing = _sorted_scan(list(zip(map(".".join, map(Path, entries)), entries.values())))
+    if clashing:
+        raise PrefixConflictError(Path(clashing[0][0]), Path(clashing[1][0]))
+    return ordered
 
 
 def _joined(keys: dict) -> list[str] | None:

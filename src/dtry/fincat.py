@@ -445,12 +445,13 @@ class FinSetSkeleton:
     def hom(self, m: int, n: int) -> list[FinFn]:
         return [FinFn(n, images) for images in _cartesian(range(1, n + 1), repeat=m)]
 
-    def block_sum(self, fns: Sequence[FinFn]) -> FinFn:
+    def block_sum(self, fns: Iterable[FinFn]) -> FinFn:
         """The disjoint union of functions, domains and codomains laid out in order."""
+        fns = list(fns)  # read once: an iterator gives what its list does
         starts = list(accumulate((f.cod for f in fns), initial=0))
         return FinFn(starts[-1], [i + start for f, start in zip(fns, starts) for i in f.images])
 
-    def block_reindex(self, sizes: Sequence[int], index: Sequence[int]) -> FinFn:
+    def block_reindex(self, sizes: Iterable[int], index: Iterable[int]) -> FinFn:
         """Blocks moved by an index map: block ``i`` goes onto block ``index[i]`` of ``sizes``.
 
         The domain lays out the blocks ``[sizes[j] for j in index]`` and the
@@ -464,11 +465,12 @@ class FinSetSkeleton:
         >>> FinSetSkeleton().block_reindex([2], [0, 0])
         FinFn(2, (1, 2, 1, 2))
         """
+        index, sizes = list(index), list(sizes)  # each read once, as in block_sum
         for j in index:
             if type(j) is not int:
                 raise TypeError(f"block index {j!r} is not an int")
             if not 0 <= j < len(sizes):
-                raise ValueError(f"block index outside 0..{len(sizes) - 1}: {list(index)}")
+                raise ValueError(f"block index outside 0..{len(sizes) - 1}: {index}")
         starts = list(accumulate(sizes, initial=0))
         images = [i for j in index for i in range(starts[j] + 1, starts[j + 1] + 1)]
         return FinFn(starts[-1], images)

@@ -194,13 +194,18 @@ def _read_flat(text: str) -> list[tuple[str, str]]:
     for index, existing in _conflicts([key for key, _ in clashing]):
         key, lineno = clashing[index]
         if existing == key:
-            message = f"duplicate path {_show(key)}; first bound at line {first_line[key]}"
-            diagnostics.append(Diagnostic("E_DUPLICATE_PATH", lineno, message))
+            diagnostics.append(_duplicate(key, lineno, first_line[key]))
         else:
             exc = PrefixConflictError(Path.parse(existing), Path.parse(key))
             diagnostics.append(Diagnostic(exc.code, lineno, str(exc)))
     diagnostics.sort(key=attrgetter("line"))  # one per line
     raise ParseError(diagnostics)
+
+
+def _duplicate(key: str, lineno: int, first_line: int) -> Diagnostic:
+    """The diagnostic at ``lineno`` of a flat key that the line ``first_line`` binds already."""
+    message = f"duplicate path {_show(key)}; first bound at line {first_line}"
+    return Diagnostic("E_DUPLICATE_PATH", lineno, message)
 
 
 def _read_keys(text: str) -> tuple[list | None, list[Diagnostic], list]:
@@ -275,8 +280,7 @@ def _key_conflicts(text: str) -> list[Diagnostic]:
                 (entries[i], entries[j]), key=itemgetter(1)
             )
             if first == second:
-                message = f"duplicate path {_show(second)}; first bound at line {first_line}"
-                diag = Diagnostic("E_DUPLICATE_PATH", second_line, message)
+                diag = _duplicate(second, second_line, first_line)
             else:
                 message = f"paths {_show(first)} (line {first_line}) and {_show(second)} conflict"
                 diag = Diagnostic("E_PREFIX_CONFLICT", second_line, message)

@@ -406,7 +406,7 @@ def oracle_emit_nested(d: Dtry) -> str:
 def _tree_to_json(tree):
     """The JSON of a root or a record entry: a ``Node``'s object, else the value it holds."""
     if isinstance(tree, Node):
-        return {str(name): _tree_to_json(child) for name, child in tree.children.items()}
+        return {str(name): _tree_to_json(child) for name, child in tree.items()}
     value = tree.value if isinstance(tree, Leaf) else tree
     if isinstance(value, Mapping):
         raise ValueError(
@@ -432,7 +432,7 @@ def _check_tree(tree, built: bool) -> None:
     if isinstance(tree, Leaf):
         return
     assert isinstance(tree, Node)
-    record = tree.children
+    record = tree
     assert isinstance(record, NonEmptyRecord)
     assert len(record) >= 1
     keys = list(record.keys())
@@ -451,7 +451,7 @@ def nodes(tree):
     while stack:
         tree = stack.pop()
         yield tree
-        stack.extend(child for child in tree.children.values() if type(child) is Node)
+        stack.extend(child for child in tree.values() if type(child) is Node)
 
 
 def join_maybe(m):

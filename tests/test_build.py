@@ -197,7 +197,7 @@ class TestDifferential:
         tree = _from_sorted(_sorted_scan(kept)[0])
         assert Dtry(tree).path_map() == {Path(paths[value]): value for _, value in kept}
         for node in nodes(tree):
-            keys = list(node.children)
+            keys = list(node)
             assert keys == sorted(keys) and all(type(key) is str and _is_name(key) for key in keys)
 
 
@@ -453,6 +453,29 @@ class TestWork:
             parse_flat("".join(f"{key} = v\n" for key in keys) + f"{keys[500]}.x = below\n")
         assert calls["scans"] == 1
 
+    def test_a_failing_path_map_is_sorted_once_and_makes_only_the_two_paths_it_names(self, monkeypatch):
+        calls = Counter()
+        scan, path = core._sorted_scan, core.Path
+
+        def counting_scan(items):
+            calls["scans"] += 1
+            return scan(items)
+
+        def counting_path(key):
+            calls["paths"] += 1
+            return path(key)
+
+        monkeypatch.setattr(core, "_sorted_scan", counting_scan)
+        monkeypatch.setattr(core, "Path", counting_path)
+        keys = [line.partition(" = ")[0] for line in realistic_lines(1000)]
+        below = keys[500] + ".x"
+        for split in (str, lambda key: tuple(key.split("."))):
+            calls.clear()
+            with pytest.raises(PrefixConflictError) as failure:
+                Dtry.from_path_map({split(key): "v" for key in [*keys, below]})
+            assert (failure.value.existing, failure.value.incoming) == (Path(keys[500]), Path(below))
+            assert calls == {"scans": 1, "paths": 2}
+
     def test_a_repeated_last_line_reads_in_a_few_times_the_clean_time(self):
         lines = realistic_lines(10_000)
         random.Random(1).shuffle(lines)
@@ -514,7 +537,7 @@ class TestWork:
         work.clear()
         written = directory.map_values(cli._flat_value)
         assert written.path_map() == {p: str(v) for p, v in directory.path_map().items()}
-        assert written.root.children["s"] is directory.root.children["s"]
+        assert written.root["s"] is directory.root["s"]
         # the root, n and n.x are new: their entries and nothing else
         assert work["record entries"] == 2 + 2 + 1
 

@@ -226,6 +226,23 @@ def non_utf8_argvs(source):
 
 
 class TestInputFailures:
+    # A missing file would exit 2 if it were opened before the argument is checked.
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["get", "a..b", "MISSING"], "1:E_BAD_PATH:bad path 'a..b' at segment 1: name is empty"),
+            (
+                ["merge", "--prefix", "no.dots=MISSING"],
+                "1:E_BAD_NAME:bad name 'no.dots' at character 2: invalid character '.'",
+            ),
+        ],
+        ids=("get", "merge"),
+    )
+    def test_a_bad_path_or_name_fails_before_its_file_is_opened(self, tmp_path, capsys, argv, line):
+        missing = str(tmp_path / "missing.flat")
+        assert main([a.replace("MISSING", missing) for a in argv]) == 1
+        assert capsys.readouterr() == ("", line + "\n")
+
     @pytest.mark.parametrize("argv", non_utf8_argvs("FILE"), ids=NON_UTF8_IDS)
     def test_non_utf8_file(self, tmp_path, capsys, argv):
         target = tmp_path / "raw.dtry"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dtry
 from dtry import paths
 from dtry.core import (
     Dtry,
@@ -174,7 +175,17 @@ class TestNodeContract:
     def test_reprs(self):
         assert repr(Leaf(1)) == "Leaf(value=1)"
         node = Node(NonEmptyRecord({"a": Leaf("x")}))
-        assert repr(node) == "Node(children=NonEmptyRecord({'a': Leaf(value='x')}))"
+        assert repr(node) == "Node({'a': Leaf(value='x')})"
+
+    def test_a_node_prints_as_the_call_that_makes_it(self):
+        rng = random.Random(43)
+        trees = [Dtry.from_path_map(random_dtry(rng).path_map()).root for _ in range(200)]
+        document = {"a": {"x": [1, "s"], "y": {"z": None}}, "b": True}
+        trees.append(parse_nested(json.dumps(document)).root)
+        trees.append(Dtry.from_path_map({"a.x": Leaf(1), "b": Node({"c": {"d": 2}})}).root)
+        built = [node for tree in trees for node in nodes(tree)]
+        assert sum(type(node["a"]) is Node for node in built if "a" in node) > 10
+        assert all(eval(repr(node), vars(dtry)) == node for node in built)
 
     def test_equality_and_hash(self):
         assert Leaf(1) == Leaf(1) and Leaf(1) != Leaf(2) and Leaf(1) != 1
@@ -193,19 +204,19 @@ class TestNodeContract:
         assert Node(NonEmptyRecord({"x": 1})) != {"x": 1}
 
     @pytest.mark.parametrize(
-        "tree, field",
-        [(Leaf(1), "value"), (Node(NonEmptyRecord({"a": Leaf(1)})), "children")],
+        "tree, fields",
+        [(Leaf(1), ("value",)), (Node(NonEmptyRecord({"a": Leaf(1)})), ())],
         ids=("Leaf", "Node"),
     )
-    def test_frozen_and_slotted(self, tree, field):
-        before = getattr(tree, field)
-        with pytest.raises(FrozenInstanceError):
-            setattr(tree, field, None)
-        with pytest.raises(FrozenInstanceError):
-            delattr(tree, field)
-        with pytest.raises(FrozenInstanceError):
-            tree.other = None
-        assert getattr(tree, field) is before
+    def test_frozen_and_slotted(self, tree, fields):
+        # A node has no field, being its record: every attribute is refused.
+        before = [getattr(tree, field) for field in fields]
+        for name in (*fields, "other", "items"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tree, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(tree, name)
+        assert all(getattr(tree, field) is old for field, old in zip(fields, before))
         assert not hasattr(tree, "__dict__")
         assert copy.deepcopy(tree) == tree == pickle.loads(pickle.dumps(tree))
 
@@ -280,7 +291,7 @@ class TestRecordIsReadOnly:
         document = {"a": {"x": 1, "y": {"z": [2]}}, "b": "v", "c": {"d": {"e": None}}}
         built = list(nodes(parse_nested(json.dumps(document)).root))
         assert len(built) == 5
-        assert all(type(node) is Node and node.children is node for node in built)
+        assert issubclass(Node, NonEmptyRecord) and all(type(node) is Node for node in built)
 
     @pytest.mark.parametrize(
         "value", [Node({"x": 1}), NonEmptyRecord({"x": 1})], ids=("Node", "NonEmptyRecord")
@@ -470,6 +481,12 @@ class TestPathMapIsomorphism:
     @example({"b.c": 1, "a.x.y": 2, "b": 3, "a.x": 4})
     @example({"a.b": 1, "": 2, ("c", 5): 3, "b-": 4})
     @example({"a": 1, "b-": 2})
+    @example({"a": 1, "a.b": 2, "c-": 3})  # a clash, then a bad key: the bad key raises
+    @example({("a",): 1, ("a", "b"): 2, ("c", "d-"): 3})
+    @example({"a": 1, "": 2})  # the root beside another key
+    @example({(): 1, ("a",): 2})
+    @example({"a.b": 1, ("a", "b"): 2})  # equal texts from a str key and a tuple key
+    @example({("a", "b"): 1, "c": 2, "a.b": 3})
     def test_matches_the_sort_first_reference(self, entries):
         want = outcome(reference_from_path_map, entries)
         got = outcome(Dtry.from_path_map, entries)
@@ -855,7 +872,7 @@ KEY_FORMS = {
 
 def plain_names(tree) -> bool:
     """Whether each record key under ``tree``, and each segment of its paths, is a plain ``str`` name."""
-    keys = [key for node in nodes(tree) for key in node.children]
+    keys = [key for node in nodes(tree) for key in node]
     segments = [segment for path in Dtry(tree).path_map() for segment in path]
     return all(type(name) is str and paths._is_name(name) for name in keys + segments)
 

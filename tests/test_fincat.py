@@ -906,6 +906,14 @@ class TestFinSetSkeleton:
                 sizes, [b[i] for i in a]
             )
 
+    def test_block_sum_and_block_reindex_read_an_iterator_as_its_list(self):
+        fns = [FinFn(2, (1, 2)), FinFn(1, (1, 1))]
+        for each in (iter, lambda items: (item for item in items)):
+            assert SKEL.block_sum(each(fns)) == SKEL.block_sum(fns) == FinFn(3, (1, 2, 3, 3))
+            assert SKEL.block_reindex(each([2, 1]), each([1, 0])) == FinFn(3, (3, 1, 2))
+            with pytest.raises(ValueError, match=r"outside 0\.\.1: \[1, 2, 0\]$"):
+                SKEL.block_reindex([2, 1], each([1, 2, 0]))
+
     def test_block_reindex_merges_and_leaves_out_blocks(self):
         assert SKEL.block_reindex([2], [0, 0]) == FinFn(2, (1, 2, 1, 2))
         assert SKEL.block_reindex([1, 2, 1], [2, 2]) == FinFn(4, (4, 4))

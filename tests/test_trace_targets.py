@@ -51,7 +51,7 @@ def test_record_counter_sees_every_record_built():
     seen = set(map(id, nodes(parsed.root)))
     built = list(nodes(parsed.root)) + [n for n in nodes(kept.root) if id(n) not in seen]
     assert len(built) == 31 + 11  # the root and the ten groups that lost one value
-    assert (calls, entries) == (len(built), sum(len(n.children) for n in built))
+    assert (calls, entries) == (len(built), sum(len(n) for n in built))
 
 
 def test_flat_parser_makes_a_path_only_for_a_rejected_line():
